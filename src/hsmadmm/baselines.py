@@ -1,12 +1,13 @@
 """Comparison algorithms: uniform-step ADMM and two mixing-based methods.
 
 These isolate the two claims under test. The uniform variant is the same
-ADMM round with every step size pinned to the worst (maximum-degree) node;
-on a regular graph it is bit-identical to the heterogeneous run. The
-proximal decentralized SGD and gradient-tracking rounds are minimal faithful
-representatives of the mixing-matrix family used for communication
-accounting: one transmits a single vector per directed neighbor per round,
-the other two (iterate plus tracker).
+ADMM round with every step size pinned to the worst (maximum-degree) node
+(``hsm_admm.step_degrees``); on a regular graph it is bit-identical to the
+heterogeneous run. The proximal decentralized SGD and gradient-tracking
+rounds are minimal faithful representatives of the mixing-matrix family
+used for communication accounting: one transmits a single vector per
+directed neighbor per round, the other two (iterate plus tracker). Mixing
+is one product W @ X of the n x n weights with the stacked (n, p) iterates.
 """
 from __future__ import annotations
 
@@ -15,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Graph
-from .hsm_admm import NetworkState, Schedules, _pmap, hsm_admm_round
 from .problems import (CompositeProblem, draw_batch, full_batch, prox_h,
                        stochastic_gradient)
 
@@ -35,145 +35,87 @@ def metropolis_weights(graph: Graph) -> np.ndarray:
     return W
 
 
-def uniform_eta_rule(sched: Schedules, graph: Graph):
-    """Every agent steps as if it had the global maximum degree."""
-    d_max = int(graph.degree.max()) if graph.n > 1 else 0
-    return lambda k, degree: sched.eta(k, d_max)
-
-
-def uniform_admm_round(state: NetworkState, prob: CompositeProblem, graph: Graph,
-                       sched: Schedules, k: int, rngs, *, batch_size: int = 1,
-                       ledger=None, pool=None) -> None:
-    """ADMM round with the uniform worst-case step size; identical exchange
-    pattern and message count to the heterogeneous round."""
-    hsm_admm_round(state, prob, graph, sched, k, rngs, batch_size=batch_size,
-                   ledger=ledger, eta_rule=uniform_eta_rule(sched, graph),
-                   pool=pool)
-
-
 def baseline_step(step_scale: float, k: int) -> float:
     """Diminishing step for the mixing-based rounds: scale / sqrt(t)."""
     return step_scale / float(k + 1) ** 0.5
 
 
-def _draw_gradient(prob, i, x, rng, batch_size):
-    if batch_size == 0:
-        batch = full_batch(prob, i)
-    else:
-        batch = draw_batch(prob, i, rng, batch_size)
-    return stochastic_gradient(prob, i, x, batch)
+def _draw_gradients(prob, xs, rngs, batch_size):
+    """Row i: a stochastic gradient at xs[i] from agent i's own stream
+    (``batch_size = 0``: the full local data)."""
+    grads = np.empty_like(xs)
+    for i in range(prob.n):
+        if batch_size == 0:
+            batch = full_batch(prob, i)
+        else:
+            batch = draw_batch(prob, i, rngs[i], batch_size)
+        grads[i] = stochastic_gradient(prob, i, xs[i], batch)
+    return grads
 
 
 @dataclass
 class ProxDsgdState:
-    """Iterates only; gradients are drawn per round."""
+    """Iterates only, shape (n, p); gradients are drawn per round."""
 
-    x: list
-
-    @property
-    def n(self) -> int:
-        return len(self.x)
-
-    @property
-    def p(self) -> int:
-        return int(self.x[0].size)
+    x: np.ndarray
 
     def xs(self) -> np.ndarray:
-        return np.array(self.x)
-
-    def copy(self) -> "ProxDsgdState":
-        return ProxDsgdState([xi.copy() for xi in self.x])
+        return self.x.copy()
 
 
 def init_dsgd_state(graph: Graph, x0) -> ProxDsgdState:
-    x0 = np.asarray(x0, dtype=float)
-    return ProxDsgdState([x0.copy() for _ in range(graph.n)])
+    return ProxDsgdState(np.tile(np.asarray(x0, dtype=float), (graph.n, 1)))
 
 
 def prox_dsgd_round(state: ProxDsgdState, prob: CompositeProblem, graph: Graph,
                     W: np.ndarray, k: int, rngs, *, step_scale: float = 0.1,
-                    batch_size: int = 1, ledger=None, pool=None) -> None:
+                    batch_size: int = 1, ledger=None) -> None:
     """Mix, take a stochastic gradient step, prox. One vector per directed
     neighbor pair crosses the network per round."""
     gamma = baseline_step(step_scale, k)
-    snap = state.xs()
-
-    def task(i):
-        g = _draw_gradient(prob, i, state.x[i], rngs[i], batch_size)
-        mixed = W[i] @ snap
-        return prox_h(prob, i, mixed - gamma * g, gamma)
-
-    x_new = _pmap(task, state.n, pool)
+    grads = _draw_gradients(prob, state.x, rngs, batch_size)
+    state.x = prox_h(prob, None, W @ state.x - gamma * grads, gamma)
     if ledger is not None:
-        ledger.record(2 * graph.m, state.p)
-    state.x = x_new
+        ledger.record(2 * graph.m, prob.p)
 
 
 @dataclass
 class ProxGtState:
-    """Iterates, gradient trackers, and the last local gradients."""
+    """Iterates, gradient trackers, and the last local gradients, each (n, p)."""
 
-    x: list
-    s: list
-    g: list
-
-    @property
-    def n(self) -> int:
-        return len(self.x)
-
-    @property
-    def p(self) -> int:
-        return int(self.x[0].size)
+    x: np.ndarray
+    s: np.ndarray
+    g: np.ndarray
 
     def xs(self) -> np.ndarray:
-        return np.array(self.x)
+        return self.x.copy()
 
     def trackers(self) -> np.ndarray:
-        return np.array(self.s)
+        return self.s.copy()
 
     def gradients(self) -> np.ndarray:
-        return np.array(self.g)
-
-    def copy(self) -> "ProxGtState":
-        return ProxGtState([v.copy() for v in self.x],
-                           [v.copy() for v in self.s],
-                           [v.copy() for v in self.g])
+        return self.g.copy()
 
 
 def init_gt_state(prob: CompositeProblem, graph: Graph, x0, rngs,
                   batch_size: int = 1) -> ProxGtState:
     """Trackers start at the initial local gradients, which plants the
     telescoping identity sum_i s_i = sum_i g_i."""
-    x0 = np.asarray(x0, dtype=float)
-    g0 = [_draw_gradient(prob, i, x0, rngs[i], batch_size) for i in range(graph.n)]
-    return ProxGtState([x0.copy() for _ in range(graph.n)],
-                       [gi.copy() for gi in g0], g0)
+    x = np.tile(np.asarray(x0, dtype=float), (graph.n, 1))
+    g0 = _draw_gradients(prob, x, rngs, batch_size)
+    return ProxGtState(x, g0.copy(), g0)
 
 
 def prox_gt_round(state: ProxGtState, prob: CompositeProblem, graph: Graph,
                   W: np.ndarray, k: int, rngs, *, step_scale: float = 0.1,
-                  batch_size: int = 1, ledger=None, pool=None) -> None:
+                  batch_size: int = 1, ledger=None) -> None:
     """Gradient-tracking round: step along the tracker, then refresh it with
     the local gradient increment. Two vectors (iterate and tracker) cross
     each directed neighbor pair per round."""
     gamma = baseline_step(step_scale, k)
-    snap_x = state.xs()
-    snap_s = state.trackers()
-
-    def x_task(i):
-        mixed = W[i] @ snap_x
-        return prox_h(prob, i, mixed - gamma * state.s[i], gamma)
-
-    x_new = _pmap(x_task, state.n, pool)
-
-    def s_task(i):
-        g_new = _draw_gradient(prob, i, x_new[i], rngs[i], batch_size)
-        s_new = W[i] @ snap_s + g_new - state.g[i]
-        return s_new, g_new
-
-    updates = _pmap(s_task, state.n, pool)
+    x = prox_h(prob, None, W @ state.x - gamma * state.s, gamma)
+    grads = _draw_gradients(prob, x, rngs, batch_size)
+    state.s = W @ state.s + grads - state.g
+    state.x, state.g = x, grads
     if ledger is not None:
-        ledger.record(4 * graph.m, state.p)
-    state.x = x_new
-    state.s = [u[0] for u in updates]
-    state.g = [u[1] for u in updates]
+        ledger.record(4 * graph.m, prob.p)

@@ -1,11 +1,13 @@
 """Run configuration: a flat key = value text format with strict parsing.
 
 Unknown keys are rejected; every field has a typed default. Booleans accept
-true/false/1/0/yes/no. A ``#`` starts a comment anywhere on a line.
+true/false/1/0/yes/no. A ``#`` starts a comment anywhere on a line. Numbers
+must be finite.
 """
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 ALGORITHMS = ("hsm_admm", "uniform_admm", "prox_dsgd", "prox_gt")
@@ -21,7 +23,11 @@ class ConfigInvalid(Exception):
 @dataclass
 class RunConfig:
     """Everything a run needs: problem, topology, algorithm, schedule
-    constants, budgets, seeds, and output/checker switches."""
+    constants, budgets, seeds, and output/checker switches.
+
+    ``workers`` is accepted and validated but selects nothing: a run is one
+    process on stacked arrays, and parallel work is ``sweep --jobs``.
+    """
 
     algorithm: str = "hsm_admm"
     topology: str = "ring"
@@ -63,6 +69,10 @@ class RunConfig:
     c_gamma: float = 1.0
 
     def validate(self) -> None:
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigInvalid(f"{f.name} must be finite, got {value}")
         if self.algorithm not in ALGORITHMS:
             raise ConfigInvalid(f"algorithm must be one of {ALGORITHMS}, got {self.algorithm!r}")
         if self.topology not in TOPOLOGIES:

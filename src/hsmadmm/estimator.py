@@ -1,16 +1,16 @@
-"""Recursive-momentum stochastic gradient estimator, one state per agent.
+"""Recursive-momentum stochastic gradient estimator on stacked (n, p) arrays.
 
-The estimate after a step to ``x_new`` with momentum parameter ``a`` is
+Row i of the estimate after a step to ``x_new`` with momentum parameter
+``a`` is
 
-    v <- g(x_new, batch) + (1 - a) * (v_old - g(x_old, batch))
+    v_i <- g_i(x_new_i, batch_i) + (1 - a) * (v_i - g_i(x_old_i, batch_i))
 
-where both gradients are evaluated on the *same* freshly drawn batch; reusing
-the batch is what cancels the variance of the correction term. ``a = 1``
-discards the history and falls back to a plain stochastic gradient.
+where both gradients are evaluated on the *same* batch, freshly drawn from
+agent i's own stream; reusing the batch is what cancels the variance of the
+correction term. ``a = 1`` discards the history and falls back to a plain
+stochastic gradient.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,46 +30,42 @@ class MomentumOutOfRange(EstimatorError):
     """Momentum parameter outside (0, 1]."""
 
 
-@dataclass
-class MomentumState:
-    """Current gradient estimate and the iterate it was anchored at."""
+def init_momentum(prob: CompositeProblem, x0, m0: int, rngs,
+                  full: bool = False) -> np.ndarray:
+    """Row i is the average of ``m0`` gradients at ``x0[i]``, sampled from
+    agent i's stream ``rngs[i]``.
 
-    v: np.ndarray
-    last_x: np.ndarray
-
-
-def init_momentum(prob: CompositeProblem, i: int, x0, m0: int, rng,
-                  full: bool = False) -> MomentumState:
-    """Average of ``m0`` independently sampled gradients at ``x0``.
-
-    With ``full=True`` the sampler is bypassed and the exact local gradient
-    is used (the deterministic mode; ``m0`` and ``rng`` are then unused).
+    With ``full=True`` the sampler is bypassed and the exact local gradients
+    are used (the deterministic mode; ``m0`` and ``rngs`` are then unused).
     """
-    x0 = np.asarray(x0, dtype=float).copy()
+    x0 = np.asarray(x0, dtype=float)
     if full:
-        return MomentumState(v=full_gradient(prob, i, x0), last_x=x0)
+        return np.array([full_gradient(prob, i, x0[i]) for i in range(prob.n)])
     if m0 < 1:
         raise InvalidBatch(f"initialization batch size must be >= 1, got {m0}")
-    batch = draw_batch(prob, i, rng, m0)
-    return MomentumState(v=stochastic_gradient(prob, i, x0, batch), last_x=x0)
+    return np.array([stochastic_gradient(prob, i, x0[i], draw_batch(prob, i, rngs[i], m0))
+                     for i in range(prob.n)])
 
 
-def update_momentum(state: MomentumState, prob: CompositeProblem, i: int,
-                    x_new, a: float, rng, batch_size: int = 1) -> MomentumState:
-    """One recursive-momentum refresh at the new iterate.
+def update_momentum(v, last_x, prob: CompositeProblem, x_new, a: float, rngs,
+                    batch_size: int = 1) -> np.ndarray:
+    """One recursive-momentum refresh of every row at the new iterates;
+    returns the new (n, p) estimate.
 
     ``batch_size = 0`` selects the deterministic full-data batch (no rng
-    consumption); otherwise ``batch_size`` samples are drawn uniformly with
-    replacement and shared by both gradient evaluations.
+    consumption); otherwise agent i draws ``batch_size`` samples uniformly
+    with replacement from ``rngs[i]``, shared by its two gradient
+    evaluations.
     """
     if not (0.0 < a <= 1.0):
         raise MomentumOutOfRange(f"momentum parameter must be in (0, 1], got {a}")
-    x_new = np.asarray(x_new, dtype=float).copy()
-    if batch_size == 0:
-        batch = full_batch(prob, i)
-    else:
-        batch = draw_batch(prob, i, rng, batch_size)
-    g_new = stochastic_gradient(prob, i, x_new, batch)
-    g_old = stochastic_gradient(prob, i, state.last_x, batch)
-    v = g_new + (1.0 - a) * (state.v - g_old)
-    return MomentumState(v=v, last_x=x_new)
+    g_new = np.empty_like(v)
+    g_old = np.empty_like(v)
+    for i in range(prob.n):
+        if batch_size == 0:
+            batch = full_batch(prob, i)
+        else:
+            batch = draw_batch(prob, i, rngs[i], batch_size)
+        g_new[i] = stochastic_gradient(prob, i, x_new[i], batch)
+        g_old[i] = stochastic_gradient(prob, i, last_x[i], batch)
+    return g_new + (1.0 - a) * (v - g_old)

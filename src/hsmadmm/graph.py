@@ -116,9 +116,6 @@ class Graph:
     def m(self) -> int:
         return len(self.edges)
 
-    def canonical_edge(self, i: int, j: int) -> tuple:
-        return (i, j) if i < j else (j, i)
-
 
 def build_topology(kind: str, n: int, seed: int = 0, *, p: int = 1,
                    prob: float | None = None, hubs: int = 1,
@@ -304,35 +301,38 @@ class ConstraintOps:
         self._guard_dense()
         return np.kron(laplacian(self.graph), np.eye(self.p)) + np.eye(self.dim_in)
 
+    def apply_M(self, X) -> np.ndarray:
+        """Edge differences of an (n, p) block array: row k is
+        X[low_k] - X[high_k], the incidence matrix times X."""
+        return X[self._ei] - X[self._ej]
+
+    def apply_Mt(self, U) -> np.ndarray:
+        """Transpose of ``apply_M`` for an (m, p) edge array: each edge row
+        is added at its low endpoint and subtracted at its high endpoint."""
+        out = np.zeros((self.n, U.shape[1]))
+        np.add.at(out, self._ei, U)
+        np.subtract.at(out, self._ej, U)
+        return out
+
     def apply_A(self, x) -> np.ndarray:
         x = self._check(x, self.dim_in, "apply_A")
         if self.mode == "dense":
             return self.dense_A() @ x
-        X = x.reshape(self.n, self.p)
-        top = X[self._ei] - X[self._ej] if self.m else np.zeros((0, self.p))
-        return np.concatenate([top.ravel(), x])
+        return np.concatenate([self.apply_M(x.reshape(self.n, self.p)).ravel(), x])
 
     def apply_At(self, u) -> np.ndarray:
         u = self._check(u, self.dim_out, "apply_At")
         if self.mode == "dense":
             return self.dense_A().T @ u
         top = u[: self.m * self.p].reshape(self.m, self.p)
-        out = u[self.m * self.p:].reshape(self.n, self.p).copy()
-        np.add.at(out, self._ei, top)
-        np.subtract.at(out, self._ej, top)
-        return out.ravel()
+        return self.apply_Mt(top).ravel() + u[self.m * self.p:]
 
     def apply_AtA(self, x) -> np.ndarray:
         x = self._check(x, self.dim_in, "apply_AtA")
         if self.mode == "dense":
             return self.dense_AtA() @ x
         X = x.reshape(self.n, self.p)
-        out = X.copy()
-        if self.m:
-            diff = X[self._ei] - X[self._ej]
-            np.add.at(out, self._ei, diff)
-            np.subtract.at(out, self._ej, diff)
-        return out.ravel()
+        return (self.apply_Mt(self.apply_M(X)) + X).ravel()
 
     def apply_B(self, y) -> np.ndarray:
         y = self._check(y, self.dim_in, "apply_B")
@@ -346,9 +346,7 @@ class ConstraintOps:
         """A x + B y, assembled implicitly."""
         x = self._check(x, self.dim_in, "residual")
         y = self._check(y, self.dim_in, "residual")
-        X = x.reshape(self.n, self.p)
-        top = X[self._ei] - X[self._ej] if self.m else np.zeros((0, self.p))
-        return np.concatenate([top.ravel(), x - y])
+        return np.concatenate([self.apply_M(x.reshape(self.n, self.p)).ravel(), x - y])
 
 
 def smallest_singular_sq_A(ops: ConstraintOps) -> float:

@@ -17,6 +17,7 @@ import argparse
 import dataclasses
 import json
 import sys
+import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -39,10 +40,15 @@ def build_graph(cfg: RunConfig) -> graphmod.Graph:
 
 
 def build_problem(cfg: RunConfig) -> problems.CompositeProblem:
+    """The configured problem; a dataset file pair that cannot be loaded is
+    a configuration error."""
     if cfg.dataset_csv:
-        return problems.load_dataset(cfg.dataset_csv, cfg.dataset_manifest,
-                                     kind=cfg.problem, regularizer=cfg.regularizer,
-                                     l1_weight=cfg.l1_weight, alpha=cfg.alpha)
+        try:
+            return problems.load_dataset(cfg.dataset_csv, cfg.dataset_manifest,
+                                         kind=cfg.problem, regularizer=cfg.regularizer,
+                                         l1_weight=cfg.l1_weight, alpha=cfg.alpha)
+        except (OSError, ValueError, problems.ProblemError) as exc:
+            raise ConfigInvalid(f"dataset {cfg.dataset_csv}: {exc}") from exc
     return problems.make_problem(cfg.problem, cfg.n, cfg.p, cfg.samples_per_agent,
                                  cfg.dataset_seed, regularizer=cfg.regularizer,
                                  l1_weight=cfg.l1_weight, alpha=cfg.alpha,
@@ -70,6 +76,22 @@ def _replica_summary(trace: MetricsTrace, seed: int) -> dict:
         "slope": slope,
         "intercept": intercept,
     }
+
+
+def run_outputs(out_dir) -> dict:
+    """The deterministic part of a run's or a sweep's output directory: each
+    trace.csv without its wall_ms column and each JSON file, by relative
+    path. Reruns and any ``sweep --jobs`` count must reproduce it exactly."""
+    out = Path(out_dir)
+    files = {}
+    for path in sorted(out.rglob("*")):
+        rel = str(path.relative_to(out))
+        if path.name == "trace.csv":
+            files[rel] = [line.rsplit(",", 1)[0]
+                          for line in path.read_text().splitlines()]
+        elif path.suffix == ".json":
+            files[rel] = path.read_bytes()
+    return files
 
 
 def _write_json(payload: dict, path: Path) -> None:
@@ -347,15 +369,15 @@ def _verify_checks() -> list:
         for k in range(25):
             x = state.xs().ravel()
             y = state.ys().ravel()
-            lam = state.duals_vector(g)
+            lam = state.duals_vector()
             v = state.vs().ravel()
             y_ref, x_ref, lam_ref = hsm_admm.dense_round_reference(
                 ops, prob, sched, k, x, y, lam, v)
-            hsm_admm.hsm_admm_round(state, prob, g, sched, k, rngs)
+            hsm_admm.hsm_admm_round(state, prob, ops, sched, k, rngs)
             worst = max(worst,
                         float(np.max(np.abs(state.ys().ravel() - y_ref))),
                         float(np.max(np.abs(state.xs().ravel() - x_ref))),
-                        float(np.max(np.abs(state.duals_vector(g) - lam_ref))))
+                        float(np.max(np.abs(state.duals_vector() - lam_ref))))
         return worst <= 1e-10, f"max deviation {worst:.2e}"
 
     checks.append(("distributed vs dense rounds", check_compact_form))
@@ -374,17 +396,22 @@ def _verify_checks() -> list:
     checks.append(("message ledger counts", check_ledger))
 
     def check_determinism():
-        cfg = RunConfig(algorithm="hsm_admm", topology="ring", n=5, p=4, K=40,
-                        samples_per_agent=6, regularizer="l1", l1_weight=0.01,
-                        track_lyapunov=False)
-        prob, g = build_problem(cfg), build_graph(cfg)
-        rows = []
-        for workers in (1, 2, 1):
-            trace = run(dataclasses.replace(cfg, workers=workers), prob, g)
-            rows.append(np.array([r[:-1] for r in trace.rows], dtype=float))
-        ok = (np.array_equal(rows[0], rows[1], equal_nan=True)
-              and np.array_equal(rows[0], rows[2], equal_nan=True))
-        return ok, "traces identical across reruns and worker counts"
+        cfg = RunConfig(n=5, p=4, K=40, samples_per_agent=6, regularizer="l1",
+                        l1_weight=0.01, track_lyapunov=False)
+        with tempfile.TemporaryDirectory() as tmp:
+            base = Path(tmp) / "base.cfg"
+            write_config(cfg, base)
+            outputs = []
+            for tag, jobs in (("a", 1), ("b", 1), ("c", 2)):
+                out = Path(tmp) / tag
+                rc = main(["sweep", "--config", str(base), "--topologies", "ring,star",
+                           "--algos", "hsm_admm,prox_gt", "--seeds", "2",
+                           "--jobs", str(jobs), "--out", str(out)])
+                if rc != 0:
+                    return False, f"sweep --jobs {jobs} exited {rc}"
+                outputs.append(run_outputs(out))
+        ok = bool(outputs[0]) and outputs[0] == outputs[1] == outputs[2]
+        return ok, "sweep outputs identical across reruns and --jobs 1 vs 2"
 
     checks.append(("determinism", check_determinism))
 

@@ -1,26 +1,27 @@
-"""Degree-scaled stochastic momentum ADMM: per-round update sequence.
+"""Degree-scaled stochastic momentum ADMM: one synchronous round on stacked
+arrays.
 
-One synchronous round, from the view of agent i with penalty rho, step eta_i
-and momentum parameter a:
+Agent i holds row i of the (n, p) arrays x, y, beta (splitting dual) and v
+(gradient estimate); the consensus duals are one (m, p) array, row e for
+edge e = (i, j) of ``graph.edges`` (i < j). With penalty rho, momentum
+parameter a and steps eta = diag(Q), one round is
 
-    y_i  <- prox of the local regularizer at (x_i - beta_i / rho), scale 1/rho
-    x_i  <- x_i - (1/eta_i) * ( v_i
-                                + sum_{j ~ i} [ -alpha_ij + rho (x_i - x_j) ]
-                                - beta_i + rho (x_i - y_i) )
+    y      <- prox of the regularizer at (x - beta / rho), scale 1/rho
+    x      <- x - Q^{-1} (v - A^T lam + rho A^T (A x + B y))
     exchange the new x with the neighbors (one vector per directed pair)
-    alpha_e <- alpha_e - rho (x_i - x_j)          per canonical edge e=(i,j)
-    beta_i  <- beta_i  - rho (x_i - y_i)
-    v_i  <- momentum refresh at the new x_i
+    lam    <- lam - rho (A x + B y),  lam = (alpha, beta)
+    v      <- momentum refresh at the new x
 
-The x step uses the neighbors' previous-round values (synchronous Jacobi).
+where A stacks the edge differences x_i - x_j over the identity and B is
+the negated identity below zeros (``ConstraintOps``). Agent i's row of the
+x step reads only its own row and its neighbors' previous-round rows
+(synchronous Jacobi), and the edge row of alpha enters its low endpoint
+with a minus sign and its high endpoint with a plus sign.
+
 Step sizes scale with the local degree, eta_i = c_eta * (d_i + 1) * t^{1/3},
 so no agent waits on the global maximum degree. Schedules evaluate at
 t = k + 1: the k^{1/3} law would make the round-0 penalty zero and the prox
 scale undefined, and the one-shift is the minimal repair.
-
-Consensus duals are stored once per canonical (low, high) edge; the two
-endpoints read sign-flipped views of the same vector, which makes the
-antisymmetry structural instead of a synchronized pair of copies.
 """
 from __future__ import annotations
 
@@ -30,17 +31,9 @@ from itertools import product
 
 import numpy as np
 
-from .estimator import MomentumState, init_momentum, update_momentum
+from .estimator import init_momentum, update_momentum
 from .graph import ConstraintOps, Graph, InvalidParam
 from .problems import CompositeProblem, prox_h
-
-
-class AlgorithmError(Exception):
-    pass
-
-
-class MissingNeighbor(AlgorithmError):
-    """The x step was invoked without all neighbor values."""
 
 
 @dataclass(frozen=True)
@@ -62,187 +55,124 @@ class Schedules:
     def a(self, k: int) -> float:
         return min(1.0, self.c_a * float(k + 1) ** (-2.0 / 3.0))
 
-    def eta(self, k: int, degree: int) -> float:
+    def eta(self, k: int, degree):
+        """Step size at round k for a degree or an array of degrees."""
         return self.c_eta * (degree + 1) * float(k + 1) ** (1.0 / 3.0)
 
 
-def schedules_at(s: Schedules, k: int, degree: int) -> tuple:
-    """(rho, a, eta_i) for round k at local degree d_i."""
-    return s.rho(k), s.a(k), s.eta(k, degree)
+def step_degrees(graph: Graph, uniform: bool = False) -> np.ndarray:
+    """Per-agent degree that sets the step size: the local degree, or with
+    ``uniform=True`` the global maximum degree for every agent (the
+    uniform-step baseline)."""
+    if uniform:
+        return np.full(graph.n, graph.degree.max())
+    return graph.degree
 
 
 @dataclass
-class AgentState:
-    """One agent's primal/auxiliary/dual/momentum variables."""
+class NetworkState:
+    """Stacked round state: (n, p) arrays x, y, beta, v and last_x (the
+    iterate v was last refreshed at), and the (m, p) consensus duals alpha
+    in ``graph.edges`` order."""
 
     x: np.ndarray
     y: np.ndarray
     beta: np.ndarray
-    momentum: MomentumState
-    degree: int
-
-
-class NetworkState:
-    """All agent states plus one dual vector per canonical edge."""
-
-    def __init__(self, agents, edge_duals):
-        self.agents = list(agents)
-        self.edge_duals = dict(edge_duals)
-
-    @property
-    def n(self) -> int:
-        return len(self.agents)
-
-    @property
-    def p(self) -> int:
-        return int(self.agents[0].x.size)
-
-    def alpha_signed(self, i: int, j: int) -> np.ndarray:
-        """Consensus dual as seen by agent i toward neighbor j: the canonical
-        vector for the low endpoint, its negation for the high one."""
-        if i < j:
-            return self.edge_duals[(i, j)]
-        return -self.edge_duals[(j, i)]
+    v: np.ndarray
+    last_x: np.ndarray
+    alpha: np.ndarray
 
     def xs(self) -> np.ndarray:
-        return np.array([ag.x for ag in self.agents])
+        return self.x.copy()
 
     def ys(self) -> np.ndarray:
-        return np.array([ag.y for ag in self.agents])
+        return self.y.copy()
 
     def vs(self) -> np.ndarray:
-        return np.array([ag.momentum.v for ag in self.agents])
+        return self.v.copy()
 
-    def duals_vector(self, graph: Graph) -> np.ndarray:
+    def duals_vector(self) -> np.ndarray:
         """Stacked multipliers: edge duals in edge-list order, then the
         per-agent splitting duals."""
-        parts = [self.edge_duals[e] for e in graph.edges]
-        parts.extend(ag.beta for ag in self.agents)
-        return np.concatenate(parts) if parts else np.zeros(0)
-
-    def copy(self) -> "NetworkState":
-        agents = [AgentState(ag.x.copy(), ag.y.copy(), ag.beta.copy(),
-                             MomentumState(ag.momentum.v.copy(), ag.momentum.last_x.copy()),
-                             ag.degree) for ag in self.agents]
-        duals = {e: v.copy() for e, v in self.edge_duals.items()}
-        return NetworkState(agents, duals)
+        return np.concatenate([self.alpha.ravel(), self.beta.ravel()])
 
 
 def init_network_state(prob: CompositeProblem, graph: Graph, x0, m0: int,
                        rngs, full_batch: bool = False) -> NetworkState:
     """Identical primal start across agents, y = x, zero duals, momentum from
     an m0-sample batch (or the exact gradient in deterministic mode)."""
-    x0 = np.asarray(x0, dtype=float)
-    agents = []
-    for i in range(graph.n):
-        mom = init_momentum(prob, i, x0, m0, rngs[i], full=full_batch)
-        agents.append(AgentState(x0.copy(), x0.copy(), np.zeros_like(x0),
-                                 mom, int(graph.degree[i])))
-    duals = {e: np.zeros_like(x0) for e in graph.edges}
-    return NetworkState(agents, duals)
+    x = np.tile(np.asarray(x0, dtype=float), (graph.n, 1))
+    return NetworkState(x=x, y=x.copy(), beta=np.zeros_like(x),
+                        v=init_momentum(prob, x, m0, rngs, full=full_batch),
+                        last_x=x.copy(), alpha=np.zeros((graph.m, x.shape[1])))
 
 
-def step_y(agent: AgentState, prob: CompositeProblem, i: int, rho: float) -> np.ndarray:
-    """Local-only auxiliary update: prox at x_i - beta_i / rho with scale 1/rho."""
-    return prox_h(prob, i, agent.x - agent.beta / rho, 1.0 / rho)
+def step_y(state: NetworkState, prob: CompositeProblem, rho: float) -> np.ndarray:
+    """Local-only auxiliary update: prox at x - beta / rho with scale 1/rho."""
+    return prox_h(prob, None, state.x - state.beta / rho, 1.0 / rho)
 
 
-def step_x(x, v, beta, neighbors, neighbor_x, alpha_signed, y_new,
-           rho: float, eta: float) -> np.ndarray:
-    """Linearized primal step with the local degree-scaled step size."""
-    acc = v - beta + rho * (x - y_new)
-    for j in neighbors:
-        if j not in neighbor_x:
-            raise MissingNeighbor(f"missing value from neighbor {j}")
-        acc = acc - alpha_signed[j] + rho * (x - neighbor_x[j])
-    return x - acc / eta
+def step_x(state: NetworkState, ops: ConstraintOps, y_new, rho: float,
+           eta) -> np.ndarray:
+    """Linearized primal step x - Q^{-1} (v - A^T lam + rho A^T (A x + B y))
+    with the per-agent steps ``eta``, shape (n,)."""
+    x = state.x
+    edge = rho * ops.apply_M(x) - state.alpha
+    grad = state.v - state.beta + rho * (x - y_new) + ops.apply_Mt(edge)
+    return x - grad / eta[:, None]
 
 
-def step_duals(state: NetworkState, graph: Graph, rho: float) -> None:
-    """Dual ascent on the committed round state: one update per canonical
-    edge and one splitting update per agent."""
-    for e in graph.edges:
-        i, j = e
-        state.edge_duals[e] -= rho * (state.agents[i].x - state.agents[j].x)
-    for ag in state.agents:
-        ag.beta = ag.beta - rho * (ag.x - ag.y)
+def step_duals(state: NetworkState, ops: ConstraintOps, rho: float) -> None:
+    """Dual ascent on the committed round state: one update per edge and
+    one splitting update per agent."""
+    state.alpha = state.alpha - rho * ops.apply_M(state.x)
+    state.beta = state.beta - rho * (state.x - state.y)
 
 
-def _pmap(fn, count: int, pool):
-    if pool is None:
-        return [fn(i) for i in range(count)]
-    return list(pool.map(fn, range(count)))
+def hsm_admm_round(state: NetworkState, prob: CompositeProblem,
+                   ops: ConstraintOps, sched: Schedules, k: int, rngs, *,
+                   batch_size: int = 1, ledger=None,
+                   degrees=None) -> None:
+    """Execute round k in place: y, x against the round-k state, exchange,
+    duals, momentum refresh.
 
-
-def hsm_admm_round(state: NetworkState, prob: CompositeProblem, graph: Graph,
-                   sched: Schedules, k: int, rngs, *, batch_size: int = 1,
-                   ledger=None, eta_rule=None, pool=None) -> None:
-    """Execute round k in place: y for all agents, x for all agents against
-    the round-k snapshot, exchange, duals, momentum refresh.
-
-    ``eta_rule(k, degree)`` overrides the heterogeneous step size (used by
-    the uniform-step baseline). Exactly one x vector crosses each directed
-    neighbor pair per round; the ledger records the exchange.
+    ``degrees`` sets the step sizes (``step_degrees``; the local degrees by
+    default). Exactly one x vector crosses each directed neighbor pair per
+    round; the ledger records the exchange.
     """
     rho = sched.rho(k)
-    a = sched.a(k)
-    agents = state.agents
-
-    y_new = _pmap(lambda i: step_y(agents[i], prob, i, rho), state.n, pool)
-
-    x_snap = [ag.x for ag in agents]
-
-    def x_task(i):
-        ag = agents[i]
-        eta = eta_rule(k, ag.degree) if eta_rule is not None else sched.eta(k, ag.degree)
-        nbrs = graph.neighbors[i]
-        neighbor_x = {j: x_snap[j] for j in nbrs}
-        alpha = {j: state.alpha_signed(i, j) for j in nbrs}
-        return step_x(ag.x, ag.momentum.v, ag.beta, nbrs, neighbor_x, alpha,
-                      y_new[i], rho, eta)
-
-    x_new = _pmap(x_task, state.n, pool)
-
+    eta = sched.eta(k, ops.graph.degree if degrees is None else degrees)
+    y_new = step_y(state, prob, rho)
+    state.x, state.y = step_x(state, ops, y_new, rho, eta), y_new
     if ledger is not None:
-        ledger.record(2 * graph.m, state.p)
-
-    for i, ag in enumerate(agents):
-        ag.y = y_new[i]
-        ag.x = x_new[i]
-
-    step_duals(state, graph, rho)
-
-    def momentum_task(i):
-        ag = agents[i]
-        ag.momentum = update_momentum(ag.momentum, prob, i, ag.x, a, rngs[i],
-                                      batch_size)
-        return None
-
-    _pmap(momentum_task, state.n, pool)
+        ledger.record(2 * ops.m, prob.p)
+    step_duals(state, ops, rho)
+    state.v = update_momentum(state.v, state.last_x, prob, state.x, sched.a(k),
+                              rngs, batch_size)
+    state.last_x = state.x.copy()
 
 
 def dense_round_reference(ops: ConstraintOps, prob: CompositeProblem,
                           sched: Schedules, k: int, x, y, lam, v, *,
-                          eta_rule=None) -> tuple:
+                          degrees=None) -> tuple:
     """One round predicted by the stacked dense formulation.
 
     Returns (y_next, x_next, lam_next) computed with explicit matrices:
-    the stacked prox, then
+    the per-agent prox, then
 
         x_next   = x - Q^{-1} (v - A^T lam + rho A^T (A x + B y_next))
         lam_next = lam - rho (A x_next + B y_next)
 
-    with Q the block-diagonal step matrix. This is the verification oracle
-    for the distributed neighbor-sum implementation.
+    with Q the block-diagonal step matrix from ``degrees`` (the local
+    degrees by default). This is the verification oracle for the
+    neighbor-sum implementation.
     """
     g = ops.graph
     p = ops.p
     rho = sched.rho(k)
     A = ops.dense_A()
     B = ops.dense_B()
-    etas = np.array([eta_rule(k, int(g.degree[i])) if eta_rule is not None
-                     else sched.eta(k, int(g.degree[i])) for i in range(g.n)])
-    Q_diag = np.repeat(etas, p)
+    Q_diag = np.repeat(sched.eta(k, g.degree if degrees is None else degrees), p)
 
     beta = lam[g.m * p:]
     y_next = np.concatenate([

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import ConstraintOps, Graph
-from .hsm_admm import Schedules
+from .hsm_admm import Schedules, step_degrees
 from .problems import (CompositeProblem, empirical_sigma_sq, full_gradient,
                        global_mean_gradient, h_value, per_sample_gradients,
                        smooth_value, soft_threshold)
@@ -123,9 +123,7 @@ def step_matrix_base(graph: Graph, sched: Schedules, p: int = 1,
     round k is (k+1)^{1/3} times this. ``uniform=True`` swaps in the
     worst-degree step used by the uniform baseline."""
     ops = ConstraintOps(graph, p)
-    degrees = graph.degree.astype(float)
-    if uniform:
-        degrees = np.full(graph.n, float(graph.degree.max()))
+    degrees = step_degrees(graph, uniform).astype(float)
     C_eta = np.diag(np.repeat(sched.c_eta * (degrees + 1.0), p))
     return C_eta - sched.c_rho * ops.dense_AtA()
 

@@ -123,10 +123,6 @@ def _penalty_gradient(prob: CompositeProblem, x: np.ndarray) -> np.ndarray:
     return prob.alpha * 2.0 * x / (1.0 + x * x) ** 2
 
 
-def _margins(prob: CompositeProblem, i: int, x: np.ndarray) -> np.ndarray:
-    return prob.features[i] @ x
-
-
 def per_sample_losses(prob: CompositeProblem, i: int, x) -> np.ndarray:
     """Per-sample loss values at x, penalty included, shape (N_i,)."""
     _check_agent(prob, i)
@@ -142,11 +138,10 @@ def per_sample_losses(prob: CompositeProblem, i: int, x) -> np.ndarray:
     return data + _penalty_value(prob, x)
 
 
-def per_sample_gradients(prob: CompositeProblem, i: int, x) -> np.ndarray:
-    """Per-sample gradients at x, penalty included, shape (N_i, p)."""
-    _check_agent(prob, i)
-    x = np.asarray(x, dtype=float)
-    A, b = prob.features[i], prob.labels[i]
+def _sample_gradients(prob: CompositeProblem, A: np.ndarray, b: np.ndarray,
+                      x: np.ndarray) -> np.ndarray:
+    """Gradients at x of the per-sample losses of the rows (A, b), penalty
+    included, shape (rows, p)."""
     if prob.kind == "least_squares":
         w = A @ x - b
     elif prob.kind == "logistic":
@@ -157,6 +152,13 @@ def per_sample_gradients(prob: CompositeProblem, i: int, x) -> np.ndarray:
         r = A @ x - b
         w = r / (1.0 + r * r) ** 2
     return w[:, None] * A + _penalty_gradient(prob, x)
+
+
+def per_sample_gradients(prob: CompositeProblem, i: int, x) -> np.ndarray:
+    """Per-sample gradients at x, penalty included, shape (N_i, p)."""
+    _check_agent(prob, i)
+    return _sample_gradients(prob, prob.features[i], prob.labels[i],
+                             np.asarray(x, dtype=float))
 
 
 def sampled_loss(prob: CompositeProblem, i: int, x, batch: SampleBatch) -> float:
@@ -180,7 +182,9 @@ def stochastic_gradient(prob: CompositeProblem, i: int, x, batch: SampleBatch) -
     the whole local dataset in order this reproduces ``full_gradient``
     bit for bit."""
     _validate_batch(prob, i, batch)
-    return per_sample_gradients(prob, i, x)[batch.indices].mean(axis=0)
+    idx = batch.indices
+    return _sample_gradients(prob, prob.features[i][idx], prob.labels[i][idx],
+                             np.asarray(x, dtype=float)).mean(axis=0)
 
 
 def full_batch(prob: CompositeProblem, i: int) -> SampleBatch:
@@ -217,13 +221,16 @@ def soft_threshold(v: np.ndarray, t: float) -> np.ndarray:
     return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
 
 
-def prox_h(prob: CompositeProblem, i: int, v, c: float) -> np.ndarray:
-    """Proximal map of the local regularizer at v with scale c > 0.
+def prox_h(prob: CompositeProblem, i: int | None, v, c: float) -> np.ndarray:
+    """Proximal map of agent i's regularizer at v with scale c > 0; with
+    ``i=None``, of every agent's at once, row i of a stacked (n, p) ``v``
+    for agent i (all agents share one regularizer).
 
     For l1 this is componentwise soft thresholding at ``c * l1_weight``; for
     no regularizer it is the identity.
     """
-    _check_agent(prob, i)
+    if i is not None:
+        _check_agent(prob, i)
     if c <= 0:
         raise NonPositiveScale(f"prox scale must be positive, got {c}")
     v = np.asarray(v, dtype=float)
@@ -326,11 +333,16 @@ def load_dataset(csv_path, manifest_path, *, kind: str,
                  regularizer: str = "none", l1_weight: float = 0.0,
                  alpha: float = 0.0) -> CompositeProblem:
     """Rebuild a problem from the CSV + manifest pair written by
-    ``save_dataset``; loss configuration is supplied by the caller."""
+    ``save_dataset``; loss configuration is supplied by the caller. Every
+    value must be finite."""
     with open(manifest_path, "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
     n, p = int(manifest["n"]), int(manifest["p"])
     rows = np.loadtxt(csv_path, delimiter=",", ndmin=2)
+    bad = np.argwhere(~np.isfinite(rows))
+    if bad.size:
+        raise ProblemError(f"CSV row {bad[0][0] + 1}, column {bad[0][1] + 1} "
+                           "is not a finite number")
     if rows.shape[1] != p + 1:
         raise ProblemError(f"CSV has {rows.shape[1]} columns, manifest says p={p}")
     ranges = manifest["ranges"]

@@ -1,10 +1,11 @@
 """Deterministic synchronous round engine with a message ledger.
 
 Each agent owns an independent RNG stream seeded from (master seed, agent
-id), so the trajectory is a pure function of the run configuration and is
-bit-identical for any worker count: workers only split the per-agent work of
-a phase, never reorder it. The engine owns the phase barriers and is the
-only writer of the ledger.
+id), so the trajectory is a pure function of the run configuration. A run
+is one process working on stacked (n, p) arrays; parallel work happens
+across runs (``hsmadmm sweep --jobs``), whose outputs are byte-identical
+for any job count apart from wall times. The engine is the only writer of
+the ledger.
 
 A configurable divergence guard converts numerical blow-up into a structured
 error carrying the trace logged so far.
@@ -14,18 +15,17 @@ from __future__ import annotations
 import math
 import threading
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from time import perf_counter
 
 import numpy as np
 
 from .baselines import (init_dsgd_state, init_gt_state, metropolis_weights,
-                        prox_dsgd_round, prox_gt_round, uniform_eta_rule)
+                        prox_dsgd_round, prox_gt_round)
 from .config import ConfigInvalid, RunConfig
 from .graph import DENSE_LIMIT, ConstraintOps, Graph
 from .hsm_admm import (Schedules, constants_feasibility, hsm_admm_round,
-                       init_network_state, warn_if_infeasible)
+                       init_network_state, step_degrees, warn_if_infeasible)
 from .metrics import (DualBoundChecker, gradient_error, lyapunov,
                       make_lyapunov_constants, residuals, stationarity_measure)
 from .problems import CompositeProblem
@@ -162,28 +162,28 @@ def run(config: RunConfig, prob: CompositeProblem, graph: Graph,
 
     if admm:
         state = init_network_state(prob, graph, x0, config.m0, rngs, full_batch=full)
-        eta_rule = uniform_eta_rule(sched, graph) if uniform else None
+        degrees = step_degrees(graph, uniform)
 
-        def round_fn(k, pool):
-            hsm_admm_round(state, prob, graph, sched, k, rngs,
+        def round_fn(k):
+            hsm_admm_round(state, prob, ops, sched, k, rngs,
                            batch_size=config.batch_size, ledger=ledger,
-                           eta_rule=eta_rule, pool=pool)
+                           degrees=degrees)
     elif config.algorithm == "prox_dsgd":
         W = metropolis_weights(graph)
         state = init_dsgd_state(graph, x0)
 
-        def round_fn(k, pool):
+        def round_fn(k):
             prox_dsgd_round(state, prob, graph, W, k, rngs,
                             step_scale=config.step_scale,
-                            batch_size=config.batch_size, ledger=ledger, pool=pool)
+                            batch_size=config.batch_size, ledger=ledger)
     else:
         W = metropolis_weights(graph)
         state = init_gt_state(prob, graph, x0, rngs, config.batch_size)
 
-        def round_fn(k, pool):
+        def round_fn(k):
             prox_gt_round(state, prob, graph, W, k, rngs,
                           step_scale=config.step_scale,
-                          batch_size=config.batch_size, ledger=ledger, pool=pool)
+                          batch_size=config.batch_size, ledger=ledger)
 
     dense_ok = graph.n * p <= DENSE_LIMIT
     track_phi = config.track_lyapunov and admm and dense_ok
@@ -208,7 +208,7 @@ def run(config: RunConfig, prob: CompositeProblem, graph: Graph,
 
     def snapshot(xs=None):
         return {"xs": state.xs() if xs is None else xs, "vs": state.vs(),
-                "lam": state.duals_vector(graph)}
+                "lam": state.duals_vector()}
 
     def entry_err_sq(entry):
         if "err_sq" not in entry:
@@ -227,71 +227,66 @@ def run(config: RunConfig, prob: CompositeProblem, graph: Graph,
             accum["r_sq"].append(res0.combined ** 2)
 
     logset = metric_rounds(config.K, config.metric_every)
-    pool = ThreadPoolExecutor(max_workers=config.workers) if config.workers > 1 else None
     start = perf_counter()
-    try:
-        for r in range(config.K):
-            round_fn(r, pool)
-            s = r + 1
-            xs = state.xs()
-            peak = float(np.max(np.abs(xs))) if xs.size else 0.0
-            if not np.isfinite(peak) or peak > config.divergence_guard:
-                trace.meta["diverged_at"] = s
-                raise NumericalDivergence(
-                    f"state magnitude {peak:.3g} exceeded guard "
-                    f"{config.divergence_guard:.3g} at round {s}",
-                    trace=trace, round_index=s)
+    for r in range(config.K):
+        round_fn(r)
+        s = r + 1
+        xs = state.xs()
+        peak = float(np.max(np.abs(xs))) if xs.size else 0.0
+        if not np.isfinite(peak) or peak > config.divergence_guard:
+            trace.meta["diverged_at"] = s
+            raise NumericalDivergence(
+                f"state magnitude {peak:.3g} exceeded guard "
+                f"{config.divergence_guard:.3g} at round {s}",
+                trace=trace, round_index=s)
 
-            entry = None
-            if need_history:
-                entry = snapshot(xs)
+        entry = None
+        if need_history:
+            entry = snapshot(xs)
 
-            if checker is not None and s >= 2 and len(history) >= 2:
-                prev, prev2 = history[-1], history[-2]
-                rec = checker.check(s, xs, prev["xs"], prev2["xs"],
-                                    entry["lam"], prev["lam"],
-                                    entry_err_sq(prev), entry_err_sq(prev2))
-                if rec is not None:
-                    trace.violations.append(rec)
+        if checker is not None and s >= 2 and len(history) >= 2:
+            prev, prev2 = history[-1], history[-2]
+            rec = checker.check(s, xs, prev["xs"], prev2["xs"],
+                                entry["lam"], prev["lam"],
+                                entry_err_sq(prev), entry_err_sq(prev2))
+            if rec is not None:
+                trace.violations.append(rec)
 
-            if record_accum:
-                prev = history[-1]
-                res_s = residuals(ops, xs, state.ys())
-                accum["err_sq"].append(entry_err_sq(entry))
-                dx = xs - prev["xs"]
-                accum["dx_sq"].append(float(np.sum(dx * dx)))
-                accum["r_sq"].append(res_s.combined ** 2)
+        if record_accum:
+            prev = history[-1]
+            res_s = residuals(ops, xs, state.ys())
+            accum["err_sq"].append(entry_err_sq(entry))
+            dx = xs - prev["xs"]
+            accum["dx_sq"].append(float(np.sum(dx * dx)))
+            accum["r_sq"].append(res_s.combined ** 2)
 
-            if s in logset:
-                stat = stationarity_measure(prob, xs)
-                ys = state.ys() if admm else xs
-                res = residuals(ops, xs, ys)
-                err_sq = float("nan")
-                phi = float("nan")
-                if admm:
-                    if entry is not None:
-                        err_sq = entry_err_sq(entry)
-                    else:
-                        err_sq = gradient_error(prob, xs, state.vs())
-                    if track_phi and s >= 2 and len(history) >= 1:
-                        prev = history[-1]
-                        snap = lyapunov(prob, ops, sched, consts, s, xs, ys,
-                                        entry["lam"], entry["vs"],
-                                        prev["xs"], prev["vs"])
-                        phi = snap.phi
-                wall = (perf_counter() - start) * 1000.0
-                row = (s, stat.total, stat.prox_gradient_gap, stat.consensus_gap,
-                       res.combined, res.consensus, res.splitting, err_sq, phi,
-                       float(ledger.scalars_transmitted), wall)
-                trace.append(row)
-                if metrics_sink is not None:
-                    metrics_sink(s, dict(zip(TRACE_HEADER, row)), state)
+        if s in logset:
+            stat = stationarity_measure(prob, xs)
+            ys = state.ys() if admm else xs
+            res = residuals(ops, xs, ys)
+            err_sq = float("nan")
+            phi = float("nan")
+            if admm:
+                if entry is not None:
+                    err_sq = entry_err_sq(entry)
+                else:
+                    err_sq = gradient_error(prob, xs, state.vs())
+                if track_phi and s >= 2 and len(history) >= 1:
+                    prev = history[-1]
+                    snap = lyapunov(prob, ops, sched, consts, s, xs, ys,
+                                    entry["lam"], entry["vs"],
+                                    prev["xs"], prev["vs"])
+                    phi = snap.phi
+            wall = (perf_counter() - start) * 1000.0
+            row = (s, stat.total, stat.prox_gradient_gap, stat.consensus_gap,
+                   res.combined, res.consensus, res.splitting, err_sq, phi,
+                   float(ledger.scalars_transmitted), wall)
+            trace.append(row)
+            if metrics_sink is not None:
+                metrics_sink(s, dict(zip(TRACE_HEADER, row)), state)
 
-            if need_history:
-                history.append(entry)
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=True)
+        if need_history:
+            history.append(entry)
 
     trace.meta.update({
         "algorithm": config.algorithm,

@@ -5,14 +5,14 @@ include it). Heavier experiments share module-scoped fixtures.
 """
 import dataclasses
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from hsmadmm.config import RunConfig
 from hsmadmm.graph import ConstraintOps, build_topology, smallest_singular_sq_A
-from hsmadmm.harness import build_graph, build_problem, emit_plots, main
+from hsmadmm.harness import (build_graph, build_problem, emit_plots, main,
+                             run_outputs)
 from hsmadmm.hsm_admm import (Schedules, dense_round_reference, hsm_admm_round,
                               init_network_state)
 from hsmadmm.metrics import (descent_drift, make_lyapunov_constants,
@@ -62,14 +62,14 @@ def test_criterion_02_compact_form_equivalence():
     worst = 0.0
     for k in range(200):
         x, y = state.xs().ravel(), state.ys().ravel()
-        lam, v = state.duals_vector(g), state.vs().ravel()
+        lam, v = state.duals_vector(), state.vs().ravel()
         y_ref, x_ref, lam_ref = dense_round_reference(ops, prob, sched, k, x, y,
                                                       lam, v)
-        hsm_admm_round(state, prob, g, sched, k, rngs)
+        hsm_admm_round(state, prob, ops, sched, k, rngs)
         worst = max(worst,
                     float(np.max(np.abs(state.ys().ravel() - y_ref))),
                     float(np.max(np.abs(state.xs().ravel() - x_ref))),
-                    float(np.max(np.abs(state.duals_vector(g) - lam_ref))))
+                    float(np.max(np.abs(state.duals_vector() - lam_ref))))
     elapsed = time.perf_counter() - t0
     _report(2, "200 distributed rounds match the dense formulation",
             worst <= 1e-10 and elapsed < 10.0,
@@ -334,24 +334,23 @@ def test_criterion_11_communication_accounting(tmp_path):
 # -- 12. determinism -------------------------------------------------------------
 
 def test_criterion_12_determinism(tmp_path):
-    cfg_text = "\n".join([
+    cfg_path = tmp_path / "base.cfg"
+    cfg_path.write_text("\n".join([
         "algorithm = hsm_admm", "topology = ring", "n = 6", "p = 4",
         "problem = logistic", "samples_per_agent = 12", "regularizer = l1",
         "l1_weight = 0.001", "alpha = 0.1", "noniid = true", "batch_size = 1",
-        "K = 200", "seed = 9", ""])
-    outs = []
-    for tag, workers in (("a", 1), ("b", 1), ("w4", 4)):
-        path = tmp_path / f"{tag}.cfg"
-        path.write_text(cfg_text + f"workers = {workers}\n")
+        "K = 200", "seed = 9", ""]))
+    outs = {}
+    for tag, jobs in (("a", 1), ("b", 1), ("j2", 2)):
         out = tmp_path / tag
-        assert main(["run", "--config", str(path), "--out", str(out)]) == 0
-        outs.append(out)
+        assert main(["sweep", "--config", str(cfg_path), "--topologies", "ring,star",
+                     "--algos", "hsm_admm,uniform_admm", "--seeds", "2",
+                     "--jobs", str(jobs), "--out", str(out)]) == 0
+        outs[tag] = run_outputs(out)
 
-    def strip_wall(path):
-        lines = Path(path).read_text().splitlines()
-        return [",".join(ln.split(",")[:-1]) for ln in lines]
-
-    reruns = strip_wall(outs[0] / "trace.csv") == strip_wall(outs[1] / "trace.csv")
-    workers = strip_wall(outs[0] / "trace.csv") == strip_wall(outs[2] / "trace.csv")
-    _report(12, "byte-identical traces across reruns and worker counts",
-            reruns and workers, f"rerun: {reruns}, workers 1 vs 4: {workers}")
+    traces = sum(name.endswith("trace.csv") for name in outs["a"])
+    reruns = outs["a"] == outs["b"]
+    jobs = outs["a"] == outs["j2"]
+    _report(12, "byte-identical outputs across reruns and sweep job counts",
+            traces == 8 and reruns and jobs,
+            f"{traces} traces, rerun: {reruns}, --jobs 1 vs 2: {jobs}")

@@ -7,12 +7,12 @@ from hypothesis import strategies as st
 
 from hsmadmm.baselines import (baseline_step, init_dsgd_state, init_gt_state,
                                metropolis_weights, prox_dsgd_round,
-                               prox_gt_round, uniform_admm_round,
-                               uniform_eta_rule)
+                               prox_gt_round)
 from hsmadmm.config import RunConfig
-from hsmadmm.graph import Graph, build_topology
+from hsmadmm.graph import ConstraintOps, Graph, build_topology
 from hsmadmm.harness import build_graph, build_problem
-from hsmadmm.hsm_admm import Schedules, hsm_admm_round, init_network_state
+from hsmadmm.hsm_admm import (Schedules, hsm_admm_round, init_network_state,
+                              step_degrees)
 from hsmadmm.problems import full_batch, make_problem, prox_h, stochastic_gradient
 from hsmadmm.simulator import MessageLedger, run
 from tests.conftest import agent_rngs
@@ -56,12 +56,11 @@ def test_uniform_equals_hsm_on_regular_graph():
 def test_uniform_star_step_ratio():
     g = build_topology("star", 8)
     sched = Schedules()
-    rule = uniform_eta_rule(sched, g)
     k = 3
-    leaf_hetero = sched.eta(k, 1)
-    leaf_uniform = rule(k, 1)
-    assert leaf_uniform / leaf_hetero == pytest.approx((7 + 1) / (1 + 1))
-    assert rule(k, 7) == sched.eta(k, 7)
+    hetero = sched.eta(k, step_degrees(g))
+    uniform = sched.eta(k, step_degrees(g, uniform=True))
+    assert uniform[1] / hetero[1] == pytest.approx((7 + 1) / (1 + 1))
+    assert uniform[0] == hetero[0] == sched.eta(k, 7)
 
 
 def test_uniform_message_count_matches_hsm(quad_problem, ring4):
@@ -71,11 +70,13 @@ def test_uniform_message_count_matches_hsm(quad_problem, ring4):
     led_u = MessageLedger()
     rngs_u = agent_rngs(3, 4)
     state_u = init_network_state(quad_problem, ring4, np.zeros(2), 2, rngs_u)
+    ops = ConstraintOps(ring4)
+    uniform = step_degrees(ring4, uniform=True)
     for k in range(10):
-        hsm_admm_round(state_h, quad_problem, ring4, Schedules(), k, rngs,
+        hsm_admm_round(state_h, quad_problem, ops, Schedules(), k, rngs,
                        ledger=led_h)
-        uniform_admm_round(state_u, quad_problem, ring4, Schedules(), k, rngs_u,
-                           ledger=led_u)
+        hsm_admm_round(state_u, quad_problem, ops, Schedules(), k, rngs_u,
+                       ledger=led_u, degrees=uniform)
     assert led_h.vector_messages == led_u.vector_messages
 
 

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from hsmadmm.estimator import (InvalidBatch, MomentumOutOfRange, MomentumState,
-                               init_momentum, update_momentum)
+from hsmadmm.estimator import (InvalidBatch, MomentumOutOfRange, init_momentum,
+                               update_momentum)
 from hsmadmm.metrics import momentum_recursion_mc_check
 from hsmadmm.problems import (CompositeProblem, draw_batch, full_gradient,
                               make_problem, per_sample_gradients,
@@ -20,61 +20,65 @@ def scalar_problem():
 
 def test_update_hand_values():
     prob = scalar_problem()
-    state = MomentumState(v=np.array([3.0]), last_x=np.array([2.0]))
-    new = update_momentum(state, prob, 0, np.array([1.0]), 0.5, None, batch_size=0)
-    assert new.v[0] == pytest.approx(1.0 + 0.5 * (3.0 - 2.0))
-    assert new.last_x[0] == 1.0
+    v = update_momentum(np.array([[3.0]]), np.array([[2.0]]), prob,
+                        np.array([[1.0]]), 0.5, None, batch_size=0)
+    assert v[0, 0] == pytest.approx(1.0 + 0.5 * (3.0 - 2.0))
 
 
 def test_momentum_one_is_plain_gradient():
     prob = make_problem("logistic", 2, 3, 10, 1, alpha=0.1)
-    state = MomentumState(v=np.full(3, 9.0), last_x=np.zeros(3))
-    x_new = np.array([0.2, -0.4, 1.0])
-    got = update_momentum(state, prob, 0, x_new, 1.0, None, batch_size=0)
-    assert np.array_equal(got.v, full_gradient(prob, 0, x_new))
+    v_old = np.full((2, 3), 9.0)
+    x_old = np.zeros((2, 3))
+    x_new = np.array([[0.2, -0.4, 1.0], [0.5, 0.0, -1.0]])
+    got = update_momentum(v_old, x_old, prob, x_new, 1.0, None, batch_size=0)
+    for i in range(2):
+        assert np.array_equal(got[i], full_gradient(prob, i, x_new[i]))
 
-    # sampled path: replaying the same stream must reproduce the same draw
-    rng = np.random.default_rng(5)
-    got_s = update_momentum(state, prob, 0, x_new, 1.0, rng, batch_size=1)
-    batch = draw_batch(prob, 0, np.random.default_rng(5), 1)
-    assert np.array_equal(got_s.v, stochastic_gradient(prob, 0, x_new, batch))
+    # sampled path: replaying each agent's stream must reproduce its draw
+    got_s = update_momentum(v_old, x_old, prob, x_new, 1.0,
+                            [np.random.default_rng([5, i]) for i in range(2)],
+                            batch_size=1)
+    for i in range(2):
+        batch = draw_batch(prob, i, np.random.default_rng([5, i]), 1)
+        assert np.array_equal(got_s[i], stochastic_gradient(prob, i, x_new[i], batch))
 
 
 def test_stationary_iterate_full_batch():
     prob = make_problem("least_squares", 2, 2, 8, 3)
-    x = np.array([0.5, -0.5])
-    g = full_gradient(prob, 0, x)
-    state = MomentumState(v=np.array([2.0, -1.0]), last_x=x.copy())
-    new = update_momentum(state, prob, 0, x, 0.25, None, batch_size=0)
-    assert np.allclose(new.v, g + 0.75 * (state.v - g), atol=1e-15)
+    x = np.array([[0.5, -0.5], [1.0, 0.0]])
+    g = np.array([full_gradient(prob, i, x[i]) for i in range(2)])
+    v_old = np.array([[2.0, -1.0], [0.0, 3.0]])
+    new = update_momentum(v_old, x.copy(), prob, x, 0.25, None, batch_size=0)
+    assert np.allclose(new, g + 0.75 * (v_old - g), atol=1e-15)
 
 
 def test_momentum_parameter_range():
     prob = scalar_problem()
-    state = MomentumState(v=np.zeros(1), last_x=np.zeros(1))
     for bad in (0.0, -0.5, 1.5):
         with pytest.raises(MomentumOutOfRange):
-            update_momentum(state, prob, 0, np.ones(1), bad, None, batch_size=0)
+            update_momentum(np.zeros((1, 1)), np.zeros((1, 1)), prob,
+                            np.ones((1, 1)), bad, None, batch_size=0)
 
 
 def test_init_rejects_empty_batch():
     prob = scalar_problem()
     with pytest.raises(InvalidBatch):
-        init_momentum(prob, 0, np.zeros(1), 0, np.random.default_rng(0))
+        init_momentum(prob, np.zeros((1, 1)), 0, [np.random.default_rng(0)])
 
 
 def test_init_single_draw_matches_oracle():
     prob = make_problem("least_squares", 2, 3, 9, 4)
-    x0 = np.array([1.0, 0.0, -1.0])
-    state = init_momentum(prob, 0, x0, 1, np.random.default_rng(8))
-    batch = draw_batch(prob, 0, np.random.default_rng(8), 1)
-    assert np.array_equal(state.v, stochastic_gradient(prob, 0, x0, batch))
+    x0 = np.array([[1.0, 0.0, -1.0], [0.0, 2.0, 0.5]])
+    v = init_momentum(prob, x0, 1, [np.random.default_rng([8, i]) for i in range(2)])
+    for i in range(2):
+        batch = draw_batch(prob, i, np.random.default_rng([8, i]), 1)
+        assert np.array_equal(v[i], stochastic_gradient(prob, i, x0[i], batch))
 
 
 def test_init_zero_gradient_problem():
     prob = CompositeProblem("least_squares", [np.zeros((5, 2))], [np.zeros(5)])
-    state = init_momentum(prob, 0, np.ones(2), 7, np.random.default_rng(1))
-    assert np.array_equal(state.v, np.zeros(2))
+    v = init_momentum(prob, np.ones((1, 2)), 7, [np.random.default_rng(1)])
+    assert np.array_equal(v, np.zeros((1, 2)))
 
 
 def test_init_concentration():
@@ -83,8 +87,9 @@ def test_init_concentration():
     m0 = 10 * prob.local_size(0)
     G = per_sample_gradients(prob, 0, x0)
     sigma = np.sqrt(np.mean(np.sum((G - G.mean(axis=0)) ** 2, axis=1)))
-    state = init_momentum(prob, 0, x0, m0, np.random.default_rng(3))
-    gap = np.linalg.norm(state.v - full_gradient(prob, 0, x0))
+    v = init_momentum(prob, np.tile(x0, (2, 1)), m0,
+                      [np.random.default_rng(3), np.random.default_rng(4)])
+    gap = np.linalg.norm(v[0] - full_gradient(prob, 0, x0))
     assert gap <= 3.0 * sigma / np.sqrt(m0)
 
 
@@ -112,10 +117,14 @@ def test_same_sample_rule_via_variance_recursion():
 
 def test_deterministic_under_stream():
     prob = make_problem("nonconvex_robust", 2, 3, 10, 5, alpha=0.1)
-    x0 = np.zeros(3)
-    s1 = init_momentum(prob, 0, x0, 5, np.random.default_rng([7, 0]))
-    s2 = init_momentum(prob, 0, x0, 5, np.random.default_rng([7, 0]))
-    assert np.array_equal(s1.v, s2.v)
-    n1 = update_momentum(s1, prob, 0, np.ones(3), 0.3, np.random.default_rng(1))
-    n2 = update_momentum(s2, prob, 0, np.ones(3), 0.3, np.random.default_rng(1))
-    assert np.array_equal(n1.v, n2.v)
+    x0 = np.zeros((2, 3))
+
+    def streams(seed):
+        return [np.random.default_rng([seed, i]) for i in range(2)]
+
+    v1 = init_momentum(prob, x0, 5, streams(7))
+    v2 = init_momentum(prob, x0, 5, streams(7))
+    assert np.array_equal(v1, v2)
+    n1 = update_momentum(v1, x0, prob, np.ones((2, 3)), 0.3, streams(1))
+    n2 = update_momentum(v2, x0, prob, np.ones((2, 3)), 0.3, streams(1))
+    assert np.array_equal(n1, n2)

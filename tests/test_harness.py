@@ -7,6 +7,7 @@ import pytest
 from hsmadmm.config import (ConfigInvalid, RunConfig, config_to_text,
                             load_config, parse_config_text)
 from hsmadmm.harness import emit_plots, main
+from hsmadmm.problems import make_problem, save_dataset
 from hsmadmm.simulator import TRACE_HEADER, read_trace_csv
 from hsmadmm.svgplot import EmptyTrace
 
@@ -116,6 +117,32 @@ def test_missing_config_exits_2(tmp_path):
 def test_invalid_config_exits_2(tmp_path):
     path = write_cfg(tmp_path, "bogus_key = 1\n")
     assert main(["run", "--config", str(path)]) == 2
+
+
+@pytest.mark.parametrize("line", ["divergence_guard = nan", "l1_weight = nan",
+                                  "alpha = nan", "c_rho = inf"])
+def test_non_finite_config_exits_2(tmp_path, capsys, line):
+    key = line.split(" = ")[0]
+    kept = [ln for ln in BASE_CFG.splitlines() if not ln.startswith(key + " ")]
+    path = write_cfg(tmp_path, "\n".join(kept + [line, ""]))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+    assert f"{key} must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_non_finite_dataset_exits_2(tmp_path, capsys):
+    prob = make_problem("least_squares", 2, 3, 4, 0)
+    csv, manifest = tmp_path / "data.csv", tmp_path / "manifest.json"
+    save_dataset(prob, csv, manifest)
+    rows = csv.read_text().splitlines()
+    rows[5] = "nan," + rows[5].split(",", 1)[1]
+    csv.write_text("\n".join(rows) + "\n")
+    path = write_cfg(tmp_path, f"n = 2\np = 3\nK = 5\ntrack_lyapunov = false\n"
+                               f"dataset_csv = {csv}\ndataset_manifest = {manifest}\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+    assert "row 6, column 1 is not a finite number" in capsys.readouterr().err
 
 
 def test_divergence_exits_3(tmp_path):

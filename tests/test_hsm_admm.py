@@ -4,11 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hsmadmm.graph import ConstraintOps, Graph, build_topology, incidence_matrix
-from hsmadmm.hsm_admm import (AgentState, MissingNeighbor, Schedules,
-                              constants_feasibility, dense_round_reference,
-                              hsm_admm_round, init_network_state, schedules_at,
-                              step_duals, step_x, step_y, warn_if_infeasible)
-from hsmadmm.estimator import MomentumState
+from hsmadmm.hsm_admm import (NetworkState, Schedules, constants_feasibility,
+                              dense_round_reference, hsm_admm_round,
+                              init_network_state, step_duals, step_x, step_y,
+                              warn_if_infeasible)
 from hsmadmm.problems import (CompositeProblem, full_gradient, make_problem,
                               prox_h)
 from hsmadmm.simulator import MessageLedger
@@ -20,7 +19,6 @@ def test_schedule_values():
     assert s.rho(7) == pytest.approx(2.0)          # t = 8
     assert s.a(0) == 1.0                           # clamped boundary
     assert s.eta(26, 2) == pytest.approx(9.0)      # t = 27, degree 2
-    assert schedules_at(s, 7, 2) == (s.rho(7), s.a(7), s.eta(7, 2))
 
 
 def test_schedule_clamp():
@@ -38,59 +36,66 @@ def test_schedule_ranges(k, c, d):
     assert s.eta(k, d) > 0
 
 
-def _quad_agent(x, beta, v, degree=2):
-    return AgentState(x=np.asarray(x, float), y=np.zeros_like(np.asarray(x, float)),
-                      beta=np.asarray(beta, float),
-                      momentum=MomentumState(np.asarray(v, float),
-                                             np.asarray(x, float).copy()),
-                      degree=degree)
+def _state(x, beta, v, alpha=None):
+    """Stacked state from per-agent rows, y = 0 and zero edge duals by
+    default."""
+    x = np.atleast_2d(np.asarray(x, float))
+    alpha = np.zeros((0, x.shape[1])) if alpha is None else np.asarray(alpha, float)
+    return NetworkState(x=x, y=np.zeros_like(x),
+                        beta=np.atleast_2d(np.asarray(beta, float)),
+                        v=np.atleast_2d(np.asarray(v, float)), last_x=x.copy(),
+                        alpha=alpha)
 
 
 def test_step_y_identity_regularizer():
     prob = CompositeProblem("least_squares", [np.zeros((1, 2))], [np.zeros(1)])
-    ag = _quad_agent([3.0, -1.0], [1.0, 2.0], [0.0, 0.0])
-    y = step_y(ag, prob, 0, rho=2.0)
-    assert np.array_equal(y, ag.x - ag.beta / 2.0)
+    state = _state([3.0, -1.0], [1.0, 2.0], [0.0, 0.0])
+    y = step_y(state, prob, rho=2.0)
+    assert np.array_equal(y, state.x - state.beta / 2.0)
 
 
 def test_step_y_hand_case():
     prob = CompositeProblem("least_squares", [np.zeros((1, 1))], [np.zeros(1)],
                             regularizer="l1", l1_weight=1.0)
-    ag = _quad_agent([3.0], [1.0], [0.0])
-    y = step_y(ag, prob, 0, rho=2.0)
+    y = step_y(_state([3.0], [1.0], [0.0]), prob, rho=2.0)
     # prox input 2.5 at scale 0.5 shrinks by 0.5
-    assert y[0] == pytest.approx(2.0)
+    assert y[0, 0] == pytest.approx(2.0)
 
 
 def test_step_y_large_rho_limit():
     prob = CompositeProblem("least_squares", [np.zeros((1, 3))], [np.zeros(1)],
                             regularizer="l1", l1_weight=1.0)
-    ag = _quad_agent([1.0, -2.0, 0.5], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0])
-    y = step_y(ag, prob, 0, rho=1e8)
-    assert np.allclose(y, ag.x, atol=1e-7)
+    state = _state([1.0, -2.0, 0.5], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0])
+    y = step_y(state, prob, rho=1e8)
+    assert np.allclose(y, state.x, atol=1e-7)
 
 
 def test_step_x_consensus_fixed_point():
-    x = np.array([1.0, 2.0])
-    out = step_x(x, np.zeros(2), np.zeros(2), (1, 2),
-                 {1: x.copy(), 2: x.copy()},
-                 {1: np.zeros(2), 2: np.zeros(2)}, x.copy(), rho=3.0, eta=5.0)
+    # a triangle in consensus with zero duals and zero gradient stays put
+    g = Graph(3, ((0, 1), (0, 2), (1, 2)), p=2)
+    x = np.tile([1.0, 2.0], (3, 1))
+    state = _state(x, np.zeros((3, 2)), np.zeros((3, 2)), np.zeros((3, 2)))
+    out = step_x(state, ConstraintOps(g), x.copy(), rho=3.0, eta=np.full(3, 5.0))
     assert np.array_equal(out, x)
 
 
 def test_step_x_hand_case():
-    # two nodes at zero, unit gradient estimate, eta = 2
-    out = step_x(np.zeros(1), np.array([1.0]), np.zeros(1), (1,),
-                 {1: np.zeros(1)}, {1: np.zeros(1)}, np.zeros(1),
-                 rho=7.0, eta=2.0)
-    assert out[0] == pytest.approx(-0.5)
+    # two nodes at zero, unit gradient estimate at node 0, eta = 2
+    g = Graph(2, ((0, 1),), p=1)
+    state = _state([[0.0], [0.0]], [[0.0], [0.0]], [[1.0], [0.0]], [[0.0]])
+    out = step_x(state, ConstraintOps(g), np.zeros((2, 1)), rho=7.0,
+                 eta=np.array([2.0, 2.0]))
+    assert out[0, 0] == pytest.approx(-0.5)
+    assert out[1, 0] == 0.0
 
 
-def test_step_x_missing_neighbor():
-    with pytest.raises(MissingNeighbor):
-        step_x(np.zeros(1), np.zeros(1), np.zeros(1), (1, 2),
-               {1: np.zeros(1)}, {1: np.zeros(1), 2: np.zeros(1)},
-               np.zeros(1), rho=1.0, eta=1.0)
+def test_step_x_edge_dual_signs():
+    # the edge dual enters the low endpoint negated, the high one as is
+    g = Graph(2, ((0, 1),), p=1)
+    state = _state([[0.0], [0.0]], [[0.0], [0.0]], [[0.0], [0.0]], [[3.0]])
+    out = step_x(state, ConstraintOps(g), np.zeros((2, 1)), rho=1.0,
+                 eta=np.array([1.0, 2.0]))
+    assert np.array_equal(out, [[3.0], [-1.5]])
 
 
 def test_step_duals_zero_residuals():
@@ -101,12 +106,9 @@ def test_step_duals_zero_residuals():
     state = init_network_state(prob, g, np.array([1.0, -1.0]), 1, rngs,
                                full_batch=True)
     # consensus and splitting both hold at the start
-    before = {e: v.copy() for e, v in state.edge_duals.items()}
-    betas = [ag.beta.copy() for ag in state.agents]
-    step_duals(state, g, rho=4.0)
-    assert np.array_equal(state.edge_duals[(0, 1)], before[(0, 1)])
-    for ag, b in zip(state.agents, betas):
-        assert np.array_equal(ag.beta, b)
+    before = state.duals_vector()
+    step_duals(state, ConstraintOps(g), rho=4.0)
+    assert np.array_equal(state.duals_vector(), before)
 
 
 def test_round_matches_dense_reference(composite_problem):
@@ -118,14 +120,14 @@ def test_round_matches_dense_reference(composite_problem):
     worst = 0.0
     for k in range(40):
         x, y = state.xs().ravel(), state.ys().ravel()
-        lam, v = state.duals_vector(g), state.vs().ravel()
+        lam, v = state.duals_vector(), state.vs().ravel()
         y_ref, x_ref, lam_ref = dense_round_reference(
             ops, composite_problem, sched, k, x, y, lam, v)
-        hsm_admm_round(state, composite_problem, g, sched, k, rngs)
+        hsm_admm_round(state, composite_problem, ops, sched, k, rngs)
         worst = max(worst,
                     float(np.max(np.abs(state.ys().ravel() - y_ref))),
                     float(np.max(np.abs(state.xs().ravel() - x_ref))),
-                    float(np.max(np.abs(state.duals_vector(g) - lam_ref))))
+                    float(np.max(np.abs(state.duals_vector() - lam_ref))))
     assert worst <= 1e-10
 
 
@@ -146,14 +148,14 @@ def test_exact_stationary_point_is_fixed(quad_problem, ring4):
 
     rngs = agent_rngs(1, 4)
     state = init_network_state(prob, g, xstar, 1, rngs, full_batch=True)
-    for idx, e in enumerate(g.edges):
-        state.edge_duals[e] = alpha[idx * 2:(idx + 1) * 2].copy()
+    state.alpha = alpha.reshape(g.m, 2)
     before_x = state.xs()
-    before_lam = state.duals_vector(g)
-    hsm_admm_round(state, prob, g, Schedules(), 5, rngs, batch_size=0)
+    before_lam = state.duals_vector()
+    hsm_admm_round(state, prob, ConstraintOps(g), Schedules(), 5, rngs,
+                   batch_size=0)
     assert np.max(np.abs(state.xs() - before_x)) <= 1e-12
     assert np.max(np.abs(state.ys() - before_x)) <= 1e-12
-    assert np.max(np.abs(state.duals_vector(g) - before_lam)) <= 1e-12
+    assert np.max(np.abs(state.duals_vector() - before_lam)) <= 1e-12
 
 
 def test_round_message_count(quad_problem):
@@ -161,8 +163,9 @@ def test_round_message_count(quad_problem):
     rngs = agent_rngs(2, 4)
     state = init_network_state(quad_problem, g, np.zeros(2), 2, rngs)
     ledger = MessageLedger()
+    ops = ConstraintOps(g)
     for k in range(20):
-        hsm_admm_round(state, quad_problem, g, Schedules(), k, rngs, ledger=ledger)
+        hsm_admm_round(state, quad_problem, ops, Schedules(), k, rngs, ledger=ledger)
     assert ledger.vector_messages == 20 * 2 * g.m
     assert ledger.scalars_transmitted == 20 * 2 * g.m * 2
 
@@ -176,24 +179,16 @@ def test_single_node_degenerates_to_centralized():
                                full_batch=True)
     sched = Schedules()
     # manual centralized prediction for round 0
-    ag = state.agents[0]
+    x, beta, v = state.x[0], state.beta[0], state.v[0]
     rho = sched.rho(0)
-    y_pred = prox_h(prob, 0, ag.x - ag.beta / rho, 1.0 / rho)
-    x_pred = ag.x - (ag.momentum.v - ag.beta + rho * (ag.x - y_pred)) / sched.eta(0, 0)
+    y_pred = prox_h(prob, 0, x - beta / rho, 1.0 / rho)
+    x_pred = x - (v - beta + rho * (x - y_pred)) / sched.eta(0, 0)
     ledger = MessageLedger()
-    hsm_admm_round(state, prob, g, sched, 0, rngs, batch_size=0, ledger=ledger)
-    assert np.allclose(state.agents[0].y, y_pred, atol=1e-15)
-    assert np.allclose(state.agents[0].x, x_pred, atol=1e-15)
+    hsm_admm_round(state, prob, ConstraintOps(g), sched, 0, rngs, batch_size=0,
+                   ledger=ledger)
+    assert np.allclose(state.y[0], y_pred, atol=1e-15)
+    assert np.allclose(state.x[0], x_pred, atol=1e-15)
     assert ledger.vector_messages == 0
-
-
-def test_alpha_signed_views_negate(ring4, quad_problem):
-    rngs = agent_rngs(6, 4)
-    state = init_network_state(quad_problem, ring4, np.zeros(2), 2, rngs)
-    for k in range(3):
-        hsm_admm_round(state, quad_problem, ring4, Schedules(), k, rngs)
-    for (i, j) in ring4.edges:
-        assert np.array_equal(state.alpha_signed(i, j), -state.alpha_signed(j, i))
 
 
 def test_feasibility_report_and_warning(ring4):
@@ -213,9 +208,10 @@ def test_topology_independence_no_divergence(quad_problem):
         rngs = agent_rngs(8, 4)
         state = init_network_state(quad_problem, g, np.ones(2), 1, rngs,
                                    full_batch=True)
+        ops = ConstraintOps(g)
         first = None
         for k in range(400):
-            hsm_admm_round(state, quad_problem, g, sched, k, rngs, batch_size=0)
+            hsm_admm_round(state, quad_problem, ops, sched, k, rngs, batch_size=0)
             if k == 20:
                 first = np.max(np.abs(state.xs()))
         xs = state.xs()

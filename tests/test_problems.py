@@ -56,6 +56,18 @@ def test_gradient_matches_finite_differences(kind):
         assert np.linalg.norm(fd - g) <= 1e-5 * max(1.0, np.linalg.norm(fd))
 
 
+@pytest.mark.parametrize("kind", ["least_squares", "logistic", "nonconvex_robust"])
+def test_batch_gradient_is_indexed_per_sample_mean(kind):
+    prob = make_problem(kind, 2, 6, 40, 8, alpha=0.3)
+    rng = np.random.default_rng(12)
+    for _ in range(10):
+        x = 2.0 * rng.standard_normal(6)
+        batch = draw_batch(prob, 1, rng, int(rng.integers(1, 33)))
+        got = stochastic_gradient(prob, 1, x, batch)
+        want = per_sample_gradients(prob, 1, x)[batch.indices].mean(axis=0)
+        assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+
+
 def _grid_prox(v, c, lam, step=1e-4):
     grid = np.arange(-4.0, 4.0 + step / 2, step)
     return grid[np.argmin(lam * np.abs(grid) + (grid - v) ** 2 / (2 * c))]
