@@ -33,8 +33,13 @@ SUMMARY_COLUMNS = ("k", "stat_total", "stat_prox", "stat_consensus", "res_combin
 
 
 def build_graph(cfg: RunConfig) -> graphmod.Graph:
+    """The configured graph; an edge-list file that cannot be read or does
+    not describe a valid connected graph is a configuration error."""
     if cfg.topology == "from_edge_list":
-        return graphmod.load_edge_list(cfg.edge_list, n=cfg.n, p=cfg.p)
+        try:
+            return graphmod.load_edge_list(cfg.edge_list, n=cfg.n, p=cfg.p)
+        except (OSError, ValueError, graphmod.GraphError) as exc:
+            raise ConfigInvalid(f"edge list {cfg.edge_list}: {exc}") from exc
     return graphmod.build_topology(cfg.topology, cfg.n, cfg.graph_seed, p=cfg.p,
                                    prob=cfg.edge_prob, hubs=cfg.hubs)
 

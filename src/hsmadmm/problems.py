@@ -60,9 +60,14 @@ class SampleBatch:
 class CompositeProblem:
     """n-agent composite objective: smooth stochastic loss plus l1 or nothing.
 
-    ``features[i]`` is the (N_i, p) local design matrix of agent i and
-    ``labels[i]`` the matching targets. Immutable after construction; all
-    oracle calls are pure functions of their arguments.
+    All samples are stored stacked: ``stacked_features`` is one contiguous
+    (N, p) float array and ``stacked_labels`` the (N,) targets, with agent i
+    owning rows ``offsets[i]:offsets[i + 1]``. ``features[i]``, the (N_i, p)
+    local design matrix of agent i, and ``labels[i]`` are views of those
+    rows; construction concatenates whatever per-agent arrays it is given
+    (so ``dataclasses.replace`` rebuilds the stacked arrays too). Every agent
+    needs at least one sample. Immutable after construction; all oracle
+    calls are pure functions of their arguments.
     """
 
     kind: str
@@ -72,6 +77,9 @@ class CompositeProblem:
     l1_weight: float = 0.0
     alpha: float = 0.0
     _L: float = field(default=None, repr=False)
+    stacked_features: np.ndarray = field(init=False, repr=False, compare=False)
+    stacked_labels: np.ndarray = field(init=False, repr=False, compare=False)
+    offsets: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in SMOOTH_KINDS:
@@ -83,9 +91,17 @@ class CompositeProblem:
         if len(self.features) != len(self.labels) or not self.features:
             raise ProblemError("need one (features, labels) pair per agent")
         p = self.features[0].shape[1]
-        for A, b in zip(self.features, self.labels):
+        for i, (A, b) in enumerate(zip(self.features, self.labels)):
             if A.ndim != 2 or A.shape[1] != p or b.shape != (A.shape[0],):
                 raise ProblemError("inconsistent dataset shapes")
+            if A.shape[0] == 0:
+                raise ProblemError(f"agent {i} has no samples")
+        self.offsets = np.cumsum([0] + [A.shape[0] for A in self.features])
+        self.stacked_features = np.concatenate(self.features, dtype=float)
+        self.stacked_labels = np.concatenate(self.labels, dtype=float)
+        bounds = list(zip(self.offsets[:-1], self.offsets[1:]))
+        self.features = [self.stacked_features[s:e] for s, e in bounds]
+        self.labels = [self.stacked_labels[s:e] for s, e in bounds]
 
     @property
     def n(self) -> int:
@@ -138,19 +154,23 @@ def per_sample_losses(prob: CompositeProblem, i: int, x) -> np.ndarray:
     return data + _penalty_value(prob, x)
 
 
+def _loss_weights(kind: str, margins: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Derivative of each per-sample data loss with respect to its margin
+    a.x, so that the data gradient of sample (a, b) is ``weight * a``."""
+    if kind == "least_squares":
+        return margins - b
+    if kind == "logistic":
+        # sigmoid(-z) via tanh keeps exp overflow out of the picture
+        return -b * 0.5 * (1.0 + np.tanh(-0.5 * (b * margins)))
+    r = margins - b
+    return r / (1.0 + r * r) ** 2
+
+
 def _sample_gradients(prob: CompositeProblem, A: np.ndarray, b: np.ndarray,
                       x: np.ndarray) -> np.ndarray:
     """Gradients at x of the per-sample losses of the rows (A, b), penalty
     included, shape (rows, p)."""
-    if prob.kind == "least_squares":
-        w = A @ x - b
-    elif prob.kind == "logistic":
-        z = b * (A @ x)
-        # sigmoid(-z) via tanh keeps exp overflow out of the picture
-        w = -b * 0.5 * (1.0 + np.tanh(-0.5 * z))
-    else:
-        r = A @ x - b
-        w = r / (1.0 + r * r) ** 2
+    w = _loss_weights(prob.kind, A @ x, b)
     return w[:, None] * A + _penalty_gradient(prob, x)
 
 
@@ -197,11 +217,15 @@ def full_gradient(prob: CompositeProblem, i: int, x) -> np.ndarray:
 
 
 def global_mean_gradient(prob: CompositeProblem, xbar) -> np.ndarray:
-    """(1/n) sum_i of the local full gradients, all evaluated at the same point."""
-    acc = np.zeros(prob.p)
-    for i in range(prob.n):
-        acc += full_gradient(prob, i, xbar)
-    return acc / prob.n
+    """(1/n) sum_i of the local full gradients, all evaluated at the same
+    point, in one pass over the stacked samples: each row of agent i enters
+    the weighted row sum with weight 1 / (n N_i)."""
+    xbar = np.asarray(xbar, dtype=float)
+    X = prob.stacked_features
+    w = _loss_weights(prob.kind, X @ xbar, prob.stacked_labels)
+    sizes = np.diff(prob.offsets)
+    w /= np.repeat(prob.n * sizes, sizes)
+    return w @ X + _penalty_gradient(prob, xbar)
 
 
 def smooth_value(prob: CompositeProblem, i: int, x) -> float:
@@ -247,10 +271,8 @@ def estimate_smoothness(prob: CompositeProblem) -> float:
     the bounded penalty contributes ``2 * alpha``. Bounding each sample's
     curvature bounds the mean-squared version as well.
     """
-    worst = 0.0
-    for A in prob.features:
-        if A.shape[0]:
-            worst = max(worst, float(np.max(np.sum(A * A, axis=1))))
+    X = prob.stacked_features
+    worst = float(np.max(np.sum(X * X, axis=1)))
     return _CURVATURE[prob.kind] * worst + 2.0 * prob.alpha
 
 
@@ -304,25 +326,18 @@ def make_problem(kind: str, n: int, p: int, samples_per_agent: int, seed: int, *
         b = margins
 
     order = np.argsort(b, kind="stable") if noniid else rng.permutation(N)
-    feats, labs = [], []
-    for i in range(n):
-        rows = order[i * samples_per_agent:(i + 1) * samples_per_agent]
-        feats.append(A[rows].copy())
-        labs.append(b[rows].copy())
-    return CompositeProblem(kind, feats, labs, regularizer=regularizer,
-                            l1_weight=l1_weight, alpha=alpha)
+    A, b = A[order], b[order]
+    return CompositeProblem(kind, np.split(A, n), np.split(b, n),
+                            regularizer=regularizer, l1_weight=l1_weight,
+                            alpha=alpha)
 
 
 def save_dataset(prob: CompositeProblem, csv_path, manifest_path) -> None:
     """Write all samples as CSV rows (features then label) plus a JSON
     manifest mapping agents to row ranges."""
-    rows = np.vstack([np.column_stack([A, b]) for A, b in zip(prob.features, prob.labels)])
+    rows = np.column_stack([prob.stacked_features, prob.stacked_labels])
     np.savetxt(csv_path, rows, delimiter=",", fmt="%.17g")
-    ranges, start = [], 0
-    for i in range(prob.n):
-        stop = start + prob.local_size(i)
-        ranges.append([start, stop])
-        start = stop
+    ranges = np.column_stack([prob.offsets[:-1], prob.offsets[1:]]).tolist()
     manifest = {"n": prob.n, "p": prob.p, "ranges": ranges}
     with open(manifest_path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -352,7 +367,7 @@ def load_dataset(csv_path, manifest_path, *, kind: str,
     for start, stop in ranges:
         if not (0 <= start < stop <= rows.shape[0]):
             raise ProblemError(f"manifest range [{start}, {stop}) out of bounds")
-        feats.append(rows[start:stop, :p].copy())
-        labs.append(rows[start:stop, p].copy())
+        feats.append(rows[start:stop, :p])
+        labs.append(rows[start:stop, p])
     return CompositeProblem(kind, feats, labs, regularizer=regularizer,
                             l1_weight=l1_weight, alpha=alpha)

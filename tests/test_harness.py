@@ -145,6 +145,22 @@ def test_non_finite_dataset_exits_2(tmp_path, capsys):
     assert "row 6, column 1 is not a finite number" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("edges, n, message", [
+    (None, 3, "No such file"),
+    ("0 1\n1 x\n", 3, "non-integer node id"),
+    ("0 1\n", 3, "not connected"),
+])
+def test_bad_edge_list_exits_2(tmp_path, capsys, edges, n, message):
+    edge_path = tmp_path / "edges.txt"
+    if edges is not None:
+        edge_path.write_text(edges)
+    path = write_cfg(tmp_path, f"topology = from_edge_list\nedge_list = {edge_path}\n"
+                               f"n = {n}\np = 2\nK = 5\ntrack_lyapunov = false\n")
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "config error: edge list" in err and message in err
+
+
 def test_divergence_exits_3(tmp_path):
     text = BASE_CFG + "c_eta = 1e-9\ndivergence_guard = 1e6\nK = 300\n"
     path = write_cfg(tmp_path, text.replace("K = 40\n", ""))

@@ -1,11 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hsmadmm.problems import (CompositeProblem, IndexOutOfRange,
-                              NonPositiveScale, SampleBatch, draw_batch,
-                              empirical_sigma_sq, estimate_smoothness,
+                              NonPositiveScale, ProblemError, SampleBatch,
+                              draw_batch, empirical_sigma_sq,
+                              estimate_smoothness,
                               full_batch, full_gradient, global_mean_gradient,
                               h_value, load_dataset, make_problem,
                               per_sample_gradients, prox_h, sampled_loss,
@@ -173,6 +176,59 @@ def test_global_mean_gradient_brute_force():
         brute += per_sample_gradients(prob, i, x).mean(axis=0)
     brute /= 3
     assert np.allclose(global_mean_gradient(prob, x), brute, atol=1e-14)
+
+
+@pytest.mark.parametrize("kind", ["least_squares", "logistic", "nonconvex_robust"])
+def test_global_mean_gradient_matches_per_agent_mean_unequal_sizes(kind):
+    rng = np.random.default_rng(17)
+    sizes = (3, 7, 1)
+    feats = [rng.standard_normal((N, 4)) for N in sizes]
+    labs = [np.sign(rng.standard_normal(N)) for N in sizes]
+    prob = CompositeProblem(kind, feats, labs, alpha=0.3)
+    for _ in range(3):
+        x = rng.standard_normal(4)
+        want = sum(full_gradient(prob, i, x) for i in range(3)) / 3
+        got = global_mean_gradient(prob, x)
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+def _assert_stacked_views(prob, sizes):
+    assert list(np.diff(prob.offsets)) == list(sizes)
+    assert prob.offsets[0] == 0 and prob.offsets[-1] == prob.stacked_features.shape[0]
+    assert prob.stacked_features.shape == (sum(sizes), prob.p)
+    assert prob.stacked_labels.shape == (sum(sizes),)
+    for i in range(prob.n):
+        s, e = prob.offsets[i], prob.offsets[i + 1]
+        assert np.shares_memory(prob.features[i], prob.stacked_features)
+        assert np.shares_memory(prob.labels[i], prob.stacked_labels)
+        assert np.array_equal(prob.features[i], prob.stacked_features[s:e])
+        assert np.array_equal(prob.labels[i], prob.stacked_labels[s:e])
+
+
+def test_samples_are_stacked_views(tmp_path):
+    prob = make_problem("logistic", 3, 4, 6, 9, noniid=True)
+    _assert_stacked_views(prob, (6, 6, 6))
+    rebuilt = dataclasses.replace(prob, l1_weight=0.5, regularizer="l1")
+    _assert_stacked_views(rebuilt, (6, 6, 6))
+    assert not np.shares_memory(rebuilt.stacked_features, prob.stacked_features)
+    assert np.array_equal(rebuilt.stacked_features, prob.stacked_features)
+
+    rng = np.random.default_rng(4)
+    sizes = (3, 7, 1)
+    odd = CompositeProblem("least_squares", [rng.standard_normal((N, 2)) for N in sizes],
+                           [rng.standard_normal(N) for N in sizes])
+    _assert_stacked_views(odd, sizes)
+    save_dataset(odd, tmp_path / "data.csv", tmp_path / "manifest.json")
+    loaded = load_dataset(tmp_path / "data.csv", tmp_path / "manifest.json",
+                          kind="least_squares")
+    _assert_stacked_views(loaded, sizes)
+    assert np.array_equal(loaded.stacked_features, odd.stacked_features)
+
+
+def test_agent_without_samples_is_refused():
+    A = np.ones((2, 3))
+    with pytest.raises(ProblemError, match="agent 1 has no samples"):
+        CompositeProblem("least_squares", [A, np.zeros((0, 3))], [np.ones(2), np.zeros(0)])
 
 
 def test_noniid_partition_is_heterogeneous():
