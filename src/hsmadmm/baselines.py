@@ -19,8 +19,6 @@ from .graph import Graph
 from .problems import (CompositeProblem, draw_batch, full_batch, prox_h,
                        stochastic_gradient)
 
-BASELINE_KINDS = ("uniform_admm", "prox_dsgd", "prox_gt")
-
 
 def metropolis_weights(graph: Graph) -> np.ndarray:
     """Symmetric doubly stochastic mixing matrix with w_ij = 1 / (1 + max

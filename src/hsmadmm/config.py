@@ -10,10 +10,10 @@ import dataclasses
 import math
 from dataclasses import dataclass
 
+from .graph import TOPOLOGY_KINDS
+from .problems import REGULARIZERS, SMOOTH_KINDS
+
 ALGORITHMS = ("hsm_admm", "uniform_admm", "prox_dsgd", "prox_gt")
-TOPOLOGIES = ("ring", "star", "hub_leaf", "random_connected", "from_edge_list")
-PROBLEM_KINDS = ("least_squares", "logistic", "nonconvex_robust")
-REGULARIZER_KINDS = ("l1", "none")
 
 
 class ConfigInvalid(Exception):
@@ -75,12 +75,12 @@ class RunConfig:
                 raise ConfigInvalid(f"{f.name} must be finite, got {value}")
         if self.algorithm not in ALGORITHMS:
             raise ConfigInvalid(f"algorithm must be one of {ALGORITHMS}, got {self.algorithm!r}")
-        if self.topology not in TOPOLOGIES:
-            raise ConfigInvalid(f"topology must be one of {TOPOLOGIES}, got {self.topology!r}")
-        if self.problem not in PROBLEM_KINDS:
-            raise ConfigInvalid(f"problem must be one of {PROBLEM_KINDS}, got {self.problem!r}")
-        if self.regularizer not in REGULARIZER_KINDS:
-            raise ConfigInvalid(f"regularizer must be one of {REGULARIZER_KINDS}")
+        if self.topology not in TOPOLOGY_KINDS:
+            raise ConfigInvalid(f"topology must be one of {TOPOLOGY_KINDS}, got {self.topology!r}")
+        if self.problem not in SMOOTH_KINDS:
+            raise ConfigInvalid(f"problem must be one of {SMOOTH_KINDS}, got {self.problem!r}")
+        if self.regularizer not in REGULARIZERS:
+            raise ConfigInvalid(f"regularizer must be one of {REGULARIZERS}")
         if self.regularizer == "none" and self.l1_weight > 0:
             raise ConfigInvalid("l1_weight > 0 requires regularizer = l1")
         if self.n < 2:

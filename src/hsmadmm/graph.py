@@ -9,8 +9,8 @@ the smallest squared singular value of the operator is exactly 1 on every
 connected graph.
 
 Implicit neighbor-sum application is the default everywhere; dense matrices
-are materialized only for verification and spectral checks on small networks
-(guarded by ``DENSE_LIMIT``).
+are materialized only as verification oracles on small networks (guarded by
+``DENSE_LIMIT``). Spectral checks work on the n x n Laplacian at any size.
 """
 from __future__ import annotations
 
@@ -353,17 +353,10 @@ def smallest_singular_sq_A(ops: ConstraintOps) -> float:
     """Smallest squared singular value of the edge-plus-identity operator,
     from the Laplacian spectrum shifted by one. Equals 1 on every connected
     graph."""
-    if ops.graph.n * ops.p > DENSE_LIMIT:
-        raise DenseRequired(
-            f"spectral check needs n*p <= {DENSE_LIMIT}, got {ops.graph.n * ops.p}")
-    eigs = np.linalg.eigvalsh(laplacian(ops.graph))
-    return float(eigs[0] + 1.0)
+    return singular_sq_extremes(ops)[0]
 
 
 def singular_sq_extremes(ops: ConstraintOps) -> tuple:
     """(smallest, largest) squared singular values via the Laplacian spectrum."""
-    if ops.graph.n * ops.p > DENSE_LIMIT:
-        raise DenseRequired(
-            f"spectral check needs n*p <= {DENSE_LIMIT}, got {ops.graph.n * ops.p}")
     eigs = np.linalg.eigvalsh(laplacian(ops.graph))
     return float(eigs[0] + 1.0), float(eigs[-1] + 1.0)

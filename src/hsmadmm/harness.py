@@ -25,11 +25,11 @@ import numpy as np
 
 from . import baselines, graph as graphmod, hsm_admm, metrics, problems
 from .config import ConfigInvalid, RunConfig, load_config, write_config
-from .simulator import (MetricsTrace, NumericalDivergence, read_trace_csv, run)
+from .simulator import (TRACE_HEADER, MetricsTrace, NumericalDivergence,
+                        read_trace_csv, run)
 from .svgplot import EmptyTrace, Series, line_chart
 
-SUMMARY_COLUMNS = ("k", "stat_total", "stat_prox", "stat_consensus", "res_combined",
-                   "res_consensus", "res_split", "err_sq", "phi", "scalars_tx")
+SUMMARY_COLUMNS = tuple(name for name in TRACE_HEADER if name != "wall_ms")
 
 
 def build_graph(cfg: RunConfig) -> graphmod.Graph:
@@ -78,6 +78,7 @@ def _replica_summary(trace: MetricsTrace, seed: int) -> dict:
             "scalars_transmitted": trace.meta.get("scalars_transmitted", 0),
         },
         "violations": {"dual_step_bound": trace.meta.get("violation_count", 0)},
+        "feasibility": trace.meta.get("feasibility"),
         "slope": slope,
         "intercept": intercept,
     }
@@ -147,7 +148,7 @@ def run_single(cfg: RunConfig, out_dir=None) -> dict:
     """Run all replicas of one configuration and write the outputs.
 
     Raises ``NumericalDivergence`` after persisting the partial trace and a
-    divergence summary.
+    divergence summary that keeps the completed replicas' entries.
     """
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -167,8 +168,8 @@ def run_single(cfg: RunConfig, out_dir=None) -> dict:
             if exc.trace is not None:
                 exc.trace.write_csv(rdir / "trace.csv")
             _write_json({"status": "diverged", "round": exc.round_index,
-                         "seed": rcfg.seed, "message": str(exc)},
-                        out / "summary.json")
+                         "seed": rcfg.seed, "message": str(exc),
+                         "replicas": replicas}, out / "summary.json")
             raise
         trace.write_csv(rdir / "trace.csv")
         replicas.append(_replica_summary(trace, rcfg.seed))

@@ -32,7 +32,7 @@ from itertools import product
 import numpy as np
 
 from .estimator import init_momentum, update_momentum
-from .graph import ConstraintOps, Graph, InvalidParam
+from .graph import ConstraintOps, Graph, InvalidParam, laplacian
 from .problems import CompositeProblem, prox_h
 
 
@@ -67,6 +67,29 @@ def step_degrees(graph: Graph, uniform: bool = False) -> np.ndarray:
     if uniform:
         return np.full(graph.n, graph.degree.max())
     return graph.degree
+
+
+def step_matrix_base(graph: Graph, sched: Schedules, *,
+                     uniform: bool = False) -> np.ndarray:
+    """Constant part of the n x n step-minus-penalty matrix,
+
+        S = diag(c_eta (d + 1)) - c_rho (L + I),
+
+    with d from ``step_degrees``; the matrix at round k is (k+1)^{1/3} S.
+    On the stacked variable the analysis matrix is S kron I_p: its spectrum
+    is that of S with each eigenvalue repeated p times, and on an (n, p)
+    block array X it acts as S @ X, so every analysis quantity is computed
+    on S alone."""
+    degrees = step_degrees(graph, uniform).astype(float)
+    return (np.diag(sched.c_eta * (degrees + 1.0))
+            - sched.c_rho * (laplacian(graph) + np.eye(graph.n)))
+
+
+def lower_c_beta(s_norm: float, L: float, theta: float, c_rho: float) -> float:
+    """Lower admissible merit constant c_beta from the spectral norm of
+    ``step_matrix_base``."""
+    inv = 1.0 + 1.0 / theta
+    return (6.0 * inv * s_norm ** 2 + 12.0 * L * L * inv) / c_rho
 
 
 @dataclass
@@ -199,7 +222,7 @@ class FeasibilityReport:
 
 
 def constants_feasibility(graph: Graph, sched: Schedules, L: float, *,
-                          p: int = 1, theta_grid=(0.5, 1.0, 2.0),
+                          uniform: bool = False, theta_grid=(0.5, 1.0, 2.0),
                           c_mu_grid=(0.5, 1.0, 2.0, 4.0),
                           c_gamma_grid=(0.25, 0.5, 1.0, 2.0)) -> FeasibilityReport:
     """Search a small grid of analysis constants for simultaneous positivity
@@ -212,18 +235,24 @@ def constants_feasibility(graph: Graph, sched: Schedules, L: float, *,
     with c_err at its lower admissible value 12 (1 + 1/theta), and the step
     matrix whose smallest eigenvalue must be positive is
 
-        (C_eta - c_rho/2 AtA) - 3(1+theta)/(2 c_rho) (C_eta - c_rho AtA)^2
-        - (c_mu/2 + c_beta/2 + L/2 + 2 L^2 c_gamma) I.
+        (C_eta - c_rho/2 AtA) - 3(1+theta)/(2 c_rho) S^2
+        - (c_mu/2 + c_beta/2 + L/2 + 2 L^2 c_gamma) I,
+
+    with S = C_eta - c_rho AtA from ``step_matrix_base`` (``uniform`` as
+    there) and AtA = L_graph + I, all n x n. Only the scalar shift depends
+    on (c_mu, c_gamma), so the smallest eigenvalue is computed once per
+    theta.
 
     The search reports rather than enforces: the published conditions leave
     the constants as experimental knobs and the desk problems run fine
     outside the certified region.
     """
-    ops = ConstraintOps(graph, p)
-    AtA = ops.dense_AtA()
-    C_eta = np.diag(np.repeat(sched.c_eta * (graph.degree + 1.0), p))
-    S_base = C_eta - sched.c_rho * AtA
-    s_norm_sq = float(np.max(np.abs(np.linalg.eigvalsh(S_base)))) ** 2
+    S = step_matrix_base(graph, sched, uniform=uniform)
+    s_norm = float(np.linalg.norm(S, 2))
+    half = S + 0.5 * sched.c_rho * (laplacian(graph) + np.eye(graph.n))
+    S_sq = S @ S
+    step_min = {theta: float(np.linalg.eigvalsh(
+        half - (1.5 * (1.0 + theta) / sched.c_rho) * S_sq)[0]) for theta in theta_grid}
 
     best = None
     feasible = False
@@ -232,14 +261,11 @@ def constants_feasibility(graph: Graph, sched: Schedules, L: float, *,
         tried += 1
         inv = 1.0 + 1.0 / theta
         c_err = 12.0 * inv
-        c_beta = (6.0 * inv * s_norm_sq + 12.0 * L * L * inv) / sched.c_rho
+        c_beta = lower_c_beta(s_norm, L, theta, sched.c_rho)
         margin_e = (2.0 * sched.c_a * c_gamma - 0.5 / c_mu
                     - (12.0 * inv + c_err) / sched.c_rho)
-        Cx = (C_eta - 0.5 * sched.c_rho * AtA
-              - (1.5 * (1.0 + theta) / sched.c_rho) * (S_base @ S_base)
-              - (0.5 * c_mu + 0.5 * c_beta + 0.5 * L
-                 + 2.0 * L * L * c_gamma) * np.eye(AtA.shape[0]))
-        margin_x = float(np.linalg.eigvalsh(Cx)[0])
+        margin_x = step_min[theta] - (0.5 * c_mu + 0.5 * c_beta + 0.5 * L
+                                      + 2.0 * L * L * c_gamma)
         worst = min(margin_e, margin_x)
         entry = {"theta": theta, "c_mu": c_mu, "c_gamma": c_gamma,
                  "margin_error": margin_e, "margin_step_matrix": margin_x,

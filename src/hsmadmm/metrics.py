@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import ConstraintOps, Graph
-from .hsm_admm import Schedules, step_degrees
+from .hsm_admm import Schedules, lower_c_beta, step_matrix_base
 from .problems import (CompositeProblem, empirical_sigma_sq, full_gradient,
                        global_mean_gradient, h_value, per_sample_gradients,
                        smooth_value, soft_threshold)
@@ -117,27 +117,14 @@ class LyapunovConstants:
                 f"c_err must be >= {bound} for theta={self.theta}, got {self.c_err}")
 
 
-def step_matrix_base(graph: Graph, sched: Schedules, p: int = 1,
-                     uniform: bool = False) -> np.ndarray:
-    """Constant part of the step-minus-penalty matrix: the full matrix at
-    round k is (k+1)^{1/3} times this. ``uniform=True`` swaps in the
-    worst-degree step used by the uniform baseline."""
-    ops = ConstraintOps(graph, p)
-    degrees = step_degrees(graph, uniform).astype(float)
-    C_eta = np.diag(np.repeat(sched.c_eta * (degrees + 1.0), p))
-    return C_eta - sched.c_rho * ops.dense_AtA()
-
-
 def make_lyapunov_constants(graph: Graph, sched: Schedules, L: float, *,
-                            p: int = 1, theta: float = 1.0, c_mu: float = 1.0,
+                            theta: float = 1.0, c_mu: float = 1.0,
                             c_gamma: float = 1.0, c_err: float | None = None,
                             uniform: bool = False) -> LyapunovConstants:
-    inv = 1.0 + 1.0 / theta
     if c_err is None:
-        c_err = 12.0 * inv
-    S_base = step_matrix_base(graph, sched, p, uniform=uniform)
-    s_norm_sq = float(np.max(np.abs(np.linalg.eigvalsh(S_base)))) ** 2
-    c_beta = (6.0 * inv * s_norm_sq + 12.0 * L * L * inv) / sched.c_rho
+        c_err = 12.0 * (1.0 + 1.0 / theta)
+    s_norm = float(np.linalg.norm(step_matrix_base(graph, sched, uniform=uniform), 2))
+    c_beta = lower_c_beta(s_norm, L, theta, sched.c_rho)
     return LyapunovConstants(theta=theta, c_mu=c_mu, c_gamma=c_gamma,
                              c_err=c_err, c_beta=c_beta, L=L)
 
@@ -208,33 +195,35 @@ class DualBoundChecker:
              + 8 (1+1/theta) (||E^{s-1}||^2 + ||E^{s-2}||^2).
 
     Violations are recorded, never raised: an empirical violation flags a
-    subtlety in the bound's range condition, not a broken update.
+    subtlety in the bound's range condition, not a broken update. S is
+    (k+1)^{1/3} times the n x n ``step_matrix_base``, applied to the (n, p)
+    state arrays as S @ dx.
     """
 
     def __init__(self, graph: Graph, sched: Schedules, L: float, *,
-                 p: int = 1, theta: float = 1.0, uniform: bool = False):
+                 theta: float = 1.0, uniform: bool = False):
         self.sched = sched
         self.L = L
         self.theta = theta
-        self.p = p
-        self.S_base = step_matrix_base(graph, sched, p, uniform=uniform)
-        self.s_base_norm = float(np.max(np.abs(np.linalg.eigvalsh(self.S_base))))
+        self.S_base = step_matrix_base(graph, sched, uniform=uniform)
+        self.s_base_norm = float(np.linalg.norm(self.S_base, 2))
 
     def check(self, s: int, xs, xs_prev, xs_prev2, lam, lam_prev,
               err_sq_prev: float, err_sq_prev2: float, tol: float = 1e-9):
-        """Evaluate at state index s >= 2; returns a violation record or None."""
-        dx = np.asarray(xs, dtype=float).ravel() - np.asarray(xs_prev, dtype=float).ravel()
-        dx_prev = (np.asarray(xs_prev, dtype=float).ravel()
-                   - np.asarray(xs_prev2, dtype=float).ravel())
+        """Evaluate at state index s >= 2 on (n, p) iterates; returns a
+        violation record or None."""
+        xs_prev = np.asarray(xs_prev, dtype=float)
+        dx = np.asarray(xs, dtype=float) - xs_prev
+        dx_prev = xs_prev - np.asarray(xs_prev2, dtype=float)
         dlam = np.asarray(lam, dtype=float) - np.asarray(lam_prev, dtype=float)
         lhs = float(dlam @ dlam)
         t_cur = float(s) ** (1.0 / 3.0)          # round s-1 evaluates at t = s
         t_prev = float(s - 1) ** (1.0 / 3.0)
         S_dx = t_cur * (self.S_base @ dx)
         inv = 1.0 + 1.0 / self.theta
-        rhs = ((1.0 + self.theta) * float(S_dx @ S_dx)
+        rhs = ((1.0 + self.theta) * float(np.vdot(S_dx, S_dx))
                + (2.0 * inv * (t_prev * self.s_base_norm) ** 2
-                  + 4.0 * self.L ** 2 * inv) * float(dx_prev @ dx_prev)
+                  + 4.0 * self.L ** 2 * inv) * float(np.vdot(dx_prev, dx_prev))
                + 8.0 * inv * (err_sq_prev + err_sq_prev2))
         if lhs <= rhs + tol * max(1.0, rhs):
             return None

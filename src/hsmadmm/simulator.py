@@ -13,9 +13,8 @@ error carrying the trace logged so far.
 from __future__ import annotations
 
 import math
-import threading
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from time import perf_counter
 
 import numpy as np
@@ -23,7 +22,7 @@ import numpy as np
 from .baselines import (init_dsgd_state, init_gt_state, metropolis_weights,
                         prox_dsgd_round, prox_gt_round)
 from .config import ConfigInvalid, RunConfig
-from .graph import DENSE_LIMIT, ConstraintOps, Graph
+from .graph import ConstraintOps, Graph
 from .hsm_admm import (Schedules, constants_feasibility, hsm_admm_round,
                        init_network_state, step_degrees, warn_if_infeasible)
 from .metrics import (DualBoundChecker, gradient_error, lyapunov,
@@ -124,20 +123,6 @@ def initial_point(master_seed: int, p: int) -> np.ndarray:
     return np.random.default_rng([master_seed, 0]).standard_normal(p)
 
 
-_feasibility_warned = set()
-_feasibility_lock = threading.Lock()
-
-
-def _startup_feasibility(graph: Graph, sched: Schedules, L: float, p: int) -> None:
-    key = (graph.n, graph.m, sched.c_rho, sched.c_a, sched.c_eta, round(L, 6))
-    with _feasibility_lock:
-        if key in _feasibility_warned:
-            return
-        _feasibility_warned.add(key)
-    report = constants_feasibility(graph, sched, L, p=1)
-    warn_if_infeasible(report)
-
-
 def run(config: RunConfig, prob: CompositeProblem, graph: Graph,
         metrics_sink=None) -> MetricsTrace:
     """Drive ``config.K`` synchronous rounds of the configured algorithm.
@@ -161,6 +146,10 @@ def run(config: RunConfig, prob: CompositeProblem, graph: Graph,
     uniform = config.algorithm == "uniform_admm"
 
     if admm:
+        report = constants_feasibility(graph, sched, prob.smoothness,
+                                       uniform=uniform)
+        warn_if_infeasible(report)
+        trace.meta["feasibility"] = asdict(report)
         state = init_network_state(prob, graph, x0, config.m0, rngs, full_batch=full)
         degrees = step_degrees(graph, uniform)
 
@@ -185,22 +174,18 @@ def run(config: RunConfig, prob: CompositeProblem, graph: Graph,
                           step_scale=config.step_scale,
                           batch_size=config.batch_size, ledger=ledger)
 
-    dense_ok = graph.n * p <= DENSE_LIMIT
-    track_phi = config.track_lyapunov and admm and dense_ok
-    check_dual = config.check_dual_bound and admm and dense_ok
+    track_phi = config.track_lyapunov and admm
+    check_dual = config.check_dual_bound and admm
     record_accum = config.record_accumulation and admm
-    if admm and dense_ok:
-        _startup_feasibility(graph, sched, prob.smoothness, p)
-
     consts = None
+    checker = None
     if track_phi:
-        consts = make_lyapunov_constants(graph, sched, prob.smoothness, p=p,
+        consts = make_lyapunov_constants(graph, sched, prob.smoothness,
                                          theta=config.theta, c_mu=config.c_mu,
                                          c_gamma=config.c_gamma,
                                          uniform=uniform)
-    checker = None
     if check_dual:
-        checker = DualBoundChecker(graph, sched, prob.smoothness, p=p,
+        checker = DualBoundChecker(graph, sched, prob.smoothness,
                                    theta=config.theta, uniform=uniform)
 
     need_history = track_phi or check_dual or record_accum

@@ -235,7 +235,7 @@ def test_criterion_09_merit_descent():
                      K=K, dataset_seed=5, metric_every=1, track_lyapunov=True)
     g, prob = build_graph(base), build_problem(base)
     sched = Schedules(base.c_rho, base.c_a, base.c_eta)
-    consts = make_lyapunov_constants(g, sched, prob.smoothness, p=base.p)
+    consts = make_lyapunov_constants(g, sched, prob.smoothness)
     phis, rsqs, sigs = [], [], []
     for r in range(R):
         cfg = dataclasses.replace(base, seed=100 + r)

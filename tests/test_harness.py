@@ -4,11 +4,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hsmadmm import harness, simulator
 from hsmadmm.config import (ConfigInvalid, RunConfig, config_to_text,
                             load_config, parse_config_text)
 from hsmadmm.harness import emit_plots, main
 from hsmadmm.problems import make_problem, save_dataset
-from hsmadmm.simulator import TRACE_HEADER, read_trace_csv
+from hsmadmm.simulator import TRACE_HEADER, NumericalDivergence, read_trace_csv
 from hsmadmm.svgplot import EmptyTrace
 
 
@@ -236,3 +237,23 @@ def test_verify_command_passes(capsys):
     lines = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("[")]
     assert len(lines) >= 8
     assert all(ln.startswith("[PASS]") for ln in lines)
+
+
+def test_diverged_replica_keeps_earlier_summaries(tmp_path, monkeypatch):
+    calls = []
+
+    def run_then_diverge(cfg, prob, g):
+        calls.append(cfg.seed)
+        if len(calls) == 2:
+            raise NumericalDivergence("forced", trace=None, round_index=7)
+        return simulator.run(cfg, prob, g)
+
+    monkeypatch.setattr(harness, "run", run_then_diverge)
+    path = write_cfg(tmp_path, BASE_CFG + "replicas = 3\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 3
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["status"] == "diverged" and summary["seed"] == 4
+    assert [rep["seed"] for rep in summary["replicas"]] == [3]
+    report = summary["replicas"][0]["feasibility"]
+    assert {"feasible", "tried", "best"} <= set(report)

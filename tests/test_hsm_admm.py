@@ -219,3 +219,13 @@ def test_topology_independence_no_divergence(quad_problem):
         spread = float(np.sum((xs - xs.mean(axis=0)) ** 2))
         assert spread < 1e-6, f"{kind} failed to contract: {spread}"
         assert np.max(np.abs(xs)) < 10 * max(1.0, first)
+
+
+def test_feasibility_stops_at_first_certified_grid_point():
+    # single node with c_eta = c_rho: S = 0, so the step margin is positive
+    # and the error margin first turns positive at (0.5, 0.5, 1.0), the
+    # third point in grid order
+    report = constants_feasibility(Graph(1, ()), Schedules(100.0, 1.0, 100.0), L=0.1)
+    assert report.feasible and report.tried == 3
+    assert (report.best["theta"], report.best["c_mu"], report.best["c_gamma"]) == (0.5, 0.5, 1.0)
+    assert report.best["margin_step_matrix"] == pytest.approx(49.6782, rel=1e-12)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hsmadmm.graph import ConstraintOps, Graph, build_topology
-from hsmadmm.hsm_admm import Schedules
+from hsmadmm.hsm_admm import Schedules, constants_feasibility
 from hsmadmm.metrics import (DualBoundChecker, HistoryUnavailable,
                              InsufficientTrace, LyapunovConstants, MetricsError,
                              accumulation_weighted_sum, augmented_lagrangian,
@@ -100,9 +100,9 @@ def test_lyapunov_constants_validation():
 
 def test_make_constants_defaults(ring4):
     sched = Schedules()
-    consts = make_lyapunov_constants(ring4, sched, L=1.0, p=2)
+    consts = make_lyapunov_constants(ring4, sched, L=1.0)
     assert consts.c_err == pytest.approx(24.0)
-    S = step_matrix_base(ring4, sched, 2)
+    S = step_matrix_base(ring4, sched)
     want = (12.0 * np.max(np.abs(np.linalg.eigvalsh(S))) ** 2 + 24.0) / sched.c_rho
     assert consts.c_beta == pytest.approx(want)
 
@@ -122,7 +122,7 @@ def test_lyapunov_collapses_at_stationary_state(quad_problem, ring4):
     vs = np.array([full_gradient(prob, i, xstar) for i in range(4)])
     ops = ConstraintOps(g)
     sched = Schedules()
-    consts = make_lyapunov_constants(g, sched, prob.smoothness, p=2)
+    consts = make_lyapunov_constants(g, sched, prob.smoothness)
     lam = np.zeros(ops.dim_out)
     snap = lyapunov(prob, ops, sched, consts, 5, xs, xs, lam, vs, xs, vs)
     F = sum(smooth_value(prob, i, xstar) for i in range(4))
@@ -135,7 +135,7 @@ def test_lyapunov_collapses_at_stationary_state(quad_problem, ring4):
 def test_lyapunov_needs_history(quad_problem, ring4):
     ops = ConstraintOps(ring4)
     sched = Schedules()
-    consts = make_lyapunov_constants(ring4, sched, 1.0, p=2)
+    consts = make_lyapunov_constants(ring4, sched, 1.0)
     xs = np.zeros((4, 2))
     vs = np.zeros((4, 2))
     with pytest.raises(HistoryUnavailable):
@@ -231,7 +231,7 @@ def test_accumulation_growth_is_at_most_logarithmic():
 
 
 def test_dual_bound_checker_flags_fabricated_violation(ring4):
-    checker = DualBoundChecker(ring4, Schedules(), L=1.0, p=2)
+    checker = DualBoundChecker(ring4, Schedules(), L=1.0)
     lam_prev = np.zeros(ring4.m * 2 + 8)
     lam = np.full(ring4.m * 2 + 8, 50.0)   # huge dual jump, no motion
     xs = np.zeros((4, 2))
@@ -241,3 +241,57 @@ def test_dual_bound_checker_flags_fabricated_violation(ring4):
     assert rec["lhs"] > rec["rhs"]
     # and no record when nothing moved
     assert checker.check(5, xs, xs, xs, lam_prev, lam_prev, 0.0, 0.0) is None
+
+
+@pytest.mark.parametrize("uniform", [False, True])
+@pytest.mark.parametrize("kind,n,p,hubs", [("ring", 16, 32, 1), ("star", 10, 8, 1),
+                                            ("hub_leaf", 12, 16, 2)])
+def test_step_matrix_layer_matches_dense_oracle(kind, n, p, hubs, uniform):
+    # every analysis quantity is computed on the n x n matrix S; the dense
+    # (np) x (np) matrix S kron I_p is built here only as the oracle
+    g = build_topology(kind, n, p=p, hubs=hubs)
+    sched = Schedules(c_rho=1.5, c_a=1.0, c_eta=2.5)
+    L = 1.3
+    ops = ConstraintOps(g)
+    degrees = (np.full(n, g.degree.max()) if uniform else g.degree).astype(float)
+    C_eta = np.diag(np.repeat(sched.c_eta * (degrees + 1.0), p))
+    AtA = ops.dense_AtA()
+    S_dense = C_eta - sched.c_rho * AtA
+    norm_dense = float(np.max(np.abs(np.linalg.eigvalsh(S_dense))))
+
+    S = step_matrix_base(g, sched, uniform=uniform)
+    assert S.shape == (n, n)
+    assert np.allclose(np.kron(S, np.eye(p)), S_dense, rtol=0, atol=1e-12)
+    checker = DualBoundChecker(g, sched, L, uniform=uniform)
+    assert checker.s_base_norm == pytest.approx(norm_dense, rel=1e-12)
+
+    for theta in (0.5, 1.0, 2.0):
+        inv = 1.0 + 1.0 / theta
+        c_beta = (6.0 * inv * norm_dense ** 2 + 12.0 * L * L * inv) / sched.c_rho
+        consts = make_lyapunov_constants(g, sched, L, theta=theta, uniform=uniform)
+        assert consts.c_beta == pytest.approx(c_beta, rel=1e-12)
+        c_mu, c_gamma = 2.0, 0.5
+        Cx = (C_eta - 0.5 * sched.c_rho * AtA
+              - (1.5 * (1.0 + theta) / sched.c_rho) * (S_dense @ S_dense)
+              - (0.5 * c_mu + 0.5 * c_beta + 0.5 * L + 2.0 * L * L * c_gamma)
+              * np.eye(n * p))
+        report = constants_feasibility(g, sched, L, uniform=uniform,
+                                       theta_grid=(theta,), c_mu_grid=(c_mu,),
+                                       c_gamma_grid=(c_gamma,))
+        assert report.best["margin_step_matrix"] == pytest.approx(
+            float(np.linalg.eigvalsh(Cx)[0]), rel=1e-10, abs=1e-10)
+
+    rng = np.random.default_rng(4)
+    xs, xs_prev, xs_prev2 = rng.standard_normal((3, n, p))
+    dX = xs - xs_prev
+    want = (S_dense @ dX.ravel()).reshape(n, p)
+    assert np.allclose(checker.S_base @ dX, want, rtol=0, atol=1e-12)
+    s = 7
+    S_dx = s ** (1 / 3) * want.ravel()
+    dx_prev = (xs_prev - xs_prev2).ravel()
+    rhs = (2.0 * float(S_dx @ S_dx)
+           + (4.0 * ((s - 1) ** (1 / 3) * norm_dense) ** 2 + 8.0 * L * L)
+           * float(dx_prev @ dx_prev) + 16.0 * (0.3 + 0.2))
+    lam = np.full(ops.dim_out, 1e3)
+    rec = checker.check(s, xs, xs_prev, xs_prev2, lam, np.zeros_like(lam), 0.3, 0.2)
+    assert rec is not None and rec["rhs"] == pytest.approx(rhs, rel=1e-12)

@@ -6,6 +6,7 @@ import pytest
 
 from hsmadmm.config import ConfigInvalid, RunConfig, write_config
 from hsmadmm.harness import build_graph, build_problem, main, run_outputs
+from hsmadmm.hsm_admm import Schedules, constants_feasibility
 from hsmadmm.simulator import (TRACE_HEADER, MessageLedger, MetricsTrace,
                                NumericalDivergence, metric_rounds,
                                read_trace_csv, run)
@@ -159,3 +160,36 @@ def test_trace_guards():
         trace.append((1.0, 2.0))
     with pytest.raises(Exception):
         trace.last_row()
+
+
+def test_merit_and_dual_check_run_past_the_dense_size():
+    # n*p = 4608 is past the dense-matrix limit; the analysis layer works on
+    # the n x n step matrix and must not switch itself off
+    cfg = small_cfg(n=72, p=64, K=4, samples_per_agent=3, metric_every=1,
+                    track_lyapunov=True, check_dual_bound=True)
+    trace = run(cfg, build_problem(cfg), build_graph(cfg))
+    phi = trace.column("phi")
+    assert np.isnan(phi[0])
+    assert np.all(np.isfinite(phi[1:]))
+
+
+def test_every_admm_run_carries_its_feasibility_report():
+    cfg = small_cfg(K=2)
+    prob, g = build_problem(cfg), build_graph(cfg)
+    first, second = (run(cfg, prob, g).meta["feasibility"] for _ in range(2))
+    assert first == second
+    assert {"feasible", "tried", "best"} <= set(first)
+    assert "feasibility" not in run(dataclasses.replace(cfg, algorithm="prox_gt"),
+                                    prob, g).meta
+
+
+def test_uniform_admm_feasibility_uses_max_degree():
+    cfg = small_cfg(topology="star", n=6, K=2, algorithm="uniform_admm")
+    prob, g = build_problem(cfg), build_graph(cfg)
+    sched = Schedules(cfg.c_rho, cfg.c_a, cfg.c_eta)
+    report = run(cfg, prob, g).meta["feasibility"]
+    uniform = dataclasses.asdict(constants_feasibility(g, sched, prob.smoothness,
+                                                       uniform=True))
+    local = dataclasses.asdict(constants_feasibility(g, sched, prob.smoothness))
+    assert report == uniform
+    assert report != local
