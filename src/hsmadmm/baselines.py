@@ -7,17 +7,21 @@ heterogeneous run. The proximal decentralized SGD and gradient-tracking
 rounds are minimal faithful representatives of the mixing-matrix family
 used for communication accounting: one transmits a single vector per
 directed neighbor per round, the other two (iterate plus tracker). Mixing
-is one product W @ X of the n x n weights with the stacked (n, p) iterates.
+is one product W @ X of the n x n weights with the stacked (n, p) iterates,
+and a round's local gradients are one stacked oracle call over the round's
+(n, b) batch rows, which ``batch_rows`` draws from every agent's own stream
+in blocks of many rounds.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
 from .graph import Graph
-from .problems import (CompositeProblem, draw_batch, full_batch, prox_h,
-                       stochastic_gradient)
+from .problems import (CompositeProblem, batch_gradients, draw_batch,
+                       full_batch, prox_h, stochastic_gradient)
 
 
 def metropolis_weights(graph: Graph) -> np.ndarray:
@@ -38,17 +42,43 @@ def baseline_step(step_scale: float, k: int) -> float:
     return step_scale / float(k + 1) ** 0.5
 
 
-def _draw_gradients(prob, xs, rngs, batch_size):
-    """Row i: a stochastic gradient at xs[i] from agent i's own stream
-    (``batch_size = 0``: the full local data)."""
-    grads = np.empty_like(xs)
-    for i in range(prob.n):
-        if batch_size == 0:
-            batch = full_batch(prob, i)
-        else:
-            batch = draw_batch(prob, i, rngs[i], batch_size)
-        grads[i] = stochastic_gradient(prob, i, xs[i], batch)
-    return grads
+# Indices held by one block of batches: 2**17 int64 values, 1 MiB (256
+# rounds at n = 16, batch 32).
+BLOCK_INDICES = 2 ** 17
+
+
+def batch_rows(prob: CompositeProblem, rngs, batch_size: int, rounds: int):
+    """Yield the batches of ``rounds`` successive rounds, each an (n,
+    batch_size) array whose row i holds stacked sample rows (indices into
+    ``prob.stacked_features``) drawn from agent i's own stream ``rngs[i]``.
+
+    Each agent draws a block of B = BLOCK_INDICES // (n * batch_size) rounds
+    (at least one) with one ``draw_batch`` call of size B * batch_size,
+    which yields the same indices as B draws of ``batch_size`` and leaves
+    its generator in the same state, so the per-agent sample sequences are
+    those of per-round draws. Nothing is drawn past the last round. ``batch_size = 0`` (exact gradients) yields
+    None every round and draws nothing.
+    """
+    if batch_size == 0:
+        yield from repeat(None, rounds)
+        return
+    per_block = max(1, BLOCK_INDICES // (prob.n * batch_size))
+    starts = prob.offsets[:-1, None]
+    for first in range(0, rounds, per_block):
+        B = min(per_block, rounds - first)
+        block = np.stack([draw_batch(prob, i, rngs[i], B * batch_size)
+                          .indices.reshape(B, batch_size)
+                          for i in range(prob.n)], axis=1)
+        yield from block + starts
+
+
+def _local_gradients(prob, xs, rows):
+    """Row i: agent i's gradient at xs[i] over its batch ``rows[i]`` of
+    stacked sample rows, or over its full local data when ``rows`` is None."""
+    if rows is None:
+        return np.array([stochastic_gradient(prob, i, xs[i], full_batch(prob, i))
+                         for i in range(prob.n)])
+    return batch_gradients(prob, xs, rows)
 
 
 @dataclass
@@ -66,12 +96,13 @@ def init_dsgd_state(graph: Graph, x0) -> ProxDsgdState:
 
 
 def prox_dsgd_round(state: ProxDsgdState, prob: CompositeProblem, graph: Graph,
-                    W: np.ndarray, k: int, rngs, *, step_scale: float = 0.1,
-                    batch_size: int = 1, ledger=None) -> None:
-    """Mix, take a stochastic gradient step, prox. One vector per directed
-    neighbor pair crosses the network per round."""
+                    W: np.ndarray, k: int, rows, *, step_scale: float = 0.1,
+                    ledger=None) -> None:
+    """Mix, take a stochastic gradient step over the round's batch ``rows``
+    (see ``batch_rows``; None for exact gradients), prox. One vector per
+    directed neighbor pair crosses the network per round."""
     gamma = baseline_step(step_scale, k)
-    grads = _draw_gradients(prob, state.x, rngs, batch_size)
+    grads = _local_gradients(prob, state.x, rows)
     state.x = prox_h(prob, None, W @ state.x - gamma * grads, gamma)
     if ledger is not None:
         ledger.record(2 * graph.m, prob.p)
@@ -95,24 +126,25 @@ class ProxGtState:
         return self.g.copy()
 
 
-def init_gt_state(prob: CompositeProblem, graph: Graph, x0, rngs,
-                  batch_size: int = 1) -> ProxGtState:
-    """Trackers start at the initial local gradients, which plants the
-    telescoping identity sum_i s_i = sum_i g_i."""
+def init_gt_state(prob: CompositeProblem, graph: Graph, x0, rows) -> ProxGtState:
+    """Trackers start at the initial local gradients over the batch ``rows``
+    (None for exact gradients), which plants the telescoping identity
+    sum_i s_i = sum_i g_i."""
     x = np.tile(np.asarray(x0, dtype=float), (graph.n, 1))
-    g0 = _draw_gradients(prob, x, rngs, batch_size)
+    g0 = _local_gradients(prob, x, rows)
     return ProxGtState(x, g0.copy(), g0)
 
 
 def prox_gt_round(state: ProxGtState, prob: CompositeProblem, graph: Graph,
-                  W: np.ndarray, k: int, rngs, *, step_scale: float = 0.1,
-                  batch_size: int = 1, ledger=None) -> None:
+                  W: np.ndarray, k: int, rows, *, step_scale: float = 0.1,
+                  ledger=None) -> None:
     """Gradient-tracking round: step along the tracker, then refresh it with
-    the local gradient increment. Two vectors (iterate and tracker) cross
-    each directed neighbor pair per round."""
+    the local gradient increment over the round's batch ``rows`` (None for
+    exact gradients). Two vectors (iterate and tracker) cross each directed
+    neighbor pair per round."""
     gamma = baseline_step(step_scale, k)
     x = prox_h(prob, None, W @ state.x - gamma * state.s, gamma)
-    grads = _draw_gradients(prob, x, rngs, batch_size)
+    grads = _local_gradients(prob, x, rows)
     state.s = W @ state.s + grads - state.g
     state.x, state.g = x, grads
     if ledger is not None:

@@ -2,7 +2,7 @@
 
 Unknown keys are rejected; every field has a typed default. Booleans accept
 true/false/1/0/yes/no. A ``#`` starts a comment anywhere on a line. Numbers
-must be finite.
+must be finite, and seeds nonnegative.
 """
 from __future__ import annotations
 
@@ -108,6 +108,9 @@ class RunConfig:
             raise ConfigInvalid("m0 must be >= 1")
         if self.K < 0:
             raise ConfigInvalid("K must be >= 0")
+        for name in ("seed", "dataset_seed", "graph_seed"):
+            if getattr(self, name) < 0:
+                raise ConfigInvalid(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.replicas < 1 or self.workers < 1:
             raise ConfigInvalid("replicas and workers must be >= 1")
         if self.metric_every < 0:

@@ -428,10 +428,11 @@ def _verify_checks() -> list:
         stoch = float(np.max(np.abs(W.sum(axis=1) - 1.0)))
         prob = problems.make_problem("least_squares", 6, 3, 5, 4)
         rngs = [np.random.default_rng([3, 1, i]) for i in range(6)]
-        state = baselines.init_gt_state(prob, g, np.zeros(3), rngs)
+        rows = baselines.batch_rows(prob, rngs, 1, 31)
+        state = baselines.init_gt_state(prob, g, np.zeros(3), next(rows))
         worst = 0.0
         for k in range(30):
-            baselines.prox_gt_round(state, prob, g, W, k, rngs)
+            baselines.prox_gt_round(state, prob, g, W, k, next(rows))
             gap = np.linalg.norm(state.trackers().sum(axis=0)
                                  - state.gradients().sum(axis=0))
             worst = max(worst, float(gap))

@@ -169,9 +169,12 @@ def _loss_weights(kind: str, margins: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _sample_gradients(prob: CompositeProblem, A: np.ndarray, b: np.ndarray,
                       x: np.ndarray) -> np.ndarray:
     """Gradients at x of the per-sample losses of the rows (A, b), penalty
-    included, shape (rows, p)."""
-    w = _loss_weights(prob.kind, A @ x, b)
-    return w[:, None] * A + _penalty_gradient(prob, x)
+    included, shape (rows, p). Leading axes are batch axes: with A of shape
+    (n, rows, p), b (n, rows) and x (n, p), entry i holds the gradients of
+    rows (A[i], b[i]) at x[i], equal bit for bit to the call on entry i
+    alone, and the result has shape (n, rows, p)."""
+    w = _loss_weights(prob.kind, np.matmul(A, x[..., None])[..., 0], b)
+    return w[..., None] * A + _penalty_gradient(prob, x)[..., None, :]
 
 
 def per_sample_gradients(prob: CompositeProblem, i: int, x) -> np.ndarray:
@@ -205,6 +208,16 @@ def stochastic_gradient(prob: CompositeProblem, i: int, x, batch: SampleBatch) -
     idx = batch.indices
     return _sample_gradients(prob, prob.features[i][idx], prob.labels[i][idx],
                              np.asarray(x, dtype=float)).mean(axis=0)
+
+
+def batch_gradients(prob: CompositeProblem, X, rows) -> np.ndarray:
+    """Row i: agent i's mean per-sample gradient at X[i] over the stacked
+    sample rows ``rows[i]`` (indices into ``stacked_features``), for an
+    (n, p) ``X`` and an (n, b) ``rows``. Row i equals ``stochastic_gradient``
+    of agent i on the batch ``rows[i] - offsets[i]`` bit for bit."""
+    return _sample_gradients(prob, prob.stacked_features[rows],
+                             prob.stacked_labels[rows],
+                             np.asarray(X, dtype=float)).mean(axis=1)
 
 
 def full_batch(prob: CompositeProblem, i: int) -> SampleBatch:

@@ -19,8 +19,8 @@ from time import perf_counter
 
 import numpy as np
 
-from .baselines import (init_dsgd_state, init_gt_state, metropolis_weights,
-                        prox_dsgd_round, prox_gt_round)
+from .baselines import (batch_rows, init_dsgd_state, init_gt_state,
+                        metropolis_weights, prox_dsgd_round, prox_gt_round)
 from .config import ConfigInvalid, RunConfig
 from .graph import ConstraintOps, Graph
 from .hsm_admm import (Schedules, constants_feasibility, hsm_admm_round,
@@ -160,19 +160,20 @@ def run(config: RunConfig, prob: CompositeProblem, graph: Graph,
     elif config.algorithm == "prox_dsgd":
         W = metropolis_weights(graph)
         state = init_dsgd_state(graph, x0)
+        batches = batch_rows(prob, rngs, config.batch_size, config.K)
 
         def round_fn(k):
-            prox_dsgd_round(state, prob, graph, W, k, rngs,
-                            step_scale=config.step_scale,
-                            batch_size=config.batch_size, ledger=ledger)
+            prox_dsgd_round(state, prob, graph, W, k, next(batches),
+                            step_scale=config.step_scale, ledger=ledger)
     else:
         W = metropolis_weights(graph)
-        state = init_gt_state(prob, graph, x0, rngs, config.batch_size)
+        # one batch for the initial trackers, then one per round
+        batches = batch_rows(prob, rngs, config.batch_size, config.K + 1)
+        state = init_gt_state(prob, graph, x0, next(batches))
 
         def round_fn(k):
-            prox_gt_round(state, prob, graph, W, k, rngs,
-                          step_scale=config.step_scale,
-                          batch_size=config.batch_size, ledger=ledger)
+            prox_gt_round(state, prob, graph, W, k, next(batches),
+                          step_scale=config.step_scale, ledger=ledger)
 
     track_phi = config.track_lyapunov and admm
     check_dual = config.check_dual_bound and admm

@@ -5,16 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hsmadmm.baselines import (baseline_step, init_dsgd_state, init_gt_state,
-                               metropolis_weights, prox_dsgd_round,
-                               prox_gt_round)
+from hsmadmm import simulator
+from hsmadmm.baselines import (baseline_step, batch_rows, init_dsgd_state,
+                               init_gt_state, metropolis_weights,
+                               prox_dsgd_round, prox_gt_round)
 from hsmadmm.config import RunConfig
 from hsmadmm.graph import ConstraintOps, Graph, build_topology
 from hsmadmm.harness import build_graph, build_problem
 from hsmadmm.hsm_admm import (Schedules, hsm_admm_round, init_network_state,
                               step_degrees)
-from hsmadmm.problems import full_batch, make_problem, prox_h, stochastic_gradient
-from hsmadmm.simulator import MessageLedger, run
+from hsmadmm.problems import (draw_batch, full_batch, make_problem, prox_h,
+                              stochastic_gradient)
+from hsmadmm.simulator import MessageLedger, agent_streams, run
 from tests.conftest import agent_rngs
 
 
@@ -82,14 +84,17 @@ def test_uniform_message_count_matches_hsm(quad_problem, ring4):
 
 def test_gt_transmits_twice_as_much(quad_problem, ring4):
     W = metropolis_weights(ring4)
-    rngs = agent_rngs(5, 4)
+    dsgd_rows = batch_rows(quad_problem, agent_rngs(5, 4), 1, 15)
     dsgd = init_dsgd_state(ring4, np.zeros(2))
     led_d = MessageLedger()
-    gt = init_gt_state(quad_problem, ring4, np.zeros(2), agent_rngs(5, 4))
+    gt = init_gt_state(quad_problem, ring4, np.zeros(2),
+                       next(batch_rows(quad_problem, agent_rngs(5, 4), 1, 1)))
     led_g = MessageLedger()
     for k in range(15):
-        prox_dsgd_round(dsgd, quad_problem, ring4, W, k, rngs, ledger=led_d)
-        prox_gt_round(gt, quad_problem, ring4, W, k, agent_rngs(5 + k, 4),
+        prox_dsgd_round(dsgd, quad_problem, ring4, W, k, next(dsgd_rows),
+                        ledger=led_d)
+        prox_gt_round(gt, quad_problem, ring4, W, k,
+                      next(batch_rows(quad_problem, agent_rngs(5 + k, 4), 1, 1)),
                       ledger=led_g)
     assert led_g.vector_messages == 2 * led_d.vector_messages
     assert led_d.vector_messages == 15 * 2 * ring4.m
@@ -98,10 +103,10 @@ def test_gt_transmits_twice_as_much(quad_problem, ring4):
 def test_tracking_invariant(composite_problem):
     g = build_topology("random_connected", 4, seed=1, prob=0.7)
     W = metropolis_weights(g)
-    rngs = agent_rngs(9, 4)
-    state = init_gt_state(composite_problem, g, np.zeros(3), rngs)
+    rows = batch_rows(composite_problem, agent_rngs(9, 4), 1, 51)
+    state = init_gt_state(composite_problem, g, np.zeros(3), next(rows))
     for k in range(50):
-        prox_gt_round(state, composite_problem, g, W, k, rngs)
+        prox_gt_round(state, composite_problem, g, W, k, next(rows))
         gap = np.linalg.norm(state.trackers().sum(axis=0)
                              - state.gradients().sum(axis=0))
         assert gap <= 1e-10
@@ -115,8 +120,7 @@ def test_single_node_reduces_to_centralized_prox_sgd():
     assert W.shape == (1, 1) and W[0, 0] == 1.0
 
     state = init_dsgd_state(g, np.array([1.0, -2.0]))
-    rngs = agent_rngs(11, 1)
-    prox_dsgd_round(state, prob, g, W, 0, rngs, step_scale=0.2, batch_size=0)
+    prox_dsgd_round(state, prob, g, W, 0, None, step_scale=0.2)
     # centralized prediction with the same (deterministic) gradient
     gamma = baseline_step(0.2, 0)
     g0 = stochastic_gradient(prob, 0, np.array([1.0, -2.0]), full_batch(prob, 0))
@@ -127,10 +131,53 @@ def test_single_node_reduces_to_centralized_prox_sgd():
 def test_gt_single_node_runs():
     g = Graph(1, (), p=2)
     prob = make_problem("least_squares", 1, 2, 8, 1)
-    state = init_gt_state(prob, g, np.zeros(2), agent_rngs(0, 1), batch_size=0)
+    state = init_gt_state(prob, g, np.zeros(2), None)
     led = MessageLedger()
     for k in range(5):
-        prox_gt_round(state, prob, g, metropolis_weights(g), k, agent_rngs(k, 1),
-                      batch_size=0, ledger=led)
+        prox_gt_round(state, prob, g, metropolis_weights(g), k, None, ledger=led)
     assert led.vector_messages == 0
     assert np.all(np.isfinite(state.xs()))
+
+
+@pytest.mark.parametrize("N, b", [(50, 1), (30, 1), (5000, 32), (20, 3), (7, 1)])
+@pytest.mark.parametrize("B", [1, 45, 256])
+def test_block_draw_equals_per_round_draws(N, b, B):
+    # batch_rows relies on this property of numpy's generator: a trajectory
+    # changes silently if a numpy release breaks it.
+    block, single = np.random.default_rng([4, 1, 0]), np.random.default_rng([4, 1, 0])
+    drawn = block.integers(0, N, size=B * b)
+    want = np.concatenate([single.integers(0, N, size=b) for _ in range(B)])
+    assert np.array_equal(drawn, want)
+    assert block.bit_generator.state == single.bit_generator.state
+
+
+def test_batch_rows_match_per_round_draws_across_blocks():
+    prob = make_problem("logistic", 16, 3, 10, 5)
+    rounds = 301                      # crosses the 256-round block boundary
+    rows = list(batch_rows(prob, agent_rngs(6, 16), 32, rounds))
+    assert len(rows) == rounds
+    ref = agent_rngs(6, 16)
+    for got in rows:
+        want = [draw_batch(prob, i, ref[i], 32).indices + prob.offsets[i]
+                for i in range(16)]
+        assert np.array_equal(got, want)
+    assert list(batch_rows(prob, agent_rngs(6, 16), 0, 3)) == [None] * 3
+
+
+@pytest.mark.parametrize("algorithm, K", [("prox_gt", 300), ("prox_gt", 0),
+                                          ("prox_dsgd", 300), ("prox_dsgd", 0)])
+def test_run_draws_exactly_the_batches_it_uses(monkeypatch, algorithm, K):
+    cfg = RunConfig(algorithm=algorithm, topology="ring", n=16, p=3,
+                    problem="logistic", samples_per_agent=10, batch_size=32,
+                    K=K, metric_every=100, seed=4)
+    streams = agent_streams(cfg.seed, cfg.n)
+    monkeypatch.setattr(simulator, "agent_streams", lambda seed, n: streams)
+    prob = build_problem(cfg)
+    run(cfg, prob, build_graph(cfg))
+    # prox_gt draws the initial trackers' batch, then one per round
+    ref = agent_streams(cfg.seed, cfg.n)
+    for _ in range(K + (algorithm == "prox_gt")):
+        for i in range(cfg.n):
+            draw_batch(prob, i, ref[i], 32)
+    assert [r.bit_generator.state for r in streams] == \
+        [r.bit_generator.state for r in ref]

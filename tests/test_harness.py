@@ -132,6 +132,22 @@ def test_non_finite_config_exits_2(tmp_path, capsys, line):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("lines", [
+    ["seed = -1"],
+    ["dataset_seed = -1"],
+    ["graph_seed = -1", "topology = random_connected", "edge_prob = 0.8"],
+])
+def test_negative_seed_exits_2(tmp_path, capsys, lines):
+    keys = {line.split(" = ")[0] for line in lines}
+    kept = [ln for ln in BASE_CFG.splitlines() if ln.split(" = ")[0] not in keys]
+    path = write_cfg(tmp_path, "\n".join(kept + lines + [""]))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+    key = lines[0].split(" = ")[0]
+    assert f"{key} must be >= 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_non_finite_dataset_exits_2(tmp_path, capsys):
     prob = make_problem("least_squares", 2, 3, 4, 0)
     csv, manifest = tmp_path / "data.csv", tmp_path / "manifest.json"

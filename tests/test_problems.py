@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from hsmadmm.problems import (CompositeProblem, IndexOutOfRange,
                               NonPositiveScale, ProblemError, SampleBatch,
-                              draw_batch, empirical_sigma_sq,
+                              batch_gradients, draw_batch, empirical_sigma_sq,
                               estimate_smoothness,
                               full_batch, full_gradient, global_mean_gradient,
                               h_value, load_dataset, make_problem,
@@ -190,6 +190,24 @@ def test_global_mean_gradient_matches_per_agent_mean_unequal_sizes(kind):
         want = sum(full_gradient(prob, i, x) for i in range(3)) / 3
         got = global_mean_gradient(prob, x)
         assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("kind", ["least_squares", "logistic", "nonconvex_robust"])
+@pytest.mark.parametrize("b", [1, 3, 32])
+def test_batch_gradients_equal_per_agent_oracle(kind, b):
+    rng = np.random.default_rng(23)
+    sizes = (3, 7, 1)
+    feats = [rng.standard_normal((N, 4)) for N in sizes]
+    labs = [np.sign(rng.standard_normal(N)) for N in sizes]
+    prob = CompositeProblem(kind, feats, labs, regularizer="l1", l1_weight=0.05,
+                            alpha=0.3)
+    for _ in range(3):
+        X = rng.standard_normal((3, 4))
+        local = [rng.integers(0, N, size=b) for N in sizes]
+        rows = np.array(local) + prob.offsets[:-1, None]
+        want = np.array([stochastic_gradient(prob, i, X[i], SampleBatch(i, local[i]))
+                         for i in range(3)])
+        assert np.array_equal(batch_gradients(prob, X, rows), want)
 
 
 def _assert_stacked_views(prob, sizes):
