@@ -1,16 +1,16 @@
 """Communication topologies and the consensus constraint operators over them.
 
-A stacked network variable lives in R^{n p} with agent blocks in node order.
-The edge operator maps it to R^{(m+n) p}: signed per-edge differences on top
-(one block per edge, oriented low index to high index), an identity copy of
-the stacked variable below. Applying the transpose of the edge operator to
-its own output reproduces the graph Laplacian action plus the identity, so
-the smallest squared singular value of the operator is exactly 1 on every
-connected graph.
+Agent variables are stacked as (n, p) block arrays in node order. The edge
+operator A maps them to (m+n) blocks: signed per-edge differences on top
+(one block per edge, oriented low index to high index), an identity copy
+below; B is zeros on top and the negated identity below. A^T A is the graph
+Laplacian action plus the identity, so the smallest squared singular value
+of A is exactly 1 on every connected graph.
 
-Implicit neighbor-sum application is the default everywhere; dense matrices
-are materialized only as verification oracles on small networks (guarded by
-``DENSE_LIMIT``). Spectral checks work on the n x n Laplacian at any size.
+``ConstraintOps`` applies the edge differences and their transpose by
+neighbor sums on block arrays. Dense matrices are materialized only as
+verification oracles on small networks (guarded by ``DENSE_LIMIT``).
+Spectral checks work on the n x n Laplacian at any size.
 """
 from __future__ import annotations
 
@@ -35,10 +35,6 @@ class InvalidParam(GraphError):
 
 class NotConnected(GraphError):
     """Sampling could not produce a connected graph."""
-
-
-class DimensionMismatch(GraphError):
-    """An operator was applied to a vector of the wrong size."""
 
 
 class DenseRequired(GraphError):
@@ -235,22 +231,19 @@ def save_edge_list(g: Graph, path) -> None:
 
 
 class ConstraintOps:
-    """The stacked consensus operator pair for a graph at block size p.
+    """The stacked consensus operator pair (A, B) for a graph at block size p.
 
-    ``apply_A`` maps R^{np} to R^{(m+n)p}: per-edge differences on top, the
-    identity below. ``apply_B`` maps R^{np} to the same codomain: zeros on
-    top, negated identity below. ``mode`` selects the implicit neighbor-sum
-    path (default) or dense matrix products (verification).
+    ``apply_M`` and ``apply_Mt`` are the edge block of A and its transpose on
+    (n, p) and (m, p) arrays; ``residual`` assembles A x + B y. ``dense_A``,
+    ``dense_B`` and ``dense_AtA`` build the (np)-column matrices as
+    verification oracles.
     """
 
-    def __init__(self, graph: Graph, p: int | None = None, mode: str = "implicit"):
-        if mode not in ("implicit", "dense"):
-            raise InvalidParam(f"mode must be 'implicit' or 'dense', got {mode!r}")
+    def __init__(self, graph: Graph, p: int | None = None):
         self.graph = graph
         self.p = graph.p if p is None else int(p)
         if self.p < 1:
             raise InvalidParam(f"block dimension must be >= 1, got {self.p}")
-        self.mode = mode
         self._ei = np.array([e[0] for e in graph.edges], dtype=np.int64)
         self._ej = np.array([e[1] for e in graph.edges], dtype=np.int64)
         self._dense_A = None
@@ -267,16 +260,6 @@ class ConstraintOps:
     @property
     def dim_in(self) -> int:
         return self.n * self.p
-
-    @property
-    def dim_out(self) -> int:
-        return (self.m + self.n) * self.p
-
-    def _check(self, v, size, name):
-        v = np.asarray(v, dtype=float)
-        if v.shape != (size,):
-            raise DimensionMismatch(f"{name} expects shape ({size},), got {v.shape}")
-        return v
 
     def _guard_dense(self):
         if self.dim_in > DENSE_LIMIT:
@@ -314,49 +297,20 @@ class ConstraintOps:
         np.subtract.at(out, self._ej, U)
         return out
 
-    def apply_A(self, x) -> np.ndarray:
-        x = self._check(x, self.dim_in, "apply_A")
-        if self.mode == "dense":
-            return self.dense_A() @ x
-        return np.concatenate([self.apply_M(x.reshape(self.n, self.p)).ravel(), x])
-
-    def apply_At(self, u) -> np.ndarray:
-        u = self._check(u, self.dim_out, "apply_At")
-        if self.mode == "dense":
-            return self.dense_A().T @ u
-        top = u[: self.m * self.p].reshape(self.m, self.p)
-        return self.apply_Mt(top).ravel() + u[self.m * self.p:]
-
-    def apply_AtA(self, x) -> np.ndarray:
-        x = self._check(x, self.dim_in, "apply_AtA")
-        if self.mode == "dense":
-            return self.dense_AtA() @ x
-        X = x.reshape(self.n, self.p)
-        return (self.apply_Mt(self.apply_M(X)) + X).ravel()
-
-    def apply_B(self, y) -> np.ndarray:
-        y = self._check(y, self.dim_in, "apply_B")
-        return np.concatenate([np.zeros(self.m * self.p), -y])
-
-    def apply_Bt(self, u) -> np.ndarray:
-        u = self._check(u, self.dim_out, "apply_Bt")
-        return -u[self.m * self.p:]
-
-    def residual(self, x, y) -> np.ndarray:
-        """A x + B y, assembled implicitly."""
-        x = self._check(x, self.dim_in, "residual")
-        y = self._check(y, self.dim_in, "residual")
-        return np.concatenate([self.apply_M(x.reshape(self.n, self.p)).ravel(), x - y])
+    def residual(self, X, Y) -> np.ndarray:
+        """A x + B y for (n, p) blocks X and Y, as the stacked (m+n)p vector:
+        the edge differences of X, then X - Y."""
+        return np.concatenate([self.apply_M(X).ravel(), (X - Y).ravel()])
 
 
-def smallest_singular_sq_A(ops: ConstraintOps) -> float:
+def smallest_singular_sq_A(g: Graph) -> float:
     """Smallest squared singular value of the edge-plus-identity operator,
     from the Laplacian spectrum shifted by one. Equals 1 on every connected
     graph."""
-    return singular_sq_extremes(ops)[0]
+    return singular_sq_extremes(g)[0]
 
 
-def singular_sq_extremes(ops: ConstraintOps) -> tuple:
+def singular_sq_extremes(g: Graph) -> tuple:
     """(smallest, largest) squared singular values via the Laplacian spectrum."""
-    eigs = np.linalg.eigvalsh(laplacian(ops.graph))
+    eigs = np.linalg.eigvalsh(laplacian(g))
     return float(eigs[0] + 1.0), float(eigs[-1] + 1.0)

@@ -5,7 +5,8 @@ Subcommands
 run     execute one configuration; writes trace.csv, summary.json and
         optional SVG convergence plots into the output directory
 sweep   cross topologies x algorithms x seeds from a base configuration
-verify  fast invariant/checker table (pass/fail per line)
+verify  the fast checks shared with the acceptance suite (hsmadmm.checks),
+        one pass/fail line each
 plot    render SVG charts from existing trace.csv files
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error,
@@ -17,13 +18,12 @@ import argparse
 import dataclasses
 import json
 import sys
-import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
-from . import baselines, graph as graphmod, hsm_admm, metrics, problems
+from . import graph as graphmod, metrics, problems
 from .config import ConfigInvalid, RunConfig, load_config, write_config
 from .simulator import (TRACE_HEADER, MetricsTrace, NumericalDivergence,
                         read_trace_csv, run)
@@ -270,7 +270,10 @@ def cmd_plot(args) -> int:
     traces = {}
     for idx, path in enumerate(paths):
         label = labels[idx] if labels else Path(path).stem
-        traces[label] = read_trace_csv(path)
+        try:
+            traces[label] = read_trace_csv(path)
+        except (OSError, ValueError) as exc:
+            raise ConfigInvalid(f"trace {path}: {exc}") from exc
     try:
         emit_plots(traces, args.out)
     except EmptyTrace as exc:
@@ -279,173 +282,10 @@ def cmd_plot(args) -> int:
     return 0
 
 
-def _verify_checks() -> list:
-    """Fast invariant suite used by the ``verify`` subcommand."""
-    checks = []
-    rng = np.random.default_rng(0)
-
-    def check_spectral():
-        cases = [graphmod.build_topology("ring", 8), graphmod.build_topology("star", 8),
-                 graphmod.build_topology("hub_leaf", 9, hubs=2),
-                 graphmod.build_topology("random_connected", 12, seed=5, prob=0.3),
-                 graphmod.build_topology("ring", 2)]
-        worst = max(abs(graphmod.smallest_singular_sq_A(graphmod.ConstraintOps(g)) - 1.0)
-                    for g in cases)
-        return worst <= 1e-10, f"max deviation {worst:.2e}"
-
-    checks.append(("spectral identity", check_spectral))
-
-    def check_operators():
-        worst = 0.0
-        for seed in range(3):
-            g = graphmod.build_topology("random_connected", 8, seed=seed, prob=0.4, p=2)
-            ops = graphmod.ConstraintOps(g)
-            dense = graphmod.ConstraintOps(g, mode="dense")
-            for _ in range(10):
-                x = rng.standard_normal(ops.dim_in)
-                u = rng.standard_normal(ops.dim_out)
-                for a, b in ((ops.apply_A(x), dense.apply_A(x)),
-                             (ops.apply_At(u), dense.apply_At(u)),
-                             (ops.apply_AtA(x), dense.apply_AtA(x))):
-                    worst = max(worst, float(np.linalg.norm(a - b)
-                                             / max(1.0, np.linalg.norm(b))))
-        return worst <= 1e-12, f"max rel deviation {worst:.2e}"
-
-    checks.append(("implicit vs dense operators", check_operators))
-
-    def check_incidence():
-        for kind, n in (("ring", 7), ("star", 6), ("hub_leaf", 8)):
-            g = graphmod.build_topology(kind, n)
-            M = graphmod.incidence_matrix(g)
-            if not np.allclose(M.T @ M, graphmod.laplacian(g), atol=1e-12):
-                return False, f"incidence mismatch on {kind}"
-            if not np.array_equal(np.diag(M.T @ M).astype(int), g.degree):
-                return False, f"degree mismatch on {kind}"
-        return True, "incidence product equals Laplacian"
-
-    checks.append(("incidence / Laplacian", check_incidence))
-
-    def check_prox():
-        prob = problems.make_problem("least_squares", 2, 1, 3, 0,
-                                     regularizer="l1", l1_weight=1.0)
-        grid = np.arange(-4.0, 4.0 + 1e-9, 1e-4)
-        worst = 0.0
-        for _ in range(20):
-            v = float(rng.uniform(-3, 3))
-            c = float(rng.uniform(0.1, 2.0))
-            lam = float(rng.uniform(0.0, 2.0))
-            trial = dataclasses.replace(prob, l1_weight=lam)
-            got = problems.prox_h(trial, 0, np.array([v]), c)[0]
-            objective = lam * np.abs(grid) + (grid - v) ** 2 / (2 * c)
-            want = grid[np.argmin(objective)]
-            worst = max(worst, abs(got - want))
-        return worst <= 2e-4, f"max deviation {worst:.2e}"
-
-    checks.append(("prox vs grid search", check_prox))
-
-    def check_gradients():
-        worst = 0.0
-        for kind in problems.SMOOTH_KINDS:
-            prob = problems.make_problem(kind, 2, 4, 6, 3, alpha=0.3)
-            batch = problems.full_batch(prob, 0)
-            for _ in range(3):
-                x = rng.standard_normal(4)
-                g = problems.stochastic_gradient(prob, 0, x, batch)
-                fd = np.zeros(4)
-                for j in range(4):
-                    e = np.zeros(4)
-                    e[j] = 1e-6
-                    fd[j] = (problems.sampled_loss(prob, 0, x + e, batch)
-                             - problems.sampled_loss(prob, 0, x - e, batch)) / 2e-6
-                worst = max(worst, float(np.linalg.norm(fd - g)
-                                         / max(1.0, np.linalg.norm(fd))))
-        return worst <= 1e-5, f"max rel deviation {worst:.2e}"
-
-    checks.append(("gradients vs finite differences", check_gradients))
-
-    def check_compact_form():
-        g = graphmod.build_topology("random_connected", 5, seed=2, prob=0.5, p=2)
-        prob = problems.make_problem("logistic", 5, 2, 8, 1,
-                                     regularizer="l1", l1_weight=0.01, alpha=0.1)
-        sched = hsm_admm.Schedules()
-        ops = graphmod.ConstraintOps(g)
-        rngs = [np.random.default_rng([9, 1, i]) for i in range(5)]
-        state = hsm_admm.init_network_state(prob, g, np.zeros(2), 4, rngs)
-        worst = 0.0
-        for k in range(25):
-            x = state.xs().ravel()
-            y = state.ys().ravel()
-            lam = state.duals_vector()
-            v = state.vs().ravel()
-            y_ref, x_ref, lam_ref = hsm_admm.dense_round_reference(
-                ops, prob, sched, k, x, y, lam, v)
-            hsm_admm.hsm_admm_round(state, prob, ops, sched, k, rngs)
-            worst = max(worst,
-                        float(np.max(np.abs(state.ys().ravel() - y_ref))),
-                        float(np.max(np.abs(state.xs().ravel() - x_ref))),
-                        float(np.max(np.abs(state.duals_vector() - lam_ref))))
-        return worst <= 1e-10, f"max deviation {worst:.2e}"
-
-    checks.append(("distributed vs dense rounds", check_compact_form))
-
-    def check_ledger():
-        cfg = RunConfig(algorithm="hsm_admm", topology="ring", n=6, p=3, K=10,
-                        samples_per_agent=5, track_lyapunov=False)
-        trace = run(cfg, build_problem(cfg), build_graph(cfg))
-        hsm_total = trace.meta["vector_messages"]
-        cfg_gt = dataclasses.replace(cfg, algorithm="prox_gt")
-        trace_gt = run(cfg_gt, build_problem(cfg_gt), build_graph(cfg_gt))
-        gt_total = trace_gt.meta["vector_messages"]
-        ok = hsm_total == 10 * 12 and gt_total == 2 * hsm_total
-        return ok, f"hsm {hsm_total}, gt {gt_total}"
-
-    checks.append(("message ledger counts", check_ledger))
-
-    def check_determinism():
-        cfg = RunConfig(n=5, p=4, K=40, samples_per_agent=6, regularizer="l1",
-                        l1_weight=0.01, track_lyapunov=False)
-        with tempfile.TemporaryDirectory() as tmp:
-            base = Path(tmp) / "base.cfg"
-            write_config(cfg, base)
-            outputs = []
-            for tag, jobs in (("a", 1), ("b", 1), ("c", 2)):
-                out = Path(tmp) / tag
-                rc = main(["sweep", "--config", str(base), "--topologies", "ring,star",
-                           "--algos", "hsm_admm,prox_gt", "--seeds", "2",
-                           "--jobs", str(jobs), "--out", str(out)])
-                if rc != 0:
-                    return False, f"sweep --jobs {jobs} exited {rc}"
-                outputs.append(run_outputs(out))
-        ok = bool(outputs[0]) and outputs[0] == outputs[1] == outputs[2]
-        return ok, "sweep outputs identical across reruns and --jobs 1 vs 2"
-
-    checks.append(("determinism", check_determinism))
-
-    def check_tracking():
-        g = graphmod.build_topology("ring", 6)
-        W = baselines.metropolis_weights(g)
-        sym = float(np.max(np.abs(W - W.T)))
-        stoch = float(np.max(np.abs(W.sum(axis=1) - 1.0)))
-        prob = problems.make_problem("least_squares", 6, 3, 5, 4)
-        rngs = [np.random.default_rng([3, 1, i]) for i in range(6)]
-        rows = baselines.batch_rows(prob, rngs, 1, 31)
-        state = baselines.init_gt_state(prob, g, np.zeros(3), next(rows))
-        worst = 0.0
-        for k in range(30):
-            baselines.prox_gt_round(state, prob, g, W, k, next(rows))
-            gap = np.linalg.norm(state.trackers().sum(axis=0)
-                                 - state.gradients().sum(axis=0))
-            worst = max(worst, float(gap))
-        ok = sym <= 1e-15 and stoch <= 1e-12 and worst <= 1e-10
-        return ok, f"tracking gap {worst:.2e}"
-
-    checks.append(("mixing and gradient tracking", check_tracking))
-    return checks
-
-
 def cmd_verify(args) -> int:
+    from . import checks  # imported here: checks imports this module
     failures = 0
-    for name, fn in _verify_checks():
+    for name, fn in checks.VERIFY:
         try:
             ok, detail = fn()
         except Exception as exc:  # a crashed check is a failed check

@@ -73,8 +73,6 @@ def residuals(ops: ConstraintOps, xs, ys) -> Residuals:
     """Norms of the edge-difference, splitting, and stacked residuals; the
     stacked one satisfies combined^2 = consensus^2 + splitting^2 by the
     block structure."""
-    xs = np.asarray(xs, dtype=float).ravel()
-    ys = np.asarray(ys, dtype=float).ravel()
     r = ops.residual(xs, ys)
     top = r[: ops.m * ops.p]
     bottom = r[ops.m * ops.p:]
@@ -146,7 +144,7 @@ def augmented_lagrangian(prob: CompositeProblem, ops: ConstraintOps,
     ys = np.asarray(ys, dtype=float)
     F = sum(smooth_value(prob, i, xs[i]) for i in range(prob.n))
     H = sum(h_value(prob, i, ys[i]) for i in range(prob.n))
-    r = ops.residual(xs.ravel(), ys.ravel())
+    r = ops.residual(xs, ys)
     return float(F + H - lam @ r + 0.5 * rho * float(r @ r))
 
 

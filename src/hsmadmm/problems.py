@@ -365,7 +365,16 @@ def load_dataset(csv_path, manifest_path, *, kind: str,
     value must be finite."""
     with open(manifest_path, "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
-    n, p = int(manifest["n"]), int(manifest["p"])
+    if not isinstance(manifest, dict):
+        raise ProblemError(f"manifest is a JSON {type(manifest).__name__}, "
+                           "not an object with keys n, p and ranges")
+    for key in ("n", "p", "ranges"):
+        if key not in manifest:
+            raise ProblemError(f"manifest has no {key!r} key")
+    try:
+        n, p = int(manifest["n"]), int(manifest["p"])
+    except (TypeError, ValueError) as exc:
+        raise ProblemError(f"manifest n and p must be integers: {exc}") from exc
     rows = np.loadtxt(csv_path, delimiter=",", ndmin=2)
     bad = np.argwhere(~np.isfinite(rows))
     if bad.size:
@@ -374,10 +383,15 @@ def load_dataset(csv_path, manifest_path, *, kind: str,
     if rows.shape[1] != p + 1:
         raise ProblemError(f"CSV has {rows.shape[1]} columns, manifest says p={p}")
     ranges = manifest["ranges"]
-    if len(ranges) != n:
-        raise ProblemError("manifest agent count does not match ranges")
+    if not (isinstance(ranges, list) and len(ranges) == n):
+        raise ProblemError(f"manifest ranges must be a list of n={n} pairs")
     feats, labs = [], []
-    for start, stop in ranges:
+    for entry in ranges:
+        if not (isinstance(entry, list) and len(entry) == 2
+                and all(type(v) is int for v in entry)):
+            raise ProblemError(f"manifest range {entry!r} is not a [start, stop] "
+                               "pair of integers")
+        start, stop = entry
         if not (0 <= start < stop <= rows.shape[0]):
             raise ProblemError(f"manifest range [{start}, {stop}) out of bounds")
         feats.append(rows[start:stop, :p])

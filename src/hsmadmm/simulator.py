@@ -93,7 +93,12 @@ class MetricsTrace:
 
 
 def read_trace_csv(path) -> dict:
-    """Load a trace CSV back into named float arrays."""
+    """Load a trace CSV back into named float arrays. A file whose first
+    line is not the trace header raises ``ValueError``."""
+    with open(path, encoding="utf-8") as fh:
+        header = fh.readline().rstrip("\r\n")
+    if header != ",".join(TRACE_HEADER):
+        raise ValueError(f"first line is not the trace header: {header[:60]!r}")
     data = np.genfromtxt(path, delimiter=",", names=True)
     data = np.atleast_1d(data)
     return {name: np.asarray(data[name], dtype=float) for name in data.dtype.names}

@@ -1,12 +1,7 @@
-import numpy as np
 import pytest
 
 from hsmadmm.graph import build_topology
 from hsmadmm.problems import make_problem
-
-
-def agent_rngs(seed, n):
-    return [np.random.default_rng([seed, 1, i]) for i in range(n)]
 
 
 @pytest.fixture

@@ -1,7 +1,9 @@
 """Acceptance suite: one test per criterion, one printed pass/fail line each.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` (or let the full suite
-include it). Heavier experiments share module-scoped fixtures.
+include it). Heavier experiments share module-scoped fixtures. Criteria
+1-4, 11 and 12 run the functions in ``hsmadmm.checks`` that ``hsmadmm
+verify`` runs too; this module adds their wall-time bounds.
 """
 import dataclasses
 import time
@@ -9,19 +11,14 @@ import time
 import numpy as np
 import pytest
 
+from hsmadmm import checks
 from hsmadmm.config import RunConfig
-from hsmadmm.graph import ConstraintOps, build_topology, smallest_singular_sq_A
-from hsmadmm.harness import (build_graph, build_problem, emit_plots, main,
-                             run_outputs)
-from hsmadmm.hsm_admm import (Schedules, dense_round_reference, hsm_admm_round,
-                              init_network_state)
+from hsmadmm.harness import build_graph, build_problem
+from hsmadmm.hsm_admm import Schedules
 from hsmadmm.metrics import (descent_drift, make_lyapunov_constants,
                              momentum_recursion_mc_check, rate_fit_averaged)
-from hsmadmm.problems import (draw_batch, empirical_sigma_sq, full_batch,
-                              full_gradient, make_problem, prox_h,
-                              sampled_loss, stochastic_gradient)
+from hsmadmm.problems import empirical_sigma_sq
 from hsmadmm.simulator import run
-from tests.conftest import agent_rngs
 
 
 def _report(num, name, ok, detail=""):
@@ -30,104 +27,42 @@ def _report(num, name, ok, detail=""):
     assert ok, f"criterion {num} failed: {name} ({detail})"
 
 
+def _timed(check):
+    t0 = time.perf_counter()
+    ok, detail = check()
+    return ok, detail, time.perf_counter() - t0
+
+
 # -- 1. spectral identity ---------------------------------------------------
 
 def test_criterion_01_spectral_identity():
-    t0 = time.perf_counter()
-    graphs = [build_topology("ring", n) for n in (2, 3, 5, 8, 13, 20)]
-    graphs += [build_topology("star", n) for n in (3, 6, 12, 20)]
-    graphs += [build_topology("hub_leaf", n, hubs=h)
-               for n, h in ((4, 1), (9, 2), (16, 1), (20, 3))]
-    graphs += [build_topology("random_connected", n, seed=s, prob=0.35)
-               for n, s in ((5, 0), (8, 1), (11, 2), (14, 3), (17, 4), (20, 5))]
-    assert len(graphs) == 20
-    dev = max(abs(smallest_singular_sq_A(ConstraintOps(g)) - 1.0) for g in graphs)
-    elapsed = time.perf_counter() - t0
+    ok, detail, elapsed = _timed(checks.spectral_identity)
     _report(1, "smallest squared singular value is 1 on 20 graphs",
-            dev <= 1e-10 and elapsed < 5.0,
-            f"max deviation {dev:.2e}, {elapsed:.2f}s")
+            ok and elapsed < 5.0, f"{detail}, {elapsed:.2f}s")
 
 
 # -- 2. compact-form equivalence --------------------------------------------
 
 def test_criterion_02_compact_form_equivalence():
-    t0 = time.perf_counter()
-    g = build_topology("random_connected", 6, seed=3, prob=0.5, p=3)
-    prob = make_problem("logistic", 6, 3, 12, 5, regularizer="l1",
-                        l1_weight=0.01, alpha=0.1, noniid=True)
-    sched = Schedules()
-    ops = ConstraintOps(g)
-    rngs = agent_rngs(17, 6)
-    state = init_network_state(prob, g, np.zeros(3), 8, rngs)
-    worst = 0.0
-    for k in range(200):
-        x, y = state.xs().ravel(), state.ys().ravel()
-        lam, v = state.duals_vector(), state.vs().ravel()
-        y_ref, x_ref, lam_ref = dense_round_reference(ops, prob, sched, k, x, y,
-                                                      lam, v)
-        hsm_admm_round(state, prob, ops, sched, k, rngs)
-        worst = max(worst,
-                    float(np.max(np.abs(state.ys().ravel() - y_ref))),
-                    float(np.max(np.abs(state.xs().ravel() - x_ref))),
-                    float(np.max(np.abs(state.duals_vector() - lam_ref))))
-    elapsed = time.perf_counter() - t0
+    ok, detail, elapsed = _timed(checks.compact_form)
     _report(2, "200 distributed rounds match the dense formulation",
-            worst <= 1e-10 and elapsed < 10.0,
-            f"max deviation {worst:.2e}, {elapsed:.2f}s")
+            ok and elapsed < 10.0, f"{detail}, {elapsed:.2f}s")
 
 
 # -- 3. prox oracle ----------------------------------------------------------
 
 def test_criterion_03_prox_oracle():
-    t0 = time.perf_counter()
-    rng = np.random.default_rng(31)
-    grid = np.arange(-4.0, 4.0 + 5e-5, 1e-4)
-    worst = 0.0
-    for _ in range(100):
-        v = float(rng.uniform(-3.0, 3.0))
-        c = float(rng.uniform(0.05, 2.0))
-        lam = float(rng.uniform(0.0, 2.0))
-        prob = make_problem("least_squares", 2, 1, 2, 0, regularizer="l1",
-                            l1_weight=lam)
-        got = prox_h(prob, 0, np.array([v]), c)[0]
-        want = grid[np.argmin(lam * np.abs(grid) + (grid - v) ** 2 / (2 * c))]
-        worst = max(worst, abs(got - want))
-    elapsed = time.perf_counter() - t0
+    ok, detail, elapsed = _timed(checks.prox_oracle)
     _report(3, "soft threshold matches grid-search minimization",
-            worst <= 2e-4 and elapsed < 5.0,
-            f"max deviation {worst:.2e}, {elapsed:.2f}s")
+            ok and elapsed < 5.0, f"{detail}, {elapsed:.2f}s")
 
 
 # -- 4. gradient oracle ------------------------------------------------------
 
 def test_criterion_04_gradient_oracle():
-    t0 = time.perf_counter()
-    rng = np.random.default_rng(57)
-    worst = 0.0
-    exact = True
-    for kind in ("least_squares", "logistic", "nonconvex_robust"):
-        prob = make_problem(kind, 2, 5, 10, 4, alpha=0.25)
-        for _ in range(50):
-            x = rng.standard_normal(5)
-            batch = draw_batch(prob, 0, rng, int(rng.integers(1, 6)))
-            grad = stochastic_gradient(prob, 0, x, batch)
-            fd = np.zeros(5)
-            for j in range(5):
-                e = np.zeros(5)
-                e[j] = 1e-6
-                fd[j] = (sampled_loss(prob, 0, x + e, batch)
-                         - sampled_loss(prob, 0, x - e, batch)) / 2e-6
-            worst = max(worst, float(np.linalg.norm(fd - grad)
-                                     / max(1.0, np.linalg.norm(fd))))
-        for _ in range(5):
-            x = rng.standard_normal(5)
-            full = stochastic_gradient(prob, 0, x, full_batch(prob, 0))
-            exact = exact and np.array_equal(full, full_gradient(prob, 0, x))
-    elapsed = time.perf_counter() - t0
-    _report(4, "stochastic gradients match finite differences",
-            worst <= 1e-5 and exact,
-            f"max rel deviation {worst:.2e}, full batch exact: {exact}, "
-            f"{elapsed:.2f}s")
+    ok, detail, elapsed = _timed(checks.gradient_oracle)
+    _report(4, "stochastic gradients match finite differences", ok,
+            f"{detail}, {elapsed:.2f}s")
 
 
 # -- 5. momentum variance recursion ------------------------------------------
@@ -305,52 +240,19 @@ def test_criterion_10_heterogeneity_benefit():
 
 # -- 11. communication accounting ----------------------------------------------
 
-def test_criterion_11_communication_accounting(tmp_path):
-    K = 50
-    base = RunConfig(topology="ring", n=8, p=5, problem="logistic",
-                     samples_per_agent=10, regularizer="l1", l1_weight=1e-3,
-                     alpha=0.1, batch_size=1, K=K, track_lyapunov=False)
-    g = build_graph(base)
-    prob = build_problem(base)
-    directed_pairs = 2 * g.m
-    traces = {}
-    totals = {}
-    for algo in ("hsm_admm", "prox_gt"):
-        cfg = dataclasses.replace(base, algorithm=algo)
-        trace = run(cfg, prob, g)
-        totals[algo] = trace.meta["vector_messages"]
-        traces[algo] = {name: trace.column(name) for name in trace.header}
-    counts_ok = (totals["hsm_admm"] == K * directed_pairs
-                 and totals["prox_gt"] == 2 * K * directed_pairs)
-    meta = emit_plots(traces, tmp_path)
-    rng = meta["stationarity_vs_scalars.svg"]
-    ratio = rng["prox_gt"][1] / rng["hsm_admm"][1]
-    plot_ok = abs(ratio - 2.0) <= 1e-12
-    _report(11, "ledger: 1 vector per directed neighbor (2 for tracking)",
-            counts_ok and plot_ok,
-            f"totals {totals}, plot abscissa ratio {ratio:.3f}")
+def test_criterion_11_communication_accounting():
+    ok, detail = checks.communication_accounting()
+    _report(11, "ledger: 1 vector per directed neighbor (2 for tracking)", ok,
+            detail)
 
 
 # -- 12. determinism -------------------------------------------------------------
 
-def test_criterion_12_determinism(tmp_path):
-    cfg_path = tmp_path / "base.cfg"
-    cfg_path.write_text("\n".join([
-        "algorithm = hsm_admm", "topology = ring", "n = 6", "p = 4",
-        "problem = logistic", "samples_per_agent = 12", "regularizer = l1",
-        "l1_weight = 0.001", "alpha = 0.1", "noniid = true", "batch_size = 1",
-        "K = 200", "seed = 9", ""]))
-    outs = {}
-    for tag, jobs in (("a", 1), ("b", 1), ("j2", 2)):
-        out = tmp_path / tag
-        assert main(["sweep", "--config", str(cfg_path), "--topologies", "ring,star",
-                     "--algos", "hsm_admm,uniform_admm", "--seeds", "2",
-                     "--jobs", str(jobs), "--out", str(out)]) == 0
-        outs[tag] = run_outputs(out)
-
-    traces = sum(name.endswith("trace.csv") for name in outs["a"])
-    reruns = outs["a"] == outs["b"]
-    jobs = outs["a"] == outs["j2"]
+def test_criterion_12_determinism():
+    cfg = RunConfig(algorithm="hsm_admm", topology="ring", n=6, p=4,
+                    problem="logistic", samples_per_agent=12, regularizer="l1",
+                    l1_weight=0.001, alpha=0.1, noniid=True, batch_size=1,
+                    K=200, seed=9)
+    ok, detail = checks.determinism(cfg, algos=("hsm_admm", "uniform_admm"))
     _report(12, "byte-identical outputs across reruns and sweep job counts",
-            traces == 8 and reruns and jobs,
-            f"{traces} traces, rerun: {reruns}, --jobs 1 vs 2: {jobs}")
+            ok and " 8 traces," in detail, detail)

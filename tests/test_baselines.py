@@ -17,7 +17,6 @@ from hsmadmm.hsm_admm import (Schedules, hsm_admm_round, init_network_state,
 from hsmadmm.problems import (draw_batch, full_batch, make_problem, prox_h,
                               stochastic_gradient)
 from hsmadmm.simulator import MessageLedger, agent_streams, run
-from tests.conftest import agent_rngs
 
 
 def test_metropolis_ring_thirds():
@@ -66,11 +65,11 @@ def test_uniform_star_step_ratio():
 
 
 def test_uniform_message_count_matches_hsm(quad_problem, ring4):
-    rngs = agent_rngs(3, 4)
+    rngs = agent_streams(3, 4)
     state_h = init_network_state(quad_problem, ring4, np.zeros(2), 2, rngs)
     led_h = MessageLedger()
     led_u = MessageLedger()
-    rngs_u = agent_rngs(3, 4)
+    rngs_u = agent_streams(3, 4)
     state_u = init_network_state(quad_problem, ring4, np.zeros(2), 2, rngs_u)
     ops = ConstraintOps(ring4)
     uniform = step_degrees(ring4, uniform=True)
@@ -84,17 +83,17 @@ def test_uniform_message_count_matches_hsm(quad_problem, ring4):
 
 def test_gt_transmits_twice_as_much(quad_problem, ring4):
     W = metropolis_weights(ring4)
-    dsgd_rows = batch_rows(quad_problem, agent_rngs(5, 4), 1, 15)
+    dsgd_rows = batch_rows(quad_problem, agent_streams(5, 4), 1, 15)
     dsgd = init_dsgd_state(ring4, np.zeros(2))
     led_d = MessageLedger()
     gt = init_gt_state(quad_problem, ring4, np.zeros(2),
-                       next(batch_rows(quad_problem, agent_rngs(5, 4), 1, 1)))
+                       next(batch_rows(quad_problem, agent_streams(5, 4), 1, 1)))
     led_g = MessageLedger()
     for k in range(15):
         prox_dsgd_round(dsgd, quad_problem, ring4, W, k, next(dsgd_rows),
                         ledger=led_d)
         prox_gt_round(gt, quad_problem, ring4, W, k,
-                      next(batch_rows(quad_problem, agent_rngs(5 + k, 4), 1, 1)),
+                      next(batch_rows(quad_problem, agent_streams(5 + k, 4), 1, 1)),
                       ledger=led_g)
     assert led_g.vector_messages == 2 * led_d.vector_messages
     assert led_d.vector_messages == 15 * 2 * ring4.m
@@ -103,7 +102,7 @@ def test_gt_transmits_twice_as_much(quad_problem, ring4):
 def test_tracking_invariant(composite_problem):
     g = build_topology("random_connected", 4, seed=1, prob=0.7)
     W = metropolis_weights(g)
-    rows = batch_rows(composite_problem, agent_rngs(9, 4), 1, 51)
+    rows = batch_rows(composite_problem, agent_streams(9, 4), 1, 51)
     state = init_gt_state(composite_problem, g, np.zeros(3), next(rows))
     for k in range(50):
         prox_gt_round(state, composite_problem, g, W, k, next(rows))
@@ -154,14 +153,14 @@ def test_block_draw_equals_per_round_draws(N, b, B):
 def test_batch_rows_match_per_round_draws_across_blocks():
     prob = make_problem("logistic", 16, 3, 10, 5)
     rounds = 301                      # crosses the 256-round block boundary
-    rows = list(batch_rows(prob, agent_rngs(6, 16), 32, rounds))
+    rows = list(batch_rows(prob, agent_streams(6, 16), 32, rounds))
     assert len(rows) == rounds
-    ref = agent_rngs(6, 16)
+    ref = agent_streams(6, 16)
     for got in rows:
         want = [draw_batch(prob, i, ref[i], 32).indices + prob.offsets[i]
                 for i in range(16)]
         assert np.array_equal(got, want)
-    assert list(batch_rows(prob, agent_rngs(6, 16), 0, 3)) == [None] * 3
+    assert list(batch_rows(prob, agent_streams(6, 16), 0, 3)) == [None] * 3
 
 
 @pytest.mark.parametrize("algorithm, K", [("prox_gt", 300), ("prox_gt", 0),

@@ -3,11 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hsmadmm.graph import (DENSE_LIMIT, ConstraintOps, DenseRequired,
-                           DimensionMismatch, Graph, InvalidParam, NotConnected,
-                           build_topology, incidence_matrix, laplacian,
-                           load_edge_list, save_edge_list,
-                           singular_sq_extremes, smallest_singular_sq_A)
+from hsmadmm.checks import block_vs_dense
+from hsmadmm.graph import (DENSE_LIMIT, ConstraintOps, DenseRequired, Graph,
+                           InvalidParam, NotConnected, build_topology,
+                           incidence_matrix, laplacian, load_edge_list,
+                           save_edge_list, singular_sq_extremes,
+                           smallest_singular_sq_A)
 
 
 def test_ring_shape():
@@ -101,61 +102,43 @@ def test_incidence_product_equals_laplacian(kind, n):
 def test_apply_A_consensus_point_kills_edge_block():
     g = build_topology("ring", 5, p=3)
     ops = ConstraintOps(g)
-    x = np.tile(np.array([1.0, -2.0, 0.5]), 5)
-    out = ops.apply_A(x)
+    X = np.tile(np.array([1.0, -2.0, 0.5]), (5, 1))
+    out = ops.residual(X, np.zeros_like(X))  # A x
     assert np.array_equal(out[: g.m * 3], np.zeros(g.m * 3))
-    assert np.array_equal(out[g.m * 3:], x)
+    assert np.array_equal(out[g.m * 3:], X.ravel())
 
 
 def test_apply_A_path_by_hand():
-    g = Graph(2, ((0, 1),), p=1)
-    ops = ConstraintOps(g)
-    assert np.array_equal(ops.apply_A(np.array([3.0, 1.0])), [2.0, 3.0, 1.0])
-
-
-def test_apply_A_dimension_mismatch():
-    ops = ConstraintOps(build_topology("ring", 4, p=2))
-    with pytest.raises(DimensionMismatch):
-        ops.apply_A(np.zeros(5))
+    ops = ConstraintOps(Graph(2, ((0, 1),), p=1))
+    X = np.array([[3.0], [1.0]])
+    assert np.array_equal(ops.residual(X, np.zeros_like(X)), [2.0, 3.0, 1.0])
 
 
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 500), vec_seed=st.integers(0, 500))
 def test_implicit_matches_dense(seed, vec_seed):
     g = build_topology("random_connected", 6 + seed % 10, seed=seed, prob=0.4, p=2)
-    impl = ConstraintOps(g)
-    dense = ConstraintOps(g, mode="dense")
-    rng = np.random.default_rng(vec_seed)
-    x = rng.standard_normal(impl.dim_in)
-    u = rng.standard_normal(impl.dim_out)
-    for got, want in ((impl.apply_A(x), dense.apply_A(x)),
-                      (impl.apply_At(u), dense.apply_At(u)),
-                      (impl.apply_AtA(x), dense.apply_AtA(x)),
-                      (impl.apply_B(x), dense.dense_B() @ x),
-                      (impl.apply_Bt(u), dense.dense_B().T @ u)):
-        assert np.linalg.norm(got - want) <= 1e-12 * max(1.0, np.linalg.norm(want))
+    assert block_vs_dense(ConstraintOps(g), np.random.default_rng(vec_seed)) <= 1e-12
 
 
 def test_AtA_is_laplacian_action_plus_identity():
     g = build_topology("random_connected", 7, seed=3, prob=0.5, p=2)
     ops = ConstraintOps(g)
-    rng = np.random.default_rng(0)
-    x = rng.standard_normal(ops.dim_in)
-    want = (np.kron(laplacian(g), np.eye(2)) + np.eye(ops.dim_in)) @ x
-    assert np.allclose(ops.apply_At(ops.apply_A(x)), want, atol=1e-12)
-    assert np.allclose(ops.apply_AtA(x), want, atol=1e-12)
+    X = np.random.default_rng(0).standard_normal((7, 2))
+    want = (np.kron(laplacian(g), np.eye(2)) + np.eye(14)) @ X.ravel()
+    Ax = ops.residual(X, np.zeros_like(X))
+    assert np.allclose(ops.dense_A().T @ Ax, want, atol=1e-12)
+    assert np.allclose((ops.apply_Mt(ops.apply_M(X)) + X).ravel(), want, atol=1e-12)
 
 
 @pytest.mark.parametrize("kind,n", [("ring", 8), ("star", 8), ("ring", 2),
                                     ("hub_leaf", 12)])
 def test_smallest_singular_sq_is_one(kind, n):
-    ops = ConstraintOps(build_topology(kind, n))
-    assert abs(smallest_singular_sq_A(ops) - 1.0) <= 1e-10
+    assert abs(smallest_singular_sq_A(build_topology(kind, n)) - 1.0) <= 1e-10
 
 
 def test_singular_extremes_path():
-    ops = ConstraintOps(Graph(2, ((0, 1),)))
-    lo, hi = singular_sq_extremes(ops)
+    lo, hi = singular_sq_extremes(Graph(2, ((0, 1),)))
     assert abs(lo - 1.0) <= 1e-12
     assert abs(hi - 3.0) <= 1e-12
 
@@ -164,7 +147,7 @@ def test_dense_guard():
     g = build_topology("ring", 100, p=50)
     ops = ConstraintOps(g)
     assert ops.dim_in > DENSE_LIMIT
-    assert abs(smallest_singular_sq_A(ops) - 1.0) <= 1e-10
+    assert abs(smallest_singular_sq_A(g) - 1.0) <= 1e-10
     with pytest.raises(DenseRequired):
         ops.dense_A()
 

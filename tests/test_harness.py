@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hsmadmm import harness, simulator
+from hsmadmm import checks, harness, simulator
 from hsmadmm.config import (ConfigInvalid, RunConfig, config_to_text,
                             load_config, parse_config_text)
 from hsmadmm.harness import emit_plots, main
@@ -162,6 +162,27 @@ def test_non_finite_dataset_exits_2(tmp_path, capsys):
     assert "row 6, column 1 is not a finite number" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("manifest, message", [
+    ({"n": 2, "p": 3}, "manifest has no 'ranges' key"),
+    ([[0, 4], [4, 8]], "manifest is a JSON list"),
+    ({"n": 2, "p": 3, "ranges": [[0, 4], [4]]},
+     "manifest range [4] is not a [start, stop] pair"),
+    ({"n": 2, "p": 3, "ranges": [[0, 4], [4, "8"]]},
+     "manifest range [4, '8'] is not a [start, stop] pair"),
+    ({"n": [2], "p": 3, "ranges": [[0, 4], [4, 8]]}, "manifest n and p must be integers"),
+])
+def test_malformed_manifest_exits_2(tmp_path, capsys, manifest, message):
+    prob = make_problem("least_squares", 2, 3, 4, 0)
+    csv, manifest_path = tmp_path / "data.csv", tmp_path / "manifest.json"
+    save_dataset(prob, csv, manifest_path)
+    manifest_path.write_text(json.dumps(manifest))
+    path = write_cfg(tmp_path, f"n = 2\np = 3\nK = 5\ntrack_lyapunov = false\n"
+                               f"dataset_csv = {csv}\ndataset_manifest = {manifest_path}\n")
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: dataset {csv}" in err and message in err
+
+
 @pytest.mark.parametrize("edges, n, message", [
     (None, 3, "No such file"),
     ("0 1\n1 x\n", 3, "non-integer node id"),
@@ -223,6 +244,22 @@ def test_plot_command_and_determinism(tmp_path):
         assert (plots / name).read_bytes() == (again / name).read_bytes()
 
 
+@pytest.mark.parametrize("content, message", [
+    (None, "No such file"),
+    ("k,foo\n1,2\n", "not the trace header"),
+    (bytes(range(256)) * 4, "can't decode"),
+])
+def test_plot_unreadable_trace_exits_2(tmp_path, capsys, content, message):
+    path = tmp_path / "trace.csv"
+    if isinstance(content, str):
+        path.write_text(content)
+    elif content is not None:
+        path.write_bytes(content)
+    assert main(["plot", "--traces", str(path), "--out", str(tmp_path / "plots")]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: trace {path}" in err and message in err
+
+
 def test_emit_plots_legend_and_meta(tmp_path):
     ks = np.arange(1.0, 51.0)
     t1 = {"k": ks, "stat_total": 1.0 / ks, "res_combined": 1.0 / ks,
@@ -253,6 +290,19 @@ def test_verify_command_passes(capsys):
     lines = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("[")]
     assert len(lines) >= 8
     assert all(ln.startswith("[PASS]") for ln in lines)
+
+
+def test_verify_command_fails_on_a_failing_or_raising_check(capsys, monkeypatch):
+    def boom():
+        raise RuntimeError("no state")
+
+    monkeypatch.setattr(checks, "VERIFY", [("holds", lambda: (True, "fine")),
+                                           ("fails", lambda: (False, "off by 2")),
+                                           ("raises", boom)])
+    assert main(["verify"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "[PASS] holds: fine", "[FAIL] fails: off by 2",
+        "[FAIL] raises: raised RuntimeError: no state"]
 
 
 def test_diverged_replica_keeps_earlier_summaries(tmp_path, monkeypatch):

@@ -10,8 +10,7 @@ from hsmadmm.hsm_admm import (NetworkState, Schedules, constants_feasibility,
                               warn_if_infeasible)
 from hsmadmm.problems import (CompositeProblem, full_gradient, make_problem,
                               prox_h)
-from hsmadmm.simulator import MessageLedger
-from tests.conftest import agent_rngs
+from hsmadmm.simulator import MessageLedger, agent_streams
 
 
 def test_schedule_values():
@@ -102,7 +101,7 @@ def test_step_duals_zero_residuals():
     g = Graph(2, ((0, 1),), p=2)
     prob = CompositeProblem("least_squares", [np.zeros((1, 2))] * 2,
                             [np.zeros(1)] * 2)
-    rngs = agent_rngs(0, 2)
+    rngs = agent_streams(0, 2)
     state = init_network_state(prob, g, np.array([1.0, -1.0]), 1, rngs,
                                full_batch=True)
     # consensus and splitting both hold at the start
@@ -115,7 +114,7 @@ def test_round_matches_dense_reference(composite_problem):
     g = build_topology("random_connected", 4, seed=3, prob=0.6, p=3)
     ops = ConstraintOps(g)
     sched = Schedules()
-    rngs = agent_rngs(5, 4)
+    rngs = agent_streams(5, 4)
     state = init_network_state(composite_problem, g, np.zeros(3), 4, rngs)
     worst = 0.0
     for k in range(40):
@@ -146,7 +145,7 @@ def test_exact_stationary_point_is_fixed(quad_problem, ring4):
     M = incidence_matrix(g)
     alpha, *_ = np.linalg.lstsq(np.kron(M.T, np.eye(2)), grads, rcond=None)
 
-    rngs = agent_rngs(1, 4)
+    rngs = agent_streams(1, 4)
     state = init_network_state(prob, g, xstar, 1, rngs, full_batch=True)
     state.alpha = alpha.reshape(g.m, 2)
     before_x = state.xs()
@@ -160,7 +159,7 @@ def test_exact_stationary_point_is_fixed(quad_problem, ring4):
 
 def test_round_message_count(quad_problem):
     g = build_topology("ring", 4, p=2)
-    rngs = agent_rngs(2, 4)
+    rngs = agent_streams(2, 4)
     state = init_network_state(quad_problem, g, np.zeros(2), 2, rngs)
     ledger = MessageLedger()
     ops = ConstraintOps(g)
@@ -174,7 +173,7 @@ def test_single_node_degenerates_to_centralized():
     g = Graph(1, (), p=2)
     prob = make_problem("least_squares", 1, 2, 10, 3, regularizer="l1",
                         l1_weight=0.05)
-    rngs = agent_rngs(4, 1)
+    rngs = agent_streams(4, 1)
     state = init_network_state(prob, g, np.array([1.0, -1.0]), 1, rngs,
                                full_batch=True)
     sched = Schedules()
@@ -205,7 +204,7 @@ def test_topology_independence_no_divergence(quad_problem):
     sched = Schedules()
     for kind in ("ring", "star", "hub_leaf"):
         g = build_topology(kind, 4, p=2)
-        rngs = agent_rngs(8, 4)
+        rngs = agent_streams(8, 4)
         state = init_network_state(quad_problem, g, np.ones(2), 1, rngs,
                                    full_batch=True)
         ops = ConstraintOps(g)
