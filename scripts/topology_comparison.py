@@ -12,18 +12,10 @@ import dataclasses
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from hsmadmm.config import RunConfig
 from hsmadmm.harness import build_graph, build_problem, emit_plots
+from hsmadmm.metrics import rounds_to_tolerance
 from hsmadmm.simulator import run
-
-
-def rounds_to_threshold(trace, tol):
-    ks = trace.column("k")
-    st = trace.column("stat_total")
-    hit = np.where(st <= tol)[0]
-    return int(ks[hit[0]]) if hit.size else None
 
 
 def main(argv=None):
@@ -47,7 +39,7 @@ def main(argv=None):
             cfg = dataclasses.replace(base, topology=topo, algorithm=algo)
             trace = run(cfg, build_problem(cfg), build_graph(cfg))
             traces[algo] = {name: trace.column(name) for name in trace.header}
-            hit = rounds_to_threshold(trace, args.tol)
+            hit = rounds_to_tolerance(trace, args.tol)
             print(f"{topo:10s} {algo:14s} {hit if hit is not None else '> budget'}")
         emit_plots(traces, out / topo)
     print(f"charts written under {out}/")

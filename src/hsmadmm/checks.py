@@ -17,11 +17,12 @@ import numpy as np
 
 from .baselines import batch_rows, init_gt_state, metropolis_weights, prox_gt_round
 from .config import RunConfig, write_config
-from .graph import (ConstraintOps, build_topology, incidence_matrix, laplacian,
+from .graph import (Graph, apply_M, apply_Mt, build_topology, dense_A, dense_AtA,
+                    dense_B, incidence_matrix, laplacian, residual,
                     smallest_singular_sq_A)
 from .harness import build_graph, build_problem, emit_plots, main, run_outputs
 from .hsm_admm import (Schedules, dense_round_reference, hsm_admm_round,
-                       init_network_state)
+                       init_network_state, step_degrees)
 from .problems import (draw_batch, full_batch, full_gradient, make_problem,
                        prox_h, sampled_loss, stochastic_gradient)
 from .simulator import agent_streams, run
@@ -40,17 +41,17 @@ def spectral_identity():
     return len(graphs) == 20 and dev <= 1e-10, f"max deviation {dev:.2e}"
 
 
-def block_vs_dense(ops: ConstraintOps, rng) -> float:
+def block_vs_dense(g: Graph, p: int, rng) -> float:
     """Largest relative deviation of the block operators from the dense
     matrices at random (n, p) and (m, p) arrays."""
-    m, p = ops.m, ops.p
-    X, Y = rng.standard_normal((2, ops.n, p))
+    m = g.m
+    X, Y = rng.standard_normal((2, g.n, p))
     U = rng.standard_normal((m, p))
-    A, B = ops.dense_A(), ops.dense_B()
-    pairs = ((ops.apply_M(X).ravel(), A[: m * p] @ X.ravel()),
-             (ops.apply_Mt(U).ravel(), A[: m * p].T @ U.ravel()),
-             (ops.residual(X, Y), A @ X.ravel() + B @ Y.ravel()),
-             ((ops.apply_Mt(ops.apply_M(X)) + X).ravel(), ops.dense_AtA() @ X.ravel()))
+    A, B = dense_A(g, p), dense_B(g, p)
+    pairs = ((apply_M(g, X).ravel(), A[: m * p] @ X.ravel()),
+             (apply_Mt(g, U).ravel(), A[: m * p].T @ U.ravel()),
+             (residual(g, X, Y), A @ X.ravel() + B @ Y.ravel()),
+             ((apply_Mt(g, apply_M(g, X)) + X).ravel(), dense_AtA(g, p) @ X.ravel()))
     return max(float(np.linalg.norm(got - want) / max(1.0, np.linalg.norm(want)))
                for got, want in pairs)
 
@@ -66,8 +67,8 @@ def incidence_laplacian():
         if not np.array_equal(np.diag(M.T @ M).astype(int), g.degree):
             return False, f"degree mismatch on {kind}"
     rng = np.random.default_rng(0)
-    worst = max(block_vs_dense(ConstraintOps(build_topology(
-        "random_connected", 8, seed=seed, prob=0.4, p=2)), rng)
+    worst = max(block_vs_dense(build_topology(
+        "random_connected", 8, seed=seed, prob=0.4), 2, rng)
         for seed in range(3) for _ in range(10))
     return worst <= 1e-12, ("incidence product equals Laplacian, block vs "
                             f"dense operators max rel deviation {worst:.2e}")
@@ -75,20 +76,20 @@ def incidence_laplacian():
 
 def compact_form():
     """Criterion 2: 200 stacked rounds match the dense formulation."""
-    g = build_topology("random_connected", 6, seed=3, prob=0.5, p=3)
+    g = build_topology("random_connected", 6, seed=3, prob=0.5)
     prob = make_problem("logistic", 6, 3, 12, 5, regularizer="l1",
                         l1_weight=0.01, alpha=0.1, noniid=True)
     sched = Schedules()
-    ops = ConstraintOps(g)
+    degrees = step_degrees(g)
     rngs = agent_streams(17, 6)
     state = init_network_state(prob, g, np.zeros(3), 8, rngs)
     worst = 0.0
     for k in range(200):
         x, y = state.xs().ravel(), state.ys().ravel()
         lam, v = state.duals_vector(), state.vs().ravel()
-        y_ref, x_ref, lam_ref = dense_round_reference(ops, prob, sched, k, x, y,
-                                                      lam, v)
-        hsm_admm_round(state, prob, ops, sched, k, rngs)
+        y_ref, x_ref, lam_ref = dense_round_reference(g, prob, sched, k, x, y,
+                                                      lam, v, degrees=degrees)
+        hsm_admm_round(state, prob, g, sched, k, rngs, degrees=degrees)
         worst = max(worst,
                     float(np.max(np.abs(state.ys().ravel() - y_ref))),
                     float(np.max(np.abs(state.xs().ravel() - x_ref))),

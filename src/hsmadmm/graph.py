@@ -7,10 +7,11 @@ below; B is zeros on top and the negated identity below. A^T A is the graph
 Laplacian action plus the identity, so the smallest squared singular value
 of A is exactly 1 on every connected graph.
 
-``ConstraintOps`` applies the edge differences and their transpose by
-neighbor sums on block arrays. Dense matrices are materialized only as
-verification oracles on small networks (guarded by ``DENSE_LIMIT``).
-Spectral checks work on the n x n Laplacian at any size.
+``apply_M`` and ``apply_Mt`` apply the edge differences and their transpose
+by neighbor sums on block arrays; the block size p is read from the arrays.
+Dense matrices are materialized only as verification oracles on small
+networks (guarded by ``DENSE_LIMIT``). Spectral checks work on the n x n
+Laplacian at any size.
 """
 from __future__ import annotations
 
@@ -52,21 +53,21 @@ class Graph:
     edges : sequence of (int, int)
         Undirected edges; pairs are normalized to (min, max). Self loops and
         duplicates are rejected, as are disconnected graphs.
-    p : int
-        Per-node variable dimension carried along for operator construction.
+
+    ``low`` and ``high`` index the low and high endpoint of each edge in
+    ``edges`` order.
     """
 
     n: int
     edges: tuple = ()
-    p: int = 1
     degree: np.ndarray = field(init=False, repr=False)
     neighbors: tuple = field(init=False, repr=False)
+    low: np.ndarray = field(init=False, repr=False)
+    high: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.n < 1:
             raise InvalidParam(f"node count must be >= 1, got {self.n}")
-        if self.p < 1:
-            raise InvalidParam(f"block dimension must be >= 1, got {self.p}")
         canon = []
         seen = set()
         for i, j in self.edges:
@@ -91,6 +92,8 @@ class Graph:
             nbrs[j].append(i)
         self.degree = deg
         self.neighbors = tuple(tuple(sorted(v)) for v in nbrs)
+        self.low = np.array([e[0] for e in self.edges], dtype=np.int64)
+        self.high = np.array([e[1] for e in self.edges], dtype=np.int64)
 
         if not self._connected():
             raise NotConnected(f"graph with {self.n} nodes and {self.m} edges is not connected")
@@ -113,32 +116,28 @@ class Graph:
         return len(self.edges)
 
 
-def build_topology(kind: str, n: int, seed: int = 0, *, p: int = 1,
+def build_topology(kind: str, n: int, seed: int = 0, *,
                    prob: float | None = None, hubs: int = 1,
-                   edges=None, max_attempts: int = 1000) -> Graph:
+                   max_attempts: int = 1000) -> Graph:
     """Construct a named topology deterministically.
 
     Parameters
     ----------
     kind : str
-        One of ``ring``, ``star``, ``hub_leaf``, ``random_connected``,
-        ``from_edge_list``.
+        One of ``ring``, ``star``, ``hub_leaf``, ``random_connected``
+        (``from_edge_list`` graphs come from ``load_edge_list``).
     n : int
         Node count, n >= 2.
     seed : int
         Seed for the ``random_connected`` sampler; ignored by the
         deterministic kinds, so every kind is a pure function of its
         arguments.
-    p : int
-        Per-node block dimension stored on the graph.
     prob : float
         Edge probability in (0, 1] for ``random_connected``.
     hubs : int
         For ``hub_leaf``: number of mutually connected hub nodes; remaining
         nodes are leaves attached round-robin. ``hubs=1`` is a star with one
         center.
-    edges : sequence of pairs
-        Edge list for ``from_edge_list``.
     max_attempts : int
         Rejection-sampling budget for ``random_connected``.
     """
@@ -148,16 +147,16 @@ def build_topology(kind: str, n: int, seed: int = 0, *, p: int = 1,
         e = [(i, i + 1) for i in range(n - 1)]
         if n > 2:
             e.append((0, n - 1))
-        return Graph(n, tuple(e), p)
+        return Graph(n, tuple(e))
     if kind == "star":
-        return Graph(n, tuple((0, j) for j in range(1, n)), p)
+        return Graph(n, tuple((0, j) for j in range(1, n)))
     if kind == "hub_leaf":
         if not (1 <= hubs < n):
             raise InvalidParam(f"hub_leaf needs 1 <= hubs < n, got hubs={hubs}, n={n}")
         e = [(i, j) for i in range(hubs) for j in range(i + 1, hubs)]
         for leaf in range(hubs, n):
             e.append(((leaf - hubs) % hubs, leaf))
-        return Graph(n, tuple(e), p)
+        return Graph(n, tuple(e))
     if kind == "random_connected":
         if prob is None or not (0.0 < prob <= 1.0):
             raise InvalidParam(f"random_connected needs edge probability in (0, 1], got {prob}")
@@ -166,14 +165,10 @@ def build_topology(kind: str, n: int, seed: int = 0, *, p: int = 1,
             mask = rng.random((n, n)) < prob
             e = tuple((i, j) for i in range(n) for j in range(i + 1, n) if mask[i, j])
             try:
-                return Graph(n, e, p)
+                return Graph(n, e)
             except NotConnected:
                 continue
         raise NotConnected(f"no connected sample in {max_attempts} attempts (n={n}, prob={prob})")
-    if kind == "from_edge_list":
-        if edges is None:
-            raise InvalidParam("from_edge_list requires an edge list")
-        return Graph(n, tuple(edges), p)
     raise InvalidParam(f"unknown topology kind {kind!r}")
 
 
@@ -197,7 +192,7 @@ def laplacian(g: Graph) -> np.ndarray:
     return L
 
 
-def load_edge_list(path, n: int | None = None, p: int = 1) -> Graph:
+def load_edge_list(path, n: int | None = None) -> Graph:
     """Load a whitespace-separated ``i j`` edge list (0-based, one per line).
 
     Blank lines and ``#`` comments are skipped. ``n`` defaults to
@@ -221,7 +216,7 @@ def load_edge_list(path, n: int | None = None, p: int = 1) -> Graph:
         if not edges:
             raise InvalidParam(f"{path}: empty edge list and no node count given")
         n = max(max(e) for e in edges) + 1
-    return Graph(n, tuple(edges), p)
+    return Graph(n, tuple(edges))
 
 
 def save_edge_list(g: Graph, path) -> None:
@@ -230,77 +225,49 @@ def save_edge_list(g: Graph, path) -> None:
             fh.write(f"{i} {j}\n")
 
 
-class ConstraintOps:
-    """The stacked consensus operator pair (A, B) for a graph at block size p.
+def apply_M(g: Graph, X) -> np.ndarray:
+    """Edge differences of an (n, p) block array: row k is
+    X[low_k] - X[high_k], the incidence matrix times X."""
+    return X[g.low] - X[g.high]
 
-    ``apply_M`` and ``apply_Mt`` are the edge block of A and its transpose on
-    (n, p) and (m, p) arrays; ``residual`` assembles A x + B y. ``dense_A``,
-    ``dense_B`` and ``dense_AtA`` build the (np)-column matrices as
-    verification oracles.
-    """
 
-    def __init__(self, graph: Graph, p: int | None = None):
-        self.graph = graph
-        self.p = graph.p if p is None else int(p)
-        if self.p < 1:
-            raise InvalidParam(f"block dimension must be >= 1, got {self.p}")
-        self._ei = np.array([e[0] for e in graph.edges], dtype=np.int64)
-        self._ej = np.array([e[1] for e in graph.edges], dtype=np.int64)
-        self._dense_A = None
-        self._dense_B = None
+def apply_Mt(g: Graph, U) -> np.ndarray:
+    """Transpose of ``apply_M`` for an (m, p) edge array: each edge row is
+    added at its low endpoint and subtracted at its high endpoint."""
+    out = np.zeros((g.n, U.shape[1]))
+    np.add.at(out, g.low, U)
+    np.subtract.at(out, g.high, U)
+    return out
 
-    @property
-    def n(self) -> int:
-        return self.graph.n
 
-    @property
-    def m(self) -> int:
-        return self.graph.m
+def residual(g: Graph, X, Y) -> np.ndarray:
+    """A x + B y for (n, p) blocks X and Y, as the stacked (m+n)p vector:
+    the edge differences of X, then X - Y."""
+    return np.concatenate([apply_M(g, X).ravel(), (X - Y).ravel()])
 
-    @property
-    def dim_in(self) -> int:
-        return self.n * self.p
 
-    def _guard_dense(self):
-        if self.dim_in > DENSE_LIMIT:
-            raise DenseRequired(
-                f"dense matrices need n*p <= {DENSE_LIMIT}, got {self.dim_in}")
+def _guard_dense(g: Graph, p: int) -> None:
+    if g.n * p > DENSE_LIMIT:
+        raise DenseRequired(f"dense matrices need n*p <= {DENSE_LIMIT}, got {g.n * p}")
 
-    def dense_A(self) -> np.ndarray:
-        self._guard_dense()
-        if self._dense_A is None:
-            M = incidence_matrix(self.graph)
-            self._dense_A = np.vstack([np.kron(M, np.eye(self.p)), np.eye(self.dim_in)])
-        return self._dense_A
 
-    def dense_B(self) -> np.ndarray:
-        self._guard_dense()
-        if self._dense_B is None:
-            self._dense_B = np.vstack(
-                [np.zeros((self.m * self.p, self.dim_in)), -np.eye(self.dim_in)])
-        return self._dense_B
+def dense_A(g: Graph, p: int) -> np.ndarray:
+    """The edge-plus-identity operator A at block size p, as a
+    verification oracle."""
+    _guard_dense(g, p)
+    return np.vstack([np.kron(incidence_matrix(g), np.eye(p)), np.eye(g.n * p)])
 
-    def dense_AtA(self) -> np.ndarray:
-        self._guard_dense()
-        return np.kron(laplacian(self.graph), np.eye(self.p)) + np.eye(self.dim_in)
 
-    def apply_M(self, X) -> np.ndarray:
-        """Edge differences of an (n, p) block array: row k is
-        X[low_k] - X[high_k], the incidence matrix times X."""
-        return X[self._ei] - X[self._ej]
+def dense_B(g: Graph, p: int) -> np.ndarray:
+    """The operator B (zeros over the negated identity) at block size p."""
+    _guard_dense(g, p)
+    return np.vstack([np.zeros((g.m * p, g.n * p)), -np.eye(g.n * p)])
 
-    def apply_Mt(self, U) -> np.ndarray:
-        """Transpose of ``apply_M`` for an (m, p) edge array: each edge row
-        is added at its low endpoint and subtracted at its high endpoint."""
-        out = np.zeros((self.n, U.shape[1]))
-        np.add.at(out, self._ei, U)
-        np.subtract.at(out, self._ej, U)
-        return out
 
-    def residual(self, X, Y) -> np.ndarray:
-        """A x + B y for (n, p) blocks X and Y, as the stacked (m+n)p vector:
-        the edge differences of X, then X - Y."""
-        return np.concatenate([self.apply_M(X).ravel(), (X - Y).ravel()])
+def dense_AtA(g: Graph, p: int) -> np.ndarray:
+    """A^T A = L kron I_p + I at block size p."""
+    _guard_dense(g, p)
+    return np.kron(laplacian(g), np.eye(p)) + np.eye(g.n * p)
 
 
 def smallest_singular_sq_A(g: Graph) -> float:

@@ -6,7 +6,7 @@ run     execute one configuration; writes trace.csv, summary.json and
         optional SVG convergence plots into the output directory
 sweep   cross topologies x algorithms x seeds from a base configuration
 verify  the fast checks shared with the acceptance suite (hsmadmm.checks),
-        one pass/fail line each
+        one pass/fail line each, naming the warnings the check raised
 plot    render SVG charts from existing trace.csv files
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error,
@@ -18,6 +18,7 @@ import argparse
 import dataclasses
 import json
 import sys
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -37,10 +38,10 @@ def build_graph(cfg: RunConfig) -> graphmod.Graph:
     not describe a valid connected graph is a configuration error."""
     if cfg.topology == "from_edge_list":
         try:
-            return graphmod.load_edge_list(cfg.edge_list, n=cfg.n, p=cfg.p)
+            return graphmod.load_edge_list(cfg.edge_list, n=cfg.n)
         except (OSError, ValueError, graphmod.GraphError) as exc:
             raise ConfigInvalid(f"edge list {cfg.edge_list}: {exc}") from exc
-    return graphmod.build_topology(cfg.topology, cfg.n, cfg.graph_seed, p=cfg.p,
+    return graphmod.build_topology(cfg.topology, cfg.n, cfg.graph_seed,
                                    prob=cfg.edge_prob, hubs=cfg.hubs)
 
 
@@ -226,6 +227,9 @@ def _run_cell(payload) -> tuple:
 
 
 def cmd_sweep(args) -> int:
+    for option, value in (("--seeds", args.seeds), ("--jobs", args.jobs)):
+        if value < 1:
+            raise ConfigInvalid(f"{option} must be >= 1, got {value}")
     base = load_config(args.config)
     topologies = [t.strip() for t in args.topologies.split(",") if t.strip()]
     algos = [a.strip() for a in args.algos.split(",") if a.strip()]
@@ -286,10 +290,16 @@ def cmd_verify(args) -> int:
     from . import checks  # imported here: checks imports this module
     failures = 0
     for name, fn in checks.VERIFY:
-        try:
-            ok, detail = fn()
-        except Exception as exc:  # a crashed check is a failed check
-            ok, detail = False, f"raised {type(exc).__name__}: {exc}"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                ok, detail = fn()
+            except Exception as exc:  # a crashed check is a failed check
+                ok, detail = False, f"raised {type(exc).__name__}: {exc}"
+        if caught:
+            first = caught[0]
+            detail += (f"; {len(caught)} warning(s), first: "
+                       f"{first.category.__name__}: {first.message}")
         status = "PASS" if ok else "FAIL"
         print(f"[{status}] {name}: {detail}")
         failures += 0 if ok else 1

@@ -13,15 +13,18 @@ parameter a and steps eta = diag(Q), one round is
     v      <- momentum refresh at the new x
 
 where A stacks the edge differences x_i - x_j over the identity and B is
-the negated identity below zeros (``ConstraintOps``). Agent i's row of the
-x step reads only its own row and its neighbors' previous-round rows
-(synchronous Jacobi), and the edge row of alpha enters its low endpoint
-with a minus sign and its high endpoint with a plus sign.
+the negated identity below zeros (``graph.apply_M``, ``graph.apply_Mt``).
+Agent i's row of the x step reads only its own row and its neighbors'
+previous-round rows (synchronous Jacobi), and the edge row of alpha enters
+its low endpoint with a minus sign and its high endpoint with a plus sign.
 
 Step sizes scale with the local degree, eta_i = c_eta * (d_i + 1) * t^{1/3},
-so no agent waits on the global maximum degree. Schedules evaluate at
-t = k + 1: the k^{1/3} law would make the round-0 penalty zero and the prox
-scale undefined, and the one-shift is the minimal repair.
+so no agent waits on the global maximum degree. ``step_degrees`` picks the
+degree vector d (local, or the maximum for the uniform-step baseline); the
+round, the dense reference and the analysis constants all take that vector.
+Schedules evaluate at t = k + 1: the k^{1/3} law would make the round-0
+penalty zero and the prox scale undefined, and the one-shift is the minimal
+repair.
 """
 from __future__ import annotations
 
@@ -32,7 +35,8 @@ from itertools import product
 import numpy as np
 
 from .estimator import init_momentum, update_momentum
-from .graph import ConstraintOps, Graph, InvalidParam, laplacian
+from .graph import (Graph, InvalidParam, apply_M, apply_Mt, dense_A, dense_B,
+                    laplacian)
 from .problems import CompositeProblem, prox_h
 
 
@@ -69,19 +73,18 @@ def step_degrees(graph: Graph, uniform: bool = False) -> np.ndarray:
     return graph.degree
 
 
-def step_matrix_base(graph: Graph, sched: Schedules, *,
-                     uniform: bool = False) -> np.ndarray:
+def step_matrix_base(graph: Graph, sched: Schedules, *, degrees) -> np.ndarray:
     """Constant part of the n x n step-minus-penalty matrix,
 
         S = diag(c_eta (d + 1)) - c_rho (L + I),
 
-    with d from ``step_degrees``; the matrix at round k is (k+1)^{1/3} S.
+    with d = ``degrees`` from ``step_degrees``; the matrix at round k is
+    (k+1)^{1/3} S.
     On the stacked variable the analysis matrix is S kron I_p: its spectrum
     is that of S with each eigenvalue repeated p times, and on an (n, p)
     block array X it acts as S @ X, so every analysis quantity is computed
     on S alone."""
-    degrees = step_degrees(graph, uniform).astype(float)
-    return (np.diag(sched.c_eta * (degrees + 1.0))
+    return (np.diag(sched.c_eta * (np.asarray(degrees, dtype=float) + 1.0))
             - sched.c_rho * (laplacian(graph) + np.eye(graph.n)))
 
 
@@ -135,49 +138,48 @@ def step_y(state: NetworkState, prob: CompositeProblem, rho: float) -> np.ndarra
     return prox_h(prob, None, state.x - state.beta / rho, 1.0 / rho)
 
 
-def step_x(state: NetworkState, ops: ConstraintOps, y_new, rho: float,
+def step_x(state: NetworkState, graph: Graph, y_new, rho: float,
            eta) -> np.ndarray:
     """Linearized primal step x - Q^{-1} (v - A^T lam + rho A^T (A x + B y))
     with the per-agent steps ``eta``, shape (n,)."""
     x = state.x
-    edge = rho * ops.apply_M(x) - state.alpha
-    grad = state.v - state.beta + rho * (x - y_new) + ops.apply_Mt(edge)
+    edge = rho * apply_M(graph, x) - state.alpha
+    grad = state.v - state.beta + rho * (x - y_new) + apply_Mt(graph, edge)
     return x - grad / eta[:, None]
 
 
-def step_duals(state: NetworkState, ops: ConstraintOps, rho: float) -> None:
+def step_duals(state: NetworkState, graph: Graph, rho: float) -> None:
     """Dual ascent on the committed round state: one update per edge and
     one splitting update per agent."""
-    state.alpha = state.alpha - rho * ops.apply_M(state.x)
+    state.alpha = state.alpha - rho * apply_M(graph, state.x)
     state.beta = state.beta - rho * (state.x - state.y)
 
 
-def hsm_admm_round(state: NetworkState, prob: CompositeProblem,
-                   ops: ConstraintOps, sched: Schedules, k: int, rngs, *,
-                   batch_size: int = 1, ledger=None,
-                   degrees=None) -> None:
+def hsm_admm_round(state: NetworkState, prob: CompositeProblem, graph: Graph,
+                   sched: Schedules, k: int, rngs, *, degrees,
+                   batch_size: int = 1, ledger=None) -> None:
     """Execute round k in place: y, x against the round-k state, exchange,
     duals, momentum refresh.
 
-    ``degrees`` sets the step sizes (``step_degrees``; the local degrees by
-    default). Exactly one x vector crosses each directed neighbor pair per
-    round; the ledger records the exchange.
+    ``degrees`` sets the step sizes (``step_degrees``). Exactly one x vector
+    crosses each directed neighbor pair per round; the ledger records the
+    exchange.
     """
     rho = sched.rho(k)
-    eta = sched.eta(k, ops.graph.degree if degrees is None else degrees)
+    eta = sched.eta(k, degrees)
     y_new = step_y(state, prob, rho)
-    state.x, state.y = step_x(state, ops, y_new, rho, eta), y_new
+    state.x, state.y = step_x(state, graph, y_new, rho, eta), y_new
     if ledger is not None:
-        ledger.record(2 * ops.m, prob.p)
-    step_duals(state, ops, rho)
+        ledger.record(2 * graph.m, prob.p)
+    step_duals(state, graph, rho)
     state.v = update_momentum(state.v, state.last_x, prob, state.x, sched.a(k),
                               rngs, batch_size)
     state.last_x = state.x.copy()
 
 
-def dense_round_reference(ops: ConstraintOps, prob: CompositeProblem,
+def dense_round_reference(graph: Graph, prob: CompositeProblem,
                           sched: Schedules, k: int, x, y, lam, v, *,
-                          degrees=None) -> tuple:
+                          degrees) -> tuple:
     """One round predicted by the stacked dense formulation.
 
     Returns (y_next, x_next, lam_next) computed with explicit matrices:
@@ -186,21 +188,19 @@ def dense_round_reference(ops: ConstraintOps, prob: CompositeProblem,
         x_next   = x - Q^{-1} (v - A^T lam + rho A^T (A x + B y_next))
         lam_next = lam - rho (A x_next + B y_next)
 
-    with Q the block-diagonal step matrix from ``degrees`` (the local
-    degrees by default). This is the verification oracle for the
-    neighbor-sum implementation.
+    with Q the block-diagonal step matrix from ``degrees``. This is the
+    verification oracle for the neighbor-sum implementation.
     """
-    g = ops.graph
-    p = ops.p
+    p = prob.p
     rho = sched.rho(k)
-    A = ops.dense_A()
-    B = ops.dense_B()
-    Q_diag = np.repeat(sched.eta(k, g.degree if degrees is None else degrees), p)
+    A = dense_A(graph, p)
+    B = dense_B(graph, p)
+    Q_diag = np.repeat(sched.eta(k, degrees), p)
 
-    beta = lam[g.m * p:]
+    beta = lam[graph.m * p:]
     y_next = np.concatenate([
         prox_h(prob, i, x[i * p:(i + 1) * p] - beta[i * p:(i + 1) * p] / rho, 1.0 / rho)
-        for i in range(g.n)])
+        for i in range(graph.n)])
     grad_term = v - A.T @ lam + rho * (A.T @ (A @ x + B @ y_next))
     x_next = x - grad_term / Q_diag
     lam_next = lam - rho * (A @ x_next + B @ y_next)
@@ -222,7 +222,7 @@ class FeasibilityReport:
 
 
 def constants_feasibility(graph: Graph, sched: Schedules, L: float, *,
-                          uniform: bool = False, theta_grid=(0.5, 1.0, 2.0),
+                          degrees, theta_grid=(0.5, 1.0, 2.0),
                           c_mu_grid=(0.5, 1.0, 2.0, 4.0),
                           c_gamma_grid=(0.25, 0.5, 1.0, 2.0)) -> FeasibilityReport:
     """Search a small grid of analysis constants for simultaneous positivity
@@ -238,7 +238,7 @@ def constants_feasibility(graph: Graph, sched: Schedules, L: float, *,
         (C_eta - c_rho/2 AtA) - 3(1+theta)/(2 c_rho) S^2
         - (c_mu/2 + c_beta/2 + L/2 + 2 L^2 c_gamma) I,
 
-    with S = C_eta - c_rho AtA from ``step_matrix_base`` (``uniform`` as
+    with S = C_eta - c_rho AtA from ``step_matrix_base`` (``degrees`` as
     there) and AtA = L_graph + I, all n x n. Only the scalar shift depends
     on (c_mu, c_gamma), so the smallest eigenvalue is computed once per
     theta.
@@ -247,7 +247,7 @@ def constants_feasibility(graph: Graph, sched: Schedules, L: float, *,
     the constants as experimental knobs and the desk problems run fine
     outside the certified region.
     """
-    S = step_matrix_base(graph, sched, uniform=uniform)
+    S = step_matrix_base(graph, sched, degrees=degrees)
     s_norm = float(np.linalg.norm(S, 2))
     half = S + 0.5 * sched.c_rho * (laplacian(graph) + np.eye(graph.n))
     S_sq = S @ S

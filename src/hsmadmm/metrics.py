@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import ConstraintOps, Graph
+from .graph import Graph, residual
 from .hsm_admm import Schedules, lower_c_beta, step_matrix_base
 from .problems import (CompositeProblem, empirical_sigma_sq, full_gradient,
                        global_mean_gradient, h_value, per_sample_gradients,
@@ -69,15 +69,14 @@ class Residuals:
     combined: float
 
 
-def residuals(ops: ConstraintOps, xs, ys) -> Residuals:
-    """Norms of the edge-difference, splitting, and stacked residuals; the
-    stacked one satisfies combined^2 = consensus^2 + splitting^2 by the
-    block structure."""
-    r = ops.residual(xs, ys)
-    top = r[: ops.m * ops.p]
-    bottom = r[ops.m * ops.p:]
-    return Residuals(float(np.linalg.norm(top)), float(np.linalg.norm(bottom)),
-                     float(np.linalg.norm(r)))
+def residuals(graph: Graph, xs, ys) -> Residuals:
+    """Norms of the edge-difference, splitting, and stacked residuals of
+    (n, p) arrays; the stacked one satisfies combined^2 = consensus^2 +
+    splitting^2 by the block structure."""
+    r = residual(graph, xs, ys)
+    split = graph.m * xs.shape[1]
+    return Residuals(float(np.linalg.norm(r[:split])),
+                     float(np.linalg.norm(r[split:])), float(np.linalg.norm(r)))
 
 
 def gradient_error(prob: CompositeProblem, xs, vs) -> float:
@@ -118,10 +117,10 @@ class LyapunovConstants:
 def make_lyapunov_constants(graph: Graph, sched: Schedules, L: float, *,
                             theta: float = 1.0, c_mu: float = 1.0,
                             c_gamma: float = 1.0, c_err: float | None = None,
-                            uniform: bool = False) -> LyapunovConstants:
+                            degrees) -> LyapunovConstants:
     if c_err is None:
         c_err = 12.0 * (1.0 + 1.0 / theta)
-    s_norm = float(np.linalg.norm(step_matrix_base(graph, sched, uniform=uniform), 2))
+    s_norm = float(np.linalg.norm(step_matrix_base(graph, sched, degrees=degrees), 2))
     c_beta = lower_c_beta(s_norm, L, theta, sched.c_rho)
     return LyapunovConstants(theta=theta, c_mu=c_mu, c_gamma=c_gamma,
                              c_err=c_err, c_beta=c_beta, L=L)
@@ -137,31 +136,29 @@ class LyapunovSnapshot:
     constants: LyapunovConstants
 
 
-def augmented_lagrangian(prob: CompositeProblem, ops: ConstraintOps,
+def augmented_lagrangian(prob: CompositeProblem, graph: Graph,
                          xs, ys, lam, rho: float) -> float:
     """F(x) + H(y) - <lam, Ax + By> + rho/2 ||Ax + By||^2."""
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     F = sum(smooth_value(prob, i, xs[i]) for i in range(prob.n))
     H = sum(h_value(prob, i, ys[i]) for i in range(prob.n))
-    r = ops.residual(xs, ys)
+    r = residual(graph, xs, ys)
     return float(F + H - lam @ r + 0.5 * rho * float(r @ r))
 
 
-def lyapunov(prob: CompositeProblem, ops: ConstraintOps, sched: Schedules,
-             consts: LyapunovConstants, k: int, xs, ys, lam, vs,
-             xs_prev, vs_prev) -> LyapunovSnapshot:
+def lyapunov(prob: CompositeProblem, graph: Graph, sched: Schedules,
+             consts: LyapunovConstants, k: int, xs, ys, lam, xs_prev,
+             err_sq: float, err_prev_sq: float) -> LyapunovSnapshot:
     """Merit value at state index k (two completed rounds required):
     the augmented Lagrangian at the previous round's penalty, plus weighted
-    current and previous estimation errors, plus the weighted squared last
-    step."""
+    current and previous estimation errors (``gradient_error`` at states k
+    and k-1), plus the weighted squared last step."""
     if k < 2:
         raise HistoryUnavailable(f"merit needs state index >= 2, got {k}")
     xs = np.asarray(xs, dtype=float)
     rho_prev = sched.rho(k - 1)
-    al = augmented_lagrangian(prob, ops, xs, ys, lam, rho_prev)
-    err_sq = gradient_error(prob, xs, vs)
-    err_prev_sq = gradient_error(prob, xs_prev, vs_prev)
+    al = augmented_lagrangian(prob, graph, xs, ys, lam, rho_prev)
     inv_gamma = consts.c_gamma * float(k) ** (1.0 / 3.0)
     beta_k = consts.c_beta * float(k) ** (1.0 / 3.0)
     err_term = inv_gamma * err_sq
@@ -199,11 +196,11 @@ class DualBoundChecker:
     """
 
     def __init__(self, graph: Graph, sched: Schedules, L: float, *,
-                 theta: float = 1.0, uniform: bool = False):
+                 degrees, theta: float = 1.0):
         self.sched = sched
         self.L = L
         self.theta = theta
-        self.S_base = step_matrix_base(graph, sched, uniform=uniform)
+        self.S_base = step_matrix_base(graph, sched, degrees=degrees)
         self.s_base_norm = float(np.linalg.norm(self.S_base, 2))
 
     def check(self, s: int, xs, xs_prev, xs_prev2, lam, lam_prev,
@@ -265,6 +262,15 @@ def momentum_recursion_mc_check(prob: CompositeProblem, xs_prev, xs_new, vs_prev
            + 2.0 * L * L * (1.0 - a) ** 2 * dx_sq)
     return {"lhs": lhs, "rhs": rhs, "se": se, "ok": lhs <= rhs + n_se * se,
             "err_prev_sq": err_prev_sq, "sigma_sq": sigma_sq, "dx_sq": dx_sq}
+
+
+def rounds_to_tolerance(trace, tol: float) -> int | None:
+    """First logged round whose stationarity total is at most ``tol``, or
+    None if no logged round reaches it."""
+    ks = trace.column("k")
+    stat = trace.column("stat_total")
+    hit = np.where(stat <= tol)[0]
+    return int(ks[hit[0]]) if hit.size else None
 
 
 def min_prefix(values) -> np.ndarray:

@@ -22,7 +22,7 @@ import numpy as np
 from .baselines import (batch_rows, init_dsgd_state, init_gt_state,
                         metropolis_weights, prox_dsgd_round, prox_gt_round)
 from .config import ConfigInvalid, RunConfig
-from .graph import ConstraintOps, Graph
+from .graph import Graph
 from .hsm_admm import (Schedules, constants_feasibility, hsm_admm_round,
                        init_network_state, step_degrees, warn_if_infeasible)
 from .metrics import (DualBoundChecker, gradient_error, lyapunov,
@@ -141,27 +141,24 @@ def run(config: RunConfig, prob: CompositeProblem, graph: Graph,
         raise ConfigInvalid(f"problem has {prob.n} agents, graph has {graph.n}")
     p = prob.p
     sched = Schedules(config.c_rho, config.c_a, config.c_eta)
-    ops = ConstraintOps(graph, p)
     rngs = agent_streams(config.seed, graph.n)
     x0 = initial_point(config.seed, p)
     full = config.batch_size == 0
     ledger = MessageLedger()
     trace = MetricsTrace()
     admm = config.algorithm in ("hsm_admm", "uniform_admm")
-    uniform = config.algorithm == "uniform_admm"
+    degrees = step_degrees(graph, config.algorithm == "uniform_admm")
 
     if admm:
         report = constants_feasibility(graph, sched, prob.smoothness,
-                                       uniform=uniform)
+                                       degrees=degrees)
         warn_if_infeasible(report)
         trace.meta["feasibility"] = asdict(report)
         state = init_network_state(prob, graph, x0, config.m0, rngs, full_batch=full)
-        degrees = step_degrees(graph, uniform)
 
         def round_fn(k):
-            hsm_admm_round(state, prob, ops, sched, k, rngs,
-                           batch_size=config.batch_size, ledger=ledger,
-                           degrees=degrees)
+            hsm_admm_round(state, prob, graph, sched, k, rngs, degrees=degrees,
+                           batch_size=config.batch_size, ledger=ledger)
     elif config.algorithm == "prox_dsgd":
         W = metropolis_weights(graph)
         state = init_dsgd_state(graph, x0)
@@ -189,10 +186,10 @@ def run(config: RunConfig, prob: CompositeProblem, graph: Graph,
         consts = make_lyapunov_constants(graph, sched, prob.smoothness,
                                          theta=config.theta, c_mu=config.c_mu,
                                          c_gamma=config.c_gamma,
-                                         uniform=uniform)
+                                         degrees=degrees)
     if check_dual:
         checker = DualBoundChecker(graph, sched, prob.smoothness,
-                                   theta=config.theta, uniform=uniform)
+                                   degrees=degrees, theta=config.theta)
 
     need_history = track_phi or check_dual or record_accum
     history = deque(maxlen=3)
@@ -212,7 +209,7 @@ def run(config: RunConfig, prob: CompositeProblem, graph: Graph,
         first = snapshot()
         history.append(first)
         if record_accum:
-            res0 = residuals(ops, first["xs"], state.ys())
+            res0 = residuals(graph, first["xs"], state.ys())
             accum["err_sq"].append(entry_err_sq(first))
             accum["dx_sq"].append(0.0)
             accum["r_sq"].append(res0.combined ** 2)
@@ -245,7 +242,7 @@ def run(config: RunConfig, prob: CompositeProblem, graph: Graph,
 
         if record_accum:
             prev = history[-1]
-            res_s = residuals(ops, xs, state.ys())
+            res_s = residuals(graph, xs, state.ys())
             accum["err_sq"].append(entry_err_sq(entry))
             dx = xs - prev["xs"]
             accum["dx_sq"].append(float(np.sum(dx * dx)))
@@ -254,7 +251,7 @@ def run(config: RunConfig, prob: CompositeProblem, graph: Graph,
         if s in logset:
             stat = stationarity_measure(prob, xs)
             ys = state.ys() if admm else xs
-            res = residuals(ops, xs, ys)
+            res = residuals(graph, xs, ys)
             err_sq = float("nan")
             phi = float("nan")
             if admm:
@@ -264,9 +261,9 @@ def run(config: RunConfig, prob: CompositeProblem, graph: Graph,
                     err_sq = gradient_error(prob, xs, state.vs())
                 if track_phi and s >= 2 and len(history) >= 1:
                     prev = history[-1]
-                    snap = lyapunov(prob, ops, sched, consts, s, xs, ys,
-                                    entry["lam"], entry["vs"],
-                                    prev["xs"], prev["vs"])
+                    snap = lyapunov(prob, graph, sched, consts, s, xs, ys,
+                                    entry["lam"], prev["xs"], err_sq,
+                                    entry_err_sq(prev))
                     phi = snap.phi
             wall = (perf_counter() - start) * 1000.0
             row = (s, stat.total, stat.prox_gradient_gap, stat.consensus_gap,

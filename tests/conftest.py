@@ -6,7 +6,7 @@ from hsmadmm.problems import make_problem
 
 @pytest.fixture
 def ring4():
-    return build_topology("ring", 4, p=2)
+    return build_topology("ring", 4)
 
 
 @pytest.fixture

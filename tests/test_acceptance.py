@@ -14,9 +14,10 @@ import pytest
 from hsmadmm import checks
 from hsmadmm.config import RunConfig
 from hsmadmm.harness import build_graph, build_problem
-from hsmadmm.hsm_admm import Schedules
+from hsmadmm.hsm_admm import Schedules, step_degrees
 from hsmadmm.metrics import (descent_drift, make_lyapunov_constants,
-                             momentum_recursion_mc_check, rate_fit_averaged)
+                             momentum_recursion_mc_check, rate_fit_averaged,
+                             rounds_to_tolerance)
 from hsmadmm.problems import empirical_sigma_sq
 from hsmadmm.simulator import run
 
@@ -170,7 +171,8 @@ def test_criterion_09_merit_descent():
                      K=K, dataset_seed=5, metric_every=1, track_lyapunov=True)
     g, prob = build_graph(base), build_problem(base)
     sched = Schedules(base.c_rho, base.c_a, base.c_eta)
-    consts = make_lyapunov_constants(g, sched, prob.smoothness)
+    consts = make_lyapunov_constants(g, sched, prob.smoothness,
+                                     degrees=step_degrees(g))
     phis, rsqs, sigs = [], [], []
     for r in range(R):
         cfg = dataclasses.replace(base, seed=100 + r)
@@ -198,13 +200,6 @@ def test_criterion_09_merit_descent():
 
 # -- 10. heterogeneity benefit ------------------------------------------------
 
-def _rounds_to_threshold(trace, tol):
-    ks = trace.column("k")
-    st = trace.column("stat_total")
-    hit = np.where(st <= tol)[0]
-    return int(ks[hit[0]]) if hit.size else None
-
-
 def test_criterion_10_heterogeneity_benefit():
     t0 = time.perf_counter()
     base = RunConfig(topology="hub_leaf", n=16, hubs=1, p=3,
@@ -217,7 +212,7 @@ def test_criterion_10_heterogeneity_benefit():
             cfg = dataclasses.replace(base, algorithm=algo, seed=seed,
                                       dataset_seed=20 + seed)
             trace = run(cfg, build_problem(cfg), build_graph(cfg))
-            hit = _rounds_to_threshold(trace, 1e-3)
+            hit = rounds_to_tolerance(trace, 1e-3)
             assert hit is not None, f"{algo} seed {seed} never reached 1e-3"
             rounds[algo].append(hit)
     hub_ok = all(h <= u for h, u in zip(rounds["hsm_admm"],

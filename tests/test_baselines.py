@@ -10,7 +10,7 @@ from hsmadmm.baselines import (baseline_step, batch_rows, init_dsgd_state,
                                init_gt_state, metropolis_weights,
                                prox_dsgd_round, prox_gt_round)
 from hsmadmm.config import RunConfig
-from hsmadmm.graph import ConstraintOps, Graph, build_topology
+from hsmadmm.graph import Graph, build_topology
 from hsmadmm.harness import build_graph, build_problem
 from hsmadmm.hsm_admm import (Schedules, hsm_admm_round, init_network_state,
                               step_degrees)
@@ -71,13 +71,12 @@ def test_uniform_message_count_matches_hsm(quad_problem, ring4):
     led_u = MessageLedger()
     rngs_u = agent_streams(3, 4)
     state_u = init_network_state(quad_problem, ring4, np.zeros(2), 2, rngs_u)
-    ops = ConstraintOps(ring4)
     uniform = step_degrees(ring4, uniform=True)
     for k in range(10):
-        hsm_admm_round(state_h, quad_problem, ops, Schedules(), k, rngs,
-                       ledger=led_h)
-        hsm_admm_round(state_u, quad_problem, ops, Schedules(), k, rngs_u,
-                       ledger=led_u, degrees=uniform)
+        hsm_admm_round(state_h, quad_problem, ring4, Schedules(), k, rngs,
+                       degrees=step_degrees(ring4), ledger=led_h)
+        hsm_admm_round(state_u, quad_problem, ring4, Schedules(), k, rngs_u,
+                       degrees=uniform, ledger=led_u)
     assert led_h.vector_messages == led_u.vector_messages
 
 
@@ -112,7 +111,7 @@ def test_tracking_invariant(composite_problem):
 
 
 def test_single_node_reduces_to_centralized_prox_sgd():
-    g = Graph(1, (), p=2)
+    g = Graph(1, ())
     prob = make_problem("least_squares", 1, 2, 12, 7, regularizer="l1",
                         l1_weight=0.02)
     W = metropolis_weights(g)
@@ -128,7 +127,7 @@ def test_single_node_reduces_to_centralized_prox_sgd():
 
 
 def test_gt_single_node_runs():
-    g = Graph(1, (), p=2)
+    g = Graph(1, ())
     prob = make_problem("least_squares", 1, 2, 8, 1)
     state = init_gt_state(prob, g, np.zeros(2), None)
     led = MessageLedger()

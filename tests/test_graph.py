@@ -4,10 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hsmadmm.checks import block_vs_dense
-from hsmadmm.graph import (DENSE_LIMIT, ConstraintOps, DenseRequired, Graph,
-                           InvalidParam, NotConnected, build_topology,
-                           incidence_matrix, laplacian, load_edge_list,
-                           save_edge_list, singular_sq_extremes,
+from hsmadmm.graph import (DENSE_LIMIT, DenseRequired, Graph, InvalidParam,
+                           NotConnected, apply_M, apply_Mt, build_topology,
+                           dense_A, incidence_matrix, laplacian, load_edge_list,
+                           residual, save_edge_list, singular_sq_extremes,
                            smallest_singular_sq_A)
 
 
@@ -71,7 +71,7 @@ def test_disconnected_rejected():
 
 
 def test_single_node_graph_allowed():
-    g = Graph(1, (), p=3)
+    g = Graph(1, ())
     assert g.m == 0 and g.degree.tolist() == [0]
 
 
@@ -100,35 +100,33 @@ def test_incidence_product_equals_laplacian(kind, n):
 
 
 def test_apply_A_consensus_point_kills_edge_block():
-    g = build_topology("ring", 5, p=3)
-    ops = ConstraintOps(g)
+    g = build_topology("ring", 5)
     X = np.tile(np.array([1.0, -2.0, 0.5]), (5, 1))
-    out = ops.residual(X, np.zeros_like(X))  # A x
+    out = residual(g, X, np.zeros_like(X))  # A x
     assert np.array_equal(out[: g.m * 3], np.zeros(g.m * 3))
     assert np.array_equal(out[g.m * 3:], X.ravel())
 
 
 def test_apply_A_path_by_hand():
-    ops = ConstraintOps(Graph(2, ((0, 1),), p=1))
+    g = Graph(2, ((0, 1),))
     X = np.array([[3.0], [1.0]])
-    assert np.array_equal(ops.residual(X, np.zeros_like(X)), [2.0, 3.0, 1.0])
+    assert np.array_equal(residual(g, X, np.zeros_like(X)), [2.0, 3.0, 1.0])
 
 
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 500), vec_seed=st.integers(0, 500))
 def test_implicit_matches_dense(seed, vec_seed):
-    g = build_topology("random_connected", 6 + seed % 10, seed=seed, prob=0.4, p=2)
-    assert block_vs_dense(ConstraintOps(g), np.random.default_rng(vec_seed)) <= 1e-12
+    g = build_topology("random_connected", 6 + seed % 10, seed=seed, prob=0.4)
+    assert block_vs_dense(g, 2, np.random.default_rng(vec_seed)) <= 1e-12
 
 
 def test_AtA_is_laplacian_action_plus_identity():
-    g = build_topology("random_connected", 7, seed=3, prob=0.5, p=2)
-    ops = ConstraintOps(g)
+    g = build_topology("random_connected", 7, seed=3, prob=0.5)
     X = np.random.default_rng(0).standard_normal((7, 2))
     want = (np.kron(laplacian(g), np.eye(2)) + np.eye(14)) @ X.ravel()
-    Ax = ops.residual(X, np.zeros_like(X))
-    assert np.allclose(ops.dense_A().T @ Ax, want, atol=1e-12)
-    assert np.allclose((ops.apply_Mt(ops.apply_M(X)) + X).ravel(), want, atol=1e-12)
+    Ax = residual(g, X, np.zeros_like(X))
+    assert np.allclose(dense_A(g, 2).T @ Ax, want, atol=1e-12)
+    assert np.allclose((apply_Mt(g, apply_M(g, X)) + X).ravel(), want, atol=1e-12)
 
 
 @pytest.mark.parametrize("kind,n", [("ring", 8), ("star", 8), ("ring", 2),
@@ -144,19 +142,18 @@ def test_singular_extremes_path():
 
 
 def test_dense_guard():
-    g = build_topology("ring", 100, p=50)
-    ops = ConstraintOps(g)
-    assert ops.dim_in > DENSE_LIMIT
+    g = build_topology("ring", 100)
+    assert g.n * 50 > DENSE_LIMIT
     assert abs(smallest_singular_sq_A(g) - 1.0) <= 1e-10
     with pytest.raises(DenseRequired):
-        ops.dense_A()
+        dense_A(g, 50)
 
 
 def test_edge_list_round_trip(tmp_path):
-    g = build_topology("random_connected", 9, seed=4, prob=0.35, p=2)
+    g = build_topology("random_connected", 9, seed=4, prob=0.35)
     path = tmp_path / "edges.txt"
     save_edge_list(g, path)
-    loaded = load_edge_list(path, n=9, p=2)
+    loaded = load_edge_list(path, n=9)
     assert loaded.edges == g.edges
 
 

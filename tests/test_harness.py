@@ -225,6 +225,17 @@ def test_sweep_layout(tmp_path):
         assert (out / cell / "summary.json").exists()
 
 
+@pytest.mark.parametrize("option", ["--seeds", "--jobs"])
+def test_sweep_rejects_counts_below_one(tmp_path, capsys, option):
+    cfg_path = write_cfg(tmp_path, BASE_CFG.replace("K = 40", "K = 0"))
+    counts = {"--seeds": "1", "--jobs": "1", option: "0"}
+    rc = main(["sweep", "--config", str(cfg_path), "--topologies", "ring",
+               "--algos", "hsm_admm", "--out", str(tmp_path / "sweep"),
+               *(word for pair in counts.items() for word in pair)])
+    assert rc == 2
+    assert f"{option} must be >= 1, got 0" in capsys.readouterr().err
+
+
 def test_plot_command_and_determinism(tmp_path):
     cfg_path = write_cfg(tmp_path)
     out = tmp_path / "run_out"
@@ -285,11 +296,16 @@ def test_from_edge_list_config(tmp_path):
     assert main(["run", "--config", str(path), "--out", str(out)]) == 0
 
 
-def test_verify_command_passes(capsys):
+def test_verify_command_passes(capfd):
     assert main(["verify"]) == 0
-    lines = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("[")]
+    captured = capfd.readouterr()
+    lines = [ln for ln in captured.out.splitlines() if ln.startswith("[")]
     assert len(lines) >= 8
     assert all(ln.startswith("[PASS]") for ln in lines)
+    # warnings are reported on the line of the check that raised them
+    assert "RuntimeWarning" not in captured.err
+    ledger = next(ln for ln in lines if "message ledger counts" in ln)
+    assert "warning(s), first: RuntimeWarning: no grid point certifies" in ledger
 
 
 def test_verify_command_fails_on_a_failing_or_raising_check(capsys, monkeypatch):

@@ -3,11 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hsmadmm.graph import ConstraintOps, Graph, build_topology, incidence_matrix
+from hsmadmm.graph import Graph, build_topology, incidence_matrix
 from hsmadmm.hsm_admm import (NetworkState, Schedules, constants_feasibility,
                               dense_round_reference, hsm_admm_round,
-                              init_network_state, step_duals, step_x, step_y,
-                              warn_if_infeasible)
+                              init_network_state, step_degrees, step_duals,
+                              step_x, step_y, warn_if_infeasible)
 from hsmadmm.problems import (CompositeProblem, full_gradient, make_problem,
                               prox_h)
 from hsmadmm.simulator import MessageLedger, agent_streams
@@ -71,18 +71,18 @@ def test_step_y_large_rho_limit():
 
 def test_step_x_consensus_fixed_point():
     # a triangle in consensus with zero duals and zero gradient stays put
-    g = Graph(3, ((0, 1), (0, 2), (1, 2)), p=2)
+    g = Graph(3, ((0, 1), (0, 2), (1, 2)))
     x = np.tile([1.0, 2.0], (3, 1))
     state = _state(x, np.zeros((3, 2)), np.zeros((3, 2)), np.zeros((3, 2)))
-    out = step_x(state, ConstraintOps(g), x.copy(), rho=3.0, eta=np.full(3, 5.0))
+    out = step_x(state, g, x.copy(), rho=3.0, eta=np.full(3, 5.0))
     assert np.array_equal(out, x)
 
 
 def test_step_x_hand_case():
     # two nodes at zero, unit gradient estimate at node 0, eta = 2
-    g = Graph(2, ((0, 1),), p=1)
+    g = Graph(2, ((0, 1),))
     state = _state([[0.0], [0.0]], [[0.0], [0.0]], [[1.0], [0.0]], [[0.0]])
-    out = step_x(state, ConstraintOps(g), np.zeros((2, 1)), rho=7.0,
+    out = step_x(state, g, np.zeros((2, 1)), rho=7.0,
                  eta=np.array([2.0, 2.0]))
     assert out[0, 0] == pytest.approx(-0.5)
     assert out[1, 0] == 0.0
@@ -90,15 +90,15 @@ def test_step_x_hand_case():
 
 def test_step_x_edge_dual_signs():
     # the edge dual enters the low endpoint negated, the high one as is
-    g = Graph(2, ((0, 1),), p=1)
+    g = Graph(2, ((0, 1),))
     state = _state([[0.0], [0.0]], [[0.0], [0.0]], [[0.0], [0.0]], [[3.0]])
-    out = step_x(state, ConstraintOps(g), np.zeros((2, 1)), rho=1.0,
+    out = step_x(state, g, np.zeros((2, 1)), rho=1.0,
                  eta=np.array([1.0, 2.0]))
     assert np.array_equal(out, [[3.0], [-1.5]])
 
 
 def test_step_duals_zero_residuals():
-    g = Graph(2, ((0, 1),), p=2)
+    g = Graph(2, ((0, 1),))
     prob = CompositeProblem("least_squares", [np.zeros((1, 2))] * 2,
                             [np.zeros(1)] * 2)
     rngs = agent_streams(0, 2)
@@ -106,13 +106,12 @@ def test_step_duals_zero_residuals():
                                full_batch=True)
     # consensus and splitting both hold at the start
     before = state.duals_vector()
-    step_duals(state, ConstraintOps(g), rho=4.0)
+    step_duals(state, g, rho=4.0)
     assert np.array_equal(state.duals_vector(), before)
 
 
 def test_round_matches_dense_reference(composite_problem):
-    g = build_topology("random_connected", 4, seed=3, prob=0.6, p=3)
-    ops = ConstraintOps(g)
+    g = build_topology("random_connected", 4, seed=3, prob=0.6)
     sched = Schedules()
     rngs = agent_streams(5, 4)
     state = init_network_state(composite_problem, g, np.zeros(3), 4, rngs)
@@ -121,8 +120,9 @@ def test_round_matches_dense_reference(composite_problem):
         x, y = state.xs().ravel(), state.ys().ravel()
         lam, v = state.duals_vector(), state.vs().ravel()
         y_ref, x_ref, lam_ref = dense_round_reference(
-            ops, composite_problem, sched, k, x, y, lam, v)
-        hsm_admm_round(state, composite_problem, ops, sched, k, rngs)
+            g, composite_problem, sched, k, x, y, lam, v, degrees=step_degrees(g))
+        hsm_admm_round(state, composite_problem, g, sched, k, rngs,
+                       degrees=step_degrees(g))
         worst = max(worst,
                     float(np.max(np.abs(state.ys().ravel() - y_ref))),
                     float(np.max(np.abs(state.xs().ravel() - x_ref))),
@@ -150,7 +150,7 @@ def test_exact_stationary_point_is_fixed(quad_problem, ring4):
     state.alpha = alpha.reshape(g.m, 2)
     before_x = state.xs()
     before_lam = state.duals_vector()
-    hsm_admm_round(state, prob, ConstraintOps(g), Schedules(), 5, rngs,
+    hsm_admm_round(state, prob, g, Schedules(), 5, rngs, degrees=step_degrees(g),
                    batch_size=0)
     assert np.max(np.abs(state.xs() - before_x)) <= 1e-12
     assert np.max(np.abs(state.ys() - before_x)) <= 1e-12
@@ -158,19 +158,19 @@ def test_exact_stationary_point_is_fixed(quad_problem, ring4):
 
 
 def test_round_message_count(quad_problem):
-    g = build_topology("ring", 4, p=2)
+    g = build_topology("ring", 4)
     rngs = agent_streams(2, 4)
     state = init_network_state(quad_problem, g, np.zeros(2), 2, rngs)
     ledger = MessageLedger()
-    ops = ConstraintOps(g)
     for k in range(20):
-        hsm_admm_round(state, quad_problem, ops, Schedules(), k, rngs, ledger=ledger)
+        hsm_admm_round(state, quad_problem, g, Schedules(), k, rngs,
+                       degrees=step_degrees(g), ledger=ledger)
     assert ledger.vector_messages == 20 * 2 * g.m
     assert ledger.scalars_transmitted == 20 * 2 * g.m * 2
 
 
 def test_single_node_degenerates_to_centralized():
-    g = Graph(1, (), p=2)
+    g = Graph(1, ())
     prob = make_problem("least_squares", 1, 2, 10, 3, regularizer="l1",
                         l1_weight=0.05)
     rngs = agent_streams(4, 1)
@@ -183,15 +183,16 @@ def test_single_node_degenerates_to_centralized():
     y_pred = prox_h(prob, 0, x - beta / rho, 1.0 / rho)
     x_pred = x - (v - beta + rho * (x - y_pred)) / sched.eta(0, 0)
     ledger = MessageLedger()
-    hsm_admm_round(state, prob, ConstraintOps(g), sched, 0, rngs, batch_size=0,
-                   ledger=ledger)
+    hsm_admm_round(state, prob, g, sched, 0, rngs, degrees=step_degrees(g),
+                   batch_size=0, ledger=ledger)
     assert np.allclose(state.y[0], y_pred, atol=1e-15)
     assert np.allclose(state.x[0], x_pred, atol=1e-15)
     assert ledger.vector_messages == 0
 
 
 def test_feasibility_report_and_warning(ring4):
-    report = constants_feasibility(ring4, Schedules(), L=1.0)
+    report = constants_feasibility(ring4, Schedules(), L=1.0,
+                                   degrees=step_degrees(ring4))
     assert report.tried >= 1
     assert {"theta", "c_mu", "c_gamma", "worst"} <= set(report.best)
     if not report.feasible:
@@ -203,14 +204,14 @@ def test_topology_independence_no_divergence(quad_problem):
     # constants fixed once; residuals must trend down on every topology
     sched = Schedules()
     for kind in ("ring", "star", "hub_leaf"):
-        g = build_topology(kind, 4, p=2)
+        g = build_topology(kind, 4)
         rngs = agent_streams(8, 4)
         state = init_network_state(quad_problem, g, np.ones(2), 1, rngs,
                                    full_batch=True)
-        ops = ConstraintOps(g)
         first = None
         for k in range(400):
-            hsm_admm_round(state, quad_problem, ops, sched, k, rngs, batch_size=0)
+            hsm_admm_round(state, quad_problem, g, sched, k, rngs,
+                           degrees=step_degrees(g), batch_size=0)
             if k == 20:
                 first = np.max(np.abs(state.xs()))
         xs = state.xs()
@@ -224,7 +225,9 @@ def test_feasibility_stops_at_first_certified_grid_point():
     # single node with c_eta = c_rho: S = 0, so the step margin is positive
     # and the error margin first turns positive at (0.5, 0.5, 1.0), the
     # third point in grid order
-    report = constants_feasibility(Graph(1, ()), Schedules(100.0, 1.0, 100.0), L=0.1)
+    g = Graph(1, ())
+    report = constants_feasibility(g, Schedules(100.0, 1.0, 100.0), L=0.1,
+                                   degrees=step_degrees(g))
     assert report.feasible and report.tried == 3
     assert (report.best["theta"], report.best["c_mu"], report.best["c_gamma"]) == (0.5, 0.5, 1.0)
     assert report.best["margin_step_matrix"] == pytest.approx(49.6782, rel=1e-12)

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hsmadmm.graph import ConstraintOps, Graph, build_topology
-from hsmadmm.hsm_admm import Schedules, constants_feasibility
+from hsmadmm.graph import Graph, build_topology, dense_AtA, residual
+from hsmadmm.hsm_admm import Schedules, constants_feasibility, step_degrees
 from hsmadmm.metrics import (DualBoundChecker, HistoryUnavailable,
                              InsufficientTrace, LyapunovConstants, MetricsError,
                              accumulation_weighted_sum, augmented_lagrangian,
@@ -57,10 +57,9 @@ def test_stationarity_aggregate_l1_weight():
 
 
 def test_residuals_hand_case():
-    g = Graph(2, ((0, 1),), p=1)
-    ops = ConstraintOps(g)
+    g = Graph(2, ((0, 1),))
     xs = np.array([[3.0], [1.0]])
-    res = residuals(ops, xs, xs)
+    res = residuals(g, xs, xs)
     assert res.consensus == pytest.approx(2.0)
     assert res.splitting == 0.0
     assert res.combined == pytest.approx(2.0)
@@ -69,12 +68,11 @@ def test_residuals_hand_case():
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 400))
 def test_residuals_pythagorean(seed):
-    g = build_topology("random_connected", 5, seed=seed, prob=0.5, p=2)
-    ops = ConstraintOps(g)
+    g = build_topology("random_connected", 5, seed=seed, prob=0.5)
     rng = np.random.default_rng(seed)
     xs = rng.standard_normal((5, 2))
     ys = rng.standard_normal((5, 2))
-    res = residuals(ops, xs, ys)
+    res = residuals(g, xs, ys)
     assert res.combined ** 2 == pytest.approx(res.consensus ** 2 + res.splitting ** 2,
                                               abs=1e-12)
 
@@ -100,9 +98,10 @@ def test_lyapunov_constants_validation():
 
 def test_make_constants_defaults(ring4):
     sched = Schedules()
-    consts = make_lyapunov_constants(ring4, sched, L=1.0)
+    consts = make_lyapunov_constants(ring4, sched, L=1.0,
+                                     degrees=step_degrees(ring4))
     assert consts.c_err == pytest.approx(24.0)
-    S = step_matrix_base(ring4, sched)
+    S = step_matrix_base(ring4, sched, degrees=step_degrees(ring4))
     want = (12.0 * np.max(np.abs(np.linalg.eigvalsh(S))) ** 2 + 24.0) / sched.c_rho
     assert consts.c_beta == pytest.approx(want)
 
@@ -120,11 +119,12 @@ def test_lyapunov_collapses_at_stationary_state(quad_problem, ring4):
     xstar = np.linalg.solve(H, c)
     xs = np.tile(xstar, (4, 1))
     vs = np.array([full_gradient(prob, i, xstar) for i in range(4)])
-    ops = ConstraintOps(g)
     sched = Schedules()
-    consts = make_lyapunov_constants(g, sched, prob.smoothness)
+    consts = make_lyapunov_constants(g, sched, prob.smoothness,
+                                     degrees=step_degrees(g))
     lam = np.zeros((g.m + g.n) * 2)
-    snap = lyapunov(prob, ops, sched, consts, 5, xs, xs, lam, vs, xs, vs)
+    err_sq = gradient_error(prob, xs, vs)
+    snap = lyapunov(prob, g, sched, consts, 5, xs, xs, lam, xs, err_sq, err_sq)
     F = sum(smooth_value(prob, i, xstar) for i in range(4))
     assert snap.phi == pytest.approx(F)
     assert snap.err_term == 0.0 and snap.momentum_term == 0.0
@@ -133,31 +133,32 @@ def test_lyapunov_collapses_at_stationary_state(quad_problem, ring4):
 
 
 def test_lyapunov_needs_history(quad_problem, ring4):
-    ops = ConstraintOps(ring4)
     sched = Schedules()
-    consts = make_lyapunov_constants(ring4, sched, 1.0)
+    consts = make_lyapunov_constants(ring4, sched, 1.0,
+                                     degrees=step_degrees(ring4))
     xs = np.zeros((4, 2))
     vs = np.zeros((4, 2))
+    err_sq = gradient_error(quad_problem, xs, vs)
     with pytest.raises(HistoryUnavailable):
-        lyapunov(quad_problem, ops, sched, consts, 1, xs, xs,
-                 np.zeros((ring4.m + ring4.n) * 2), vs, xs, vs)
+        lyapunov(quad_problem, ring4, sched, consts, 1, xs, xs,
+                 np.zeros((ring4.m + ring4.n) * 2), xs, err_sq, err_sq)
 
 
 def test_augmented_lagrangian_penalty_term(quad_problem, ring4):
-    ops = ConstraintOps(ring4)
     rng = np.random.default_rng(3)
     xs = rng.standard_normal((4, 2))
     ys = rng.standard_normal((4, 2))
     lam = rng.standard_normal((ring4.m + ring4.n) * 2)
-    a1 = augmented_lagrangian(quad_problem, ops, xs, ys, lam, 1.0)
-    a2 = augmented_lagrangian(quad_problem, ops, xs, ys, lam, 3.0)
-    r = ops.residual(xs, ys)
+    a1 = augmented_lagrangian(quad_problem, ring4, xs, ys, lam, 1.0)
+    a2 = augmented_lagrangian(quad_problem, ring4, xs, ys, lam, 3.0)
+    r = residual(ring4, xs, ys)
     assert a2 - a1 == pytest.approx(float(r @ r), rel=1e-12)
 
 
 def test_descent_drift_formula():
     sched = Schedules()
-    consts = make_lyapunov_constants(build_topology("ring", 4), sched, 1.0)
+    g = build_topology("ring", 4)
+    consts = make_lyapunov_constants(g, sched, 1.0, degrees=step_degrees(g))
     k = 10
     want = (0.5 * (sched.rho(k) - sched.rho(k - 1)) * 2.0
             + 2.0 * sched.a(k) ** 2 * 0.7 * consts.c_gamma * (k + 1) ** (1 / 3))
@@ -231,7 +232,8 @@ def test_accumulation_growth_is_at_most_logarithmic():
 
 
 def test_dual_bound_checker_flags_fabricated_violation(ring4):
-    checker = DualBoundChecker(ring4, Schedules(), L=1.0)
+    checker = DualBoundChecker(ring4, Schedules(), L=1.0,
+                               degrees=step_degrees(ring4))
     lam_prev = np.zeros(ring4.m * 2 + 8)
     lam = np.full(ring4.m * 2 + 8, 50.0)   # huge dual jump, no motion
     xs = np.zeros((4, 2))
@@ -249,33 +251,33 @@ def test_dual_bound_checker_flags_fabricated_violation(ring4):
 def test_step_matrix_layer_matches_dense_oracle(kind, n, p, hubs, uniform):
     # every analysis quantity is computed on the n x n matrix S; the dense
     # (np) x (np) matrix S kron I_p is built here only as the oracle
-    g = build_topology(kind, n, p=p, hubs=hubs)
+    g = build_topology(kind, n, hubs=hubs)
     sched = Schedules(c_rho=1.5, c_a=1.0, c_eta=2.5)
     L = 1.3
-    ops = ConstraintOps(g)
     degrees = (np.full(n, g.degree.max()) if uniform else g.degree).astype(float)
     C_eta = np.diag(np.repeat(sched.c_eta * (degrees + 1.0), p))
-    AtA = ops.dense_AtA()
+    AtA = dense_AtA(g, p)
     S_dense = C_eta - sched.c_rho * AtA
     norm_dense = float(np.max(np.abs(np.linalg.eigvalsh(S_dense))))
 
-    S = step_matrix_base(g, sched, uniform=uniform)
+    S = step_matrix_base(g, sched, degrees=step_degrees(g, uniform))
     assert S.shape == (n, n)
     assert np.allclose(np.kron(S, np.eye(p)), S_dense, rtol=0, atol=1e-12)
-    checker = DualBoundChecker(g, sched, L, uniform=uniform)
+    checker = DualBoundChecker(g, sched, L, degrees=step_degrees(g, uniform))
     assert checker.s_base_norm == pytest.approx(norm_dense, rel=1e-12)
 
     for theta in (0.5, 1.0, 2.0):
         inv = 1.0 + 1.0 / theta
         c_beta = (6.0 * inv * norm_dense ** 2 + 12.0 * L * L * inv) / sched.c_rho
-        consts = make_lyapunov_constants(g, sched, L, theta=theta, uniform=uniform)
+        consts = make_lyapunov_constants(g, sched, L, theta=theta,
+                                         degrees=step_degrees(g, uniform))
         assert consts.c_beta == pytest.approx(c_beta, rel=1e-12)
         c_mu, c_gamma = 2.0, 0.5
         Cx = (C_eta - 0.5 * sched.c_rho * AtA
               - (1.5 * (1.0 + theta) / sched.c_rho) * (S_dense @ S_dense)
               - (0.5 * c_mu + 0.5 * c_beta + 0.5 * L + 2.0 * L * L * c_gamma)
               * np.eye(n * p))
-        report = constants_feasibility(g, sched, L, uniform=uniform,
+        report = constants_feasibility(g, sched, L, degrees=step_degrees(g, uniform),
                                        theta_grid=(theta,), c_mu_grid=(c_mu,),
                                        c_gamma_grid=(c_gamma,))
         assert report.best["margin_step_matrix"] == pytest.approx(

@@ -1,9 +1,12 @@
-"""Smoke runs of the experiment scripts at small sizes, in a subprocess as a
-user runs them."""
+"""Smoke runs of the experiment scripts at small sizes, and of the
+benchmark's worker, in a subprocess as a user runs them."""
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -35,3 +38,19 @@ def test_topology_comparison(tmp_path):
     for topo in ("ring", "star", "hub_leaf"):
         for name in PLOTS:
             assert (tmp_path / topo / name).stat().st_size > 0
+
+
+@pytest.mark.parametrize("workload,mode", [("oracle_gt16", "traced"),
+                                           ("rate_ring8", "setup")])
+def test_benchmark_worker(tmp_path, workload, mode):
+    # the traced mode wraps every function the benchmark patches by name, so
+    # a renamed one fails here rather than only in a benchmark run
+    done = subprocess.run([sys.executable, str(ROOT / "perfbench" / "worker.py"),
+                           "--workload", workload, "--seed", "1", "--mode", mode,
+                           "--out", str(tmp_path)],
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert "setup_s" in result
+    if mode == "traced":
+        assert "layers" in result

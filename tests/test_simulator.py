@@ -7,7 +7,7 @@ import pytest
 from hsmadmm.checks import determinism
 from hsmadmm.config import ConfigInvalid, RunConfig
 from hsmadmm.harness import build_graph, build_problem
-from hsmadmm.hsm_admm import Schedules, constants_feasibility
+from hsmadmm.hsm_admm import Schedules, constants_feasibility, step_degrees
 from hsmadmm.simulator import (TRACE_HEADER, MessageLedger, MetricsTrace,
                                NumericalDivergence, metric_rounds,
                                read_trace_csv, run)
@@ -182,8 +182,9 @@ def test_uniform_admm_feasibility_uses_max_degree():
     prob, g = build_problem(cfg), build_graph(cfg)
     sched = Schedules(cfg.c_rho, cfg.c_a, cfg.c_eta)
     report = run(cfg, prob, g).meta["feasibility"]
-    uniform = dataclasses.asdict(constants_feasibility(g, sched, prob.smoothness,
-                                                       uniform=True))
-    local = dataclasses.asdict(constants_feasibility(g, sched, prob.smoothness))
+    uniform = dataclasses.asdict(constants_feasibility(
+        g, sched, prob.smoothness, degrees=step_degrees(g, True)))
+    local = dataclasses.asdict(constants_feasibility(
+        g, sched, prob.smoothness, degrees=step_degrees(g)))
     assert report == uniform
     assert report != local
