@@ -217,13 +217,19 @@ def cmd_run(args) -> int:
 
 
 def _run_cell(payload) -> tuple:
+    """Run one sweep cell; return its name, its summary and the warnings
+    the run raised, as (category, message, filename, lineno), so that a
+    pool worker's warnings can be re-issued in the sweeping process."""
     cell_name, cfg_values, cell_dir = payload
     cfg = RunConfig(**cfg_values)
-    try:
-        summary = run_single(cfg, cell_dir)
-        return cell_name, summary
-    except NumericalDivergence as exc:
-        return cell_name, {"status": "diverged", "round": exc.round_index}
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            summary = run_single(cfg, cell_dir)
+        except NumericalDivergence as exc:
+            summary = {"status": "diverged", "round": exc.round_index}
+    return cell_name, summary, [(w.category, str(w.message), w.filename, w.lineno)
+                                for w in caught]
 
 
 def cmd_sweep(args) -> int:
@@ -248,15 +254,16 @@ def cmd_sweep(args) -> int:
             cfg.validate()
             jobs.append((cell, dataclasses.asdict(cfg), str(out / cell)))
 
-    results = {}
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            for cell, summary in pool.map(_run_cell, jobs):
-                results[cell] = summary
+            outcomes = list(pool.map(_run_cell, jobs))
     else:
-        for payload in jobs:
-            cell, summary = _run_cell(payload)
-            results[cell] = summary
+        outcomes = [_run_cell(payload) for payload in jobs]
+    results = {}
+    for cell, summary, caught in outcomes:
+        results[cell] = summary
+        for category, message, filename, lineno in caught:
+            warnings.warn_explicit(message, category, filename, lineno)
 
     _write_json({"cells": results}, out / "sweep_summary.json")
     bad = [c for c, s in results.items() if s.get("status") != "ok"]

@@ -65,8 +65,9 @@ class CompositeProblem:
     owning rows ``offsets[i]:offsets[i + 1]``. ``features[i]``, the (N_i, p)
     local design matrix of agent i, and ``labels[i]`` are views of those
     rows; construction concatenates whatever per-agent arrays it is given
-    (so ``dataclasses.replace`` rebuilds the stacked arrays too). Every agent
-    needs at least one sample. Immutable after construction; all oracle
+    (so ``dataclasses.replace`` rebuilds the stacked arrays too).
+    ``row_divisors`` holds n * N_i for each of agent i's stacked rows. Every
+    agent needs at least one sample. Immutable after construction; all oracle
     calls are pure functions of their arguments.
     """
 
@@ -80,6 +81,7 @@ class CompositeProblem:
     stacked_features: np.ndarray = field(init=False, repr=False, compare=False)
     stacked_labels: np.ndarray = field(init=False, repr=False, compare=False)
     offsets: np.ndarray = field(init=False, repr=False, compare=False)
+    row_divisors: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in SMOOTH_KINDS:
@@ -96,7 +98,9 @@ class CompositeProblem:
                 raise ProblemError("inconsistent dataset shapes")
             if A.shape[0] == 0:
                 raise ProblemError(f"agent {i} has no samples")
-        self.offsets = np.cumsum([0] + [A.shape[0] for A in self.features])
+        sizes = np.array([A.shape[0] for A in self.features])
+        self.offsets = np.cumsum(np.concatenate([[0], sizes]))
+        self.row_divisors = np.repeat(len(sizes) * sizes, sizes).astype(float)
         self.stacked_features = np.concatenate(self.features, dtype=float)
         self.stacked_labels = np.concatenate(self.labels, dtype=float)
         bounds = list(zip(self.offsets[:-1], self.offsets[1:]))
@@ -200,14 +204,34 @@ def _validate_batch(prob: CompositeProblem, i: int, batch: SampleBatch) -> None:
         raise IndexOutOfRange(f"batch indices outside [0, {N})")
 
 
+def _mean_gradient(prob: CompositeProblem, A: np.ndarray, b: np.ndarray,
+                   x: np.ndarray) -> np.ndarray:
+    """Mean over the sample rows of the per-sample gradients at x, computed
+    in the row buffer A, which the caller has just gathered and which is
+    overwritten. Rows run along axis 0: A is (rows, p), b (rows,) and x
+    (p,), or, stacked over agents, A is (rows, n, p), b (rows, n) and x
+    (n, p). Equal bit for bit to ``_sample_gradients(...).mean(axis=-2)``
+    on the same rows as long as numpy sums each entry over the rows in the
+    same order as there: one after another when p > 1 and A's p axis is
+    contiguous, pairwise when p = 1 and A's rows axis is contiguous."""
+    margins = np.matmul(A.swapaxes(0, -2), x[..., None])[..., 0]
+    w = _loss_weights(prob.kind, margins.T, b)
+    A *= w[..., None]
+    if prob.alpha != 0.0:
+        A += _penalty_gradient(prob, x)
+    g = A.sum(axis=0)
+    g /= A.shape[0]
+    return g
+
+
 def stochastic_gradient(prob: CompositeProblem, i: int, x, batch: SampleBatch) -> np.ndarray:
     """Mean of per-sample gradients over the batch. With the batch covering
     the whole local dataset in order this reproduces ``full_gradient``
     bit for bit."""
     _validate_batch(prob, i, batch)
     idx = batch.indices
-    return _sample_gradients(prob, prob.features[i][idx], prob.labels[i][idx],
-                             np.asarray(x, dtype=float)).mean(axis=0)
+    return _mean_gradient(prob, prob.features[i][idx], prob.labels[i][idx],
+                          np.asarray(x, dtype=float))
 
 
 def batch_gradients(prob: CompositeProblem, X, rows) -> np.ndarray:
@@ -215,9 +239,17 @@ def batch_gradients(prob: CompositeProblem, X, rows) -> np.ndarray:
     sample rows ``rows[i]`` (indices into ``stacked_features``), for an
     (n, p) ``X`` and an (n, b) ``rows``. Row i equals ``stochastic_gradient``
     of agent i on the batch ``rows[i] - offsets[i]`` bit for bit."""
-    return _sample_gradients(prob, prob.stacked_features[rows],
-                             prob.stacked_labels[rows],
-                             np.asarray(X, dtype=float)).mean(axis=1)
+    rows = np.asarray(rows)
+    if prob.p > 1:
+        # gathered round-major, so that A *= w and the sum over each
+        # agent's rows run over contiguous (n, p) slabs
+        A = np.take(prob.stacked_features, rows.T, axis=0)
+    else:
+        # agent-major, so that each agent's rows are summed in the order
+        # of its own oracle
+        A = np.take(prob.stacked_features, rows, axis=0).transpose(1, 0, 2)
+    return _mean_gradient(prob, A, np.take(prob.stacked_labels, rows.T),
+                          np.asarray(X, dtype=float))
 
 
 def full_batch(prob: CompositeProblem, i: int) -> SampleBatch:
@@ -236,8 +268,7 @@ def global_mean_gradient(prob: CompositeProblem, xbar) -> np.ndarray:
     xbar = np.asarray(xbar, dtype=float)
     X = prob.stacked_features
     w = _loss_weights(prob.kind, X @ xbar, prob.stacked_labels)
-    sizes = np.diff(prob.offsets)
-    w /= np.repeat(prob.n * sizes, sizes)
+    w /= prob.row_divisors
     return w @ X + _penalty_gradient(prob, xbar)
 
 
@@ -255,7 +286,12 @@ def h_value(prob: CompositeProblem, i: int, y) -> float:
 
 
 def soft_threshold(v: np.ndarray, t: float) -> np.ndarray:
-    return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
+    """sign(v) * max(|v| - t, 0), in one buffer besides sign(v)."""
+    out = np.abs(v)
+    out -= t
+    np.maximum(out, 0.0, out=out)
+    out *= np.sign(v)
+    return out
 
 
 def prox_h(prob: CompositeProblem, i: int | None, v, c: float) -> np.ndarray:

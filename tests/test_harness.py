@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -223,6 +224,26 @@ def test_sweep_layout(tmp_path):
         assert (out / cell / "replica_000" / "trace.csv").exists()
         assert (out / cell / "replica_001" / "trace.csv").exists()
         assert (out / cell / "summary.json").exists()
+
+
+def test_sweep_jobs_2_reissues_the_workers_warnings(tmp_path):
+    # the default schedule on this config is one no grid point certifies
+    cfg_path = write_cfg(tmp_path, BASE_CFG.replace("K = 40", "K = 5"))
+    counts, summaries = {}, {}
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["sweep", "--config", str(cfg_path), "--topologies",
+                         "ring,star", "--algos", "hsm_admm,uniform_admm",
+                         "--seeds", "2", "--jobs", jobs, "--out", str(out)]) == 0
+        counts[jobs] = sum("no grid point certifies" in str(w.message)
+                           for w in caught)
+        summaries[jobs] = [(out / cell / "summary.json").read_bytes()
+                           for cell in ("ring__hsm_admm", "star__uniform_admm")]
+    assert counts["1"] > 0
+    assert counts["2"] == counts["1"]
+    assert summaries["2"] == summaries["1"]
 
 
 @pytest.mark.parametrize("option", ["--seeds", "--jobs"])

@@ -11,8 +11,9 @@ from hsmadmm.problems import (CompositeProblem, IndexOutOfRange,
                               estimate_smoothness,
                               full_batch, full_gradient, global_mean_gradient,
                               h_value, load_dataset, make_problem,
-                              per_sample_gradients, prox_h, sampled_loss,
-                              save_dataset, smooth_value, stochastic_gradient)
+                              _sample_gradients, per_sample_gradients, prox_h,
+                              sampled_loss, save_dataset, smooth_value,
+                              soft_threshold, stochastic_gradient)
 
 
 def single_sample_problem(a, b, **kw):
@@ -208,6 +209,60 @@ def test_batch_gradients_equal_per_agent_oracle(kind, b):
         want = np.array([stochastic_gradient(prob, i, X[i], SampleBatch(i, local[i]))
                          for i in range(3)])
         assert np.array_equal(batch_gradients(prob, X, rows), want)
+
+
+def _same_bits(got, want):
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["least_squares", "logistic", "nonconvex_robust"])
+@pytest.mark.parametrize("alpha", [0.0, 0.3])
+@pytest.mark.parametrize("b", [1, 3, 32])
+@pytest.mark.parametrize("p", [1, 4])
+def test_in_place_kernel_equals_per_sample_mean(kind, alpha, b, p):
+    # both oracles overwrite a freshly gathered row buffer; each must equal
+    # the mean of the per-sample gradients bit for bit (signed zeros too)
+    # and leave the stacked samples as they were
+    rng = np.random.default_rng(31)
+    sizes = (3, 7, 1, 40)
+    feats = [rng.standard_normal((N, p)) * np.exp(rng.standard_normal((N, p)))
+             for N in sizes]
+    feats[1][:, 0] = 0.0
+    labs = [np.sign(rng.standard_normal(N)) if kind == "logistic"
+            else rng.standard_normal(N) for N in sizes]
+    prob = CompositeProblem(kind, feats, labs, alpha=alpha)
+    F, L = prob.stacked_features.copy(), prob.stacked_labels.copy()
+    for _ in range(3):
+        X = 3.0 * rng.standard_normal((4, p))
+        rows = np.array([rng.integers(0, N, size=b) for N in sizes]) + prob.offsets[:-1, None]
+        want = _sample_gradients(prob, F[rows], L[rows], X).mean(axis=-2)
+        got = batch_gradients(prob, X, rows)
+        assert np.array_equal(got, want) and _same_bits(got, want)
+        for i in range(4):
+            local = rows[i] - prob.offsets[i]
+            want_i = _sample_gradients(prob, F[rows[i]], L[rows[i]], X[i]).mean(axis=-2)
+            got_i = stochastic_gradient(prob, i, X[i], SampleBatch(i, local))
+            assert np.array_equal(got_i, want_i) and _same_bits(got_i, want_i)
+            assert _same_bits(got_i, got[i])
+            full = per_sample_gradients(prob, i, X[i]).mean(axis=0)
+            assert _same_bits(full_gradient(prob, i, X[i]), full)
+    assert np.array_equal(prob.stacked_features, F)
+    assert np.array_equal(prob.stacked_labels, L)
+
+
+def test_soft_threshold_and_prox_equal_the_formula_bit_for_bit():
+    t = 0.25
+    v = np.array([0.0, -0.0, t, -t, np.nextafter(t, 1), -np.nextafter(t, 1),
+                  0.1, -0.1, 3.0, -3.0, 1e300, -1e300, 1e-300, -1e-300])
+    formula = np.sign(v) * np.maximum(np.abs(v) - t, 0)
+    for got in (soft_threshold(v, t), soft_threshold(v.reshape(2, 7), t).ravel()):
+        assert np.array_equal(got, formula) and _same_bits(got, formula)
+    prob = make_problem("least_squares", 2, 7, 3, 0, regularizer="l1", l1_weight=0.5)
+    V = v.reshape(2, 7)
+    for got, want in ((prox_h(prob, None, V, 0.5), formula.reshape(2, 7)),
+                      (prox_h(prob, 1, V[1], 0.5), formula[7:])):
+        assert np.array_equal(got, want) and _same_bits(got, want)
+    assert np.signbit(v[1])  # the input is left as it was
 
 
 def _assert_stacked_views(prob, sizes):

@@ -1,5 +1,6 @@
 """Smoke runs of the experiment scripts at small sizes, and of the
 benchmark's worker, in a subprocess as a user runs them."""
+import importlib.util
 import json
 import os
 import subprocess
@@ -7,6 +8,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from hsmadmm.config import RunConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -54,3 +57,22 @@ def test_benchmark_worker(tmp_path, workload, mode):
     assert "setup_s" in result
     if mode == "traced":
         assert "layers" in result
+
+
+
+def load_workloads():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("name", ["rate_ring8", "scale_hub256", "analysis_n32p64",
+                                  "oracle_gt16"])
+def test_benchmark_workload_configs_are_valid(name):
+    # every key the benchmark passes must still be a valid RunConfig field
+    workloads = load_workloads()
+    assert len(workloads.WORKLOADS) == 4
+    RunConfig(**workloads.run_config(workloads.WORKLOADS[name], 1)).validate()
