@@ -21,7 +21,9 @@ import numpy as np
 
 from .graph import Graph
 from .problems import (CompositeProblem, batch_gradients, draw_batch,
-                       full_batch, prox_h, stochastic_gradient)
+                       full_gradient, prox_h)
+# not called here; perfbench/tracer.py wraps this module attribute by name
+from .problems import stochastic_gradient  # noqa: F401
 
 
 def metropolis_weights(graph: Graph) -> np.ndarray:
@@ -67,7 +69,7 @@ def batch_rows(prob: CompositeProblem, rngs, batch_size: int, rounds: int):
     for first in range(0, rounds, per_block):
         B = min(per_block, rounds - first)
         block = np.stack([draw_batch(prob, i, rngs[i], B * batch_size)
-                          .indices.reshape(B, batch_size)
+                          .reshape(B, batch_size)
                           for i in range(prob.n)], axis=1)
         yield from block + starts
 
@@ -76,8 +78,7 @@ def _local_gradients(prob, xs, rows):
     """Row i: agent i's gradient at xs[i] over its batch ``rows[i]`` of
     stacked sample rows, or over its full local data when ``rows`` is None."""
     if rows is None:
-        return np.array([stochastic_gradient(prob, i, xs[i], full_batch(prob, i))
-                         for i in range(prob.n)])
+        return np.array([full_gradient(prob, i, xs[i]) for i in range(prob.n)])
     return batch_gradients(prob, xs, rows)
 
 

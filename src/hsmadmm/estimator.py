@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .problems import (CompositeProblem, draw_batch, full_batch,
-                       full_gradient, stochastic_gradient)
+from .problems import (CompositeProblem, draw_batch, full_gradient,
+                       stochastic_gradient)
 
 
 class EstimatorError(Exception):
@@ -63,9 +63,10 @@ def update_momentum(v, last_x, prob: CompositeProblem, x_new, a: float, rngs,
     g_old = np.empty_like(v)
     for i in range(prob.n):
         if batch_size == 0:
-            batch = full_batch(prob, i)
+            g_new[i] = full_gradient(prob, i, x_new[i])
+            g_old[i] = full_gradient(prob, i, last_x[i])
         else:
             batch = draw_batch(prob, i, rngs[i], batch_size)
-        g_new[i] = stochastic_gradient(prob, i, x_new[i], batch)
-        g_old[i] = stochastic_gradient(prob, i, last_x[i], batch)
+            g_new[i] = stochastic_gradient(prob, i, x_new[i], batch)
+            g_old[i] = stochastic_gradient(prob, i, last_x[i], batch)
     return g_new + (1.0 - a) * (v - g_old)

@@ -32,28 +32,11 @@ class ProblemError(Exception):
 
 
 class IndexOutOfRange(ProblemError):
-    """A batch referenced samples outside the local dataset."""
+    """An agent index outside [0, n), or a batch size below one."""
 
 
 class NonPositiveScale(ProblemError):
     """The proximal scale must be strictly positive."""
-
-
-@dataclass
-class SampleBatch:
-    """Indices into one agent's local dataset (uniform with replacement)."""
-
-    agent: int
-    indices: np.ndarray
-
-    def __post_init__(self):
-        self.indices = np.asarray(self.indices, dtype=np.int64)
-        if self.indices.ndim != 1 or self.indices.size < 1:
-            raise IndexOutOfRange("batch must hold at least one sample index")
-
-    @property
-    def size(self) -> int:
-        return int(self.indices.size)
 
 
 @dataclass
@@ -188,20 +171,13 @@ def per_sample_gradients(prob: CompositeProblem, i: int, x) -> np.ndarray:
                              np.asarray(x, dtype=float))
 
 
-def sampled_loss(prob: CompositeProblem, i: int, x, batch: SampleBatch) -> float:
-    """Mean loss over the batch (the quantity whose gradient the stochastic
-    oracle returns; used by the finite-difference check)."""
-    _validate_batch(prob, i, batch)
-    return float(np.mean(per_sample_losses(prob, i, x)[batch.indices]))
-
-
-def _validate_batch(prob: CompositeProblem, i: int, batch: SampleBatch) -> None:
-    _check_agent(prob, i)
-    if batch.agent != i:
-        raise IndexOutOfRange(f"batch belongs to agent {batch.agent}, not {i}")
-    N = prob.local_size(i)
-    if batch.indices.min() < 0 or batch.indices.max() >= N:
-        raise IndexOutOfRange(f"batch indices outside [0, {N})")
+def sampled_loss(prob: CompositeProblem, i: int, x, idx: np.ndarray) -> float:
+    """Mean loss over the sample indices ``idx`` of agent i (the quantity
+    whose gradient the stochastic oracle returns; used by the
+    finite-difference check). ``idx`` comes from ``draw_batch(prob, i, ...)``
+    and is not re-checked; another agent's indices give an undefined
+    result."""
+    return float(np.mean(per_sample_losses(prob, i, x)[idx]))
 
 
 def _mean_gradient(prob: CompositeProblem, A: np.ndarray, b: np.ndarray,
@@ -224,12 +200,13 @@ def _mean_gradient(prob: CompositeProblem, A: np.ndarray, b: np.ndarray,
     return g
 
 
-def stochastic_gradient(prob: CompositeProblem, i: int, x, batch: SampleBatch) -> np.ndarray:
-    """Mean of per-sample gradients over the batch. With the batch covering
-    the whole local dataset in order this reproduces ``full_gradient``
-    bit for bit."""
-    _validate_batch(prob, i, batch)
-    idx = batch.indices
+def stochastic_gradient(prob: CompositeProblem, i: int, x, idx: np.ndarray) -> np.ndarray:
+    """Mean of agent i's per-sample gradients at x over the sample indices
+    ``idx``. The agent is checked; ``idx`` comes from
+    ``draw_batch(prob, i, ...)`` and is not re-checked, so another agent's
+    indices give an undefined result. With every index of agent i in order
+    this reproduces ``full_gradient`` bit for bit."""
+    _check_agent(prob, i)
     return _mean_gradient(prob, prob.features[i][idx], prob.labels[i][idx],
                           np.asarray(x, dtype=float))
 
@@ -238,7 +215,7 @@ def batch_gradients(prob: CompositeProblem, X, rows) -> np.ndarray:
     """Row i: agent i's mean per-sample gradient at X[i] over the stacked
     sample rows ``rows[i]`` (indices into ``stacked_features``), for an
     (n, p) ``X`` and an (n, b) ``rows``. Row i equals ``stochastic_gradient``
-    of agent i on the batch ``rows[i] - offsets[i]`` bit for bit."""
+    of agent i on the indices ``rows[i] - offsets[i]`` bit for bit."""
     rows = np.asarray(rows)
     if prob.p > 1:
         # gathered round-major, so that A *= w and the sum over each
@@ -252,13 +229,13 @@ def batch_gradients(prob: CompositeProblem, X, rows) -> np.ndarray:
                           np.asarray(X, dtype=float))
 
 
-def full_batch(prob: CompositeProblem, i: int) -> SampleBatch:
-    return SampleBatch(i, np.arange(prob.local_size(i)))
-
-
 def full_gradient(prob: CompositeProblem, i: int, x) -> np.ndarray:
-    """Exact local gradient: the empirical expectation of the stochastic one."""
-    return stochastic_gradient(prob, i, x, full_batch(prob, i))
+    """Exact local gradient: the empirical expectation of the stochastic one,
+    computed in a copy of agent i's rows (the values and C layout that
+    gathering every index in order gives, so the bits are the same)."""
+    _check_agent(prob, i)
+    return _mean_gradient(prob, prob.features[i].copy(), prob.labels[i],
+                          np.asarray(x, dtype=float))
 
 
 def global_mean_gradient(prob: CompositeProblem, xbar) -> np.ndarray:
@@ -339,12 +316,14 @@ def empirical_sigma_sq(prob: CompositeProblem, xs) -> float:
     return total
 
 
-def draw_batch(prob: CompositeProblem, i: int, rng, size: int) -> SampleBatch:
-    """Uniform-with-replacement batch from agent i's local dataset."""
+def draw_batch(prob: CompositeProblem, i: int, rng, size: int) -> np.ndarray:
+    """Uniform-with-replacement batch from agent i's local dataset: an int64
+    array of ``size`` sample indices in [0, N_i). The agent and the size are
+    checked here, once; the oracles take the array as it is."""
     _check_agent(prob, i)
     if size < 1:
         raise IndexOutOfRange(f"batch size must be >= 1, got {size}")
-    return SampleBatch(i, rng.integers(0, prob.local_size(i), size=size))
+    return rng.integers(0, prob.local_size(i), size=size)
 
 
 def make_problem(kind: str, n: int, p: int, samples_per_agent: int, seed: int, *,
@@ -398,7 +377,7 @@ def load_dataset(csv_path, manifest_path, *, kind: str,
                  alpha: float = 0.0) -> CompositeProblem:
     """Rebuild a problem from the CSV + manifest pair written by
     ``save_dataset``; loss configuration is supplied by the caller. Every
-    value must be finite."""
+    value must be finite, and logistic labels must be -1 or +1."""
     with open(manifest_path, "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
     if not isinstance(manifest, dict):
@@ -418,6 +397,11 @@ def load_dataset(csv_path, manifest_path, *, kind: str,
                            "is not a finite number")
     if rows.shape[1] != p + 1:
         raise ProblemError(f"CSV has {rows.shape[1]} columns, manifest says p={p}")
+    if kind == "logistic":
+        bad = np.flatnonzero(np.abs(rows[:, p]) != 1.0)
+        if bad.size:
+            raise ProblemError(f"CSV row {bad[0] + 1} has logistic label "
+                               f"{rows[bad[0], p]:g}, not -1 or +1")
     ranges = manifest["ranges"]
     if not (isinstance(ranges, list) and len(ranges) == n):
         raise ProblemError(f"manifest ranges must be a list of n={n} pairs")

@@ -14,8 +14,7 @@ from hsmadmm.graph import Graph, build_topology
 from hsmadmm.harness import build_graph, build_problem
 from hsmadmm.hsm_admm import (Schedules, hsm_admm_round, init_network_state,
                               step_degrees)
-from hsmadmm.problems import (draw_batch, full_batch, make_problem, prox_h,
-                              stochastic_gradient)
+from hsmadmm.problems import draw_batch, full_gradient, make_problem, prox_h
 from hsmadmm.simulator import MessageLedger, agent_streams, run
 
 
@@ -121,7 +120,7 @@ def test_single_node_reduces_to_centralized_prox_sgd():
     prox_dsgd_round(state, prob, g, W, 0, None, step_scale=0.2)
     # centralized prediction with the same (deterministic) gradient
     gamma = baseline_step(0.2, 0)
-    g0 = stochastic_gradient(prob, 0, np.array([1.0, -2.0]), full_batch(prob, 0))
+    g0 = full_gradient(prob, 0, np.array([1.0, -2.0]))
     want = prox_h(prob, 0, np.array([1.0, -2.0]) - gamma * g0, gamma)
     assert np.allclose(state.x[0], want, atol=1e-15)
 
@@ -156,7 +155,7 @@ def test_batch_rows_match_per_round_draws_across_blocks():
     assert len(rows) == rounds
     ref = agent_streams(6, 16)
     for got in rows:
-        want = [draw_batch(prob, i, ref[i], 32).indices + prob.offsets[i]
+        want = [draw_batch(prob, i, ref[i], 32) + prob.offsets[i]
                 for i in range(16)]
         assert np.array_equal(got, want)
     assert list(batch_rows(prob, agent_streams(6, 16), 0, 3)) == [None] * 3

@@ -163,6 +163,27 @@ def test_non_finite_dataset_exits_2(tmp_path, capsys):
     assert "row 6, column 1 is not a finite number" in capsys.readouterr().err
 
 
+def test_logistic_labels_outside_plus_minus_one_exit_2(tmp_path, capsys):
+    # 0/1 labels would silently change the logistic objective
+    prob = make_problem("logistic", 2, 3, 4, 0)
+    csv, manifest = tmp_path / "data.csv", tmp_path / "manifest.json"
+    save_dataset(prob, csv, manifest)
+    rows = [r.split(",") for r in csv.read_text().splitlines()]
+    for r in rows:
+        r[-1] = "0" if float(r[-1]) < 0 else "1"
+    csv.write_text("\n".join(",".join(r) for r in rows) + "\n")
+    first_bad = next(k for k, r in enumerate(rows) if r[-1] == "0") + 1
+    body = (f"n = 2\np = 3\nK = 5\nproblem = logistic\ntrack_lyapunov = false\n"
+            f"dataset_csv = {csv}\ndataset_manifest = {manifest}\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(write_cfg(tmp_path, body)), "--out", str(out)]) == 2
+    assert (f"row {first_bad} has logistic label 0, not -1 or +1"
+            in capsys.readouterr().err)
+    # the same file is a valid least-squares dataset
+    ls_cfg = write_cfg(tmp_path, body.replace("= logistic", "= least_squares"))
+    assert main(["run", "--config", str(ls_cfg), "--out", str(tmp_path / "ls")]) == 0
+
+
 @pytest.mark.parametrize("manifest, message", [
     ({"n": 2, "p": 3}, "manifest has no 'ranges' key"),
     ([[0, 4], [4, 8]], "manifest is a JSON list"),

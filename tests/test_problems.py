@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hsmadmm.problems import (CompositeProblem, IndexOutOfRange,
-                              NonPositiveScale, ProblemError, SampleBatch,
+                              NonPositiveScale, ProblemError,
                               batch_gradients, draw_batch, empirical_sigma_sq,
                               estimate_smoothness,
-                              full_batch, full_gradient, global_mean_gradient,
+                              full_gradient, global_mean_gradient,
                               h_value, load_dataset, make_problem,
                               _sample_gradients, per_sample_gradients, prox_h,
                               sampled_loss, save_dataset, smooth_value,
@@ -25,7 +25,7 @@ def test_least_squares_single_sample_gradient():
     prob = single_sample_problem([1.0, 2.0], 1.0)
     x = np.array([0.5, -1.0])
     want = np.array([1.0, 2.0]) * (np.dot([1.0, 2.0], x) - 1.0)
-    got = stochastic_gradient(prob, 0, x, SampleBatch(0, [0]))
+    got = stochastic_gradient(prob, 0, x, np.array([0]))
     assert np.allclose(got, want, atol=1e-15)
 
 
@@ -34,7 +34,7 @@ def test_full_batch_equals_full_gradient_exactly():
         prob = make_problem(kind, 3, 4, 12, 5, alpha=0.2)
         x = np.random.default_rng(1).standard_normal(4)
         for i in range(3):
-            got = stochastic_gradient(prob, i, x, full_batch(prob, i))
+            got = stochastic_gradient(prob, i, x, np.arange(prob.local_size(i)))
             assert np.array_equal(got, full_gradient(prob, i, x))
 
 
@@ -68,7 +68,7 @@ def test_batch_gradient_is_indexed_per_sample_mean(kind):
         x = 2.0 * rng.standard_normal(6)
         batch = draw_batch(prob, 1, rng, int(rng.integers(1, 33)))
         got = stochastic_gradient(prob, 1, x, batch)
-        want = per_sample_gradients(prob, 1, x)[batch.indices].mean(axis=0)
+        want = per_sample_gradients(prob, 1, x)[batch].mean(axis=0)
         assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
 
 
@@ -206,7 +206,7 @@ def test_batch_gradients_equal_per_agent_oracle(kind, b):
         X = rng.standard_normal((3, 4))
         local = [rng.integers(0, N, size=b) for N in sizes]
         rows = np.array(local) + prob.offsets[:-1, None]
-        want = np.array([stochastic_gradient(prob, i, X[i], SampleBatch(i, local[i]))
+        want = np.array([stochastic_gradient(prob, i, X[i], local[i])
                          for i in range(3)])
         assert np.array_equal(batch_gradients(prob, X, rows), want)
 
@@ -241,7 +241,7 @@ def test_in_place_kernel_equals_per_sample_mean(kind, alpha, b, p):
         for i in range(4):
             local = rows[i] - prob.offsets[i]
             want_i = _sample_gradients(prob, F[rows[i]], L[rows[i]], X[i]).mean(axis=-2)
-            got_i = stochastic_gradient(prob, i, X[i], SampleBatch(i, local))
+            got_i = stochastic_gradient(prob, i, X[i], local)
             assert np.array_equal(got_i, want_i) and _same_bits(got_i, want_i)
             assert _same_bits(got_i, got[i])
             full = per_sample_gradients(prob, i, X[i]).mean(axis=0)
@@ -337,13 +337,20 @@ def test_dataset_round_trip(tmp_path):
 
 
 def test_batch_validation_errors():
+    # draw_batch is the one place a batch is checked; the oracle checks the
+    # agent and takes the index array as it is
     prob = make_problem("least_squares", 2, 2, 5, 0)
-    with pytest.raises(IndexOutOfRange):
-        stochastic_gradient(prob, 0, np.zeros(2), SampleBatch(1, [0]))
-    with pytest.raises(IndexOutOfRange):
-        stochastic_gradient(prob, 0, np.zeros(2), SampleBatch(0, [5]))
-    with pytest.raises(IndexOutOfRange):
-        SampleBatch(0, [])
+    rng = np.random.default_rng(0)
+    with pytest.raises(IndexOutOfRange, match="batch size must be >= 1, got 0"):
+        draw_batch(prob, 0, rng, 0)
+    for agent in (-1, 2):
+        with pytest.raises(IndexOutOfRange, match=f"agent {agent} out of range"):
+            draw_batch(prob, agent, rng, 1)
+        with pytest.raises(IndexOutOfRange, match=f"agent {agent} out of range"):
+            stochastic_gradient(prob, agent, np.zeros(2), np.array([0]))
+    idx = draw_batch(prob, 1, rng, 7)
+    assert idx.dtype == np.int64 and idx.shape == (7,)
+    assert idx.min() >= 0 and idx.max() < prob.local_size(1)
 
 
 def test_empirical_sigma_zero_for_identical_samples():

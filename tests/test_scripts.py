@@ -76,3 +76,15 @@ def test_benchmark_workload_configs_are_valid(name):
     workloads = load_workloads()
     assert len(workloads.WORKLOADS) == 4
     RunConfig(**workloads.run_config(workloads.WORKLOADS[name], 1)).validate()
+
+
+def test_trace_digests_are_reproducible():
+    spec = importlib.util.spec_from_file_location(
+        "trace_digests", ROOT / "scripts" / "trace_digests.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    first = module.digests(K=4)
+    assert module.digests(K=4) == first
+    assert [line.split()[:2] for line in first] == \
+        [[name, f"seed={seed}"] for name in module.configs() for seed in module.SEEDS]
+    assert len({line.split()[2] for line in first}) == len(first)
