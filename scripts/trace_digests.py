@@ -9,7 +9,8 @@ without the wall_ms column (every replica's, in path order) and the SHA-256
 of its summary.json. The set holds the four benchmark workloads' configs,
 read from perfbench/workloads.py, and a run of each algorithm and batch mode
 they leave out. Run it in two checkouts and diff the outputs; digests depend
-on the numpy and BLAS build.
+on the numpy and BLAS build (``build()``). tests/trace_digests.txt holds the
+committed digests and the build they were made on.
 
 Usage: python scripts/trace_digests.py
 """
@@ -58,6 +59,13 @@ def configs() -> dict:
                         if k not in ("K", "workers", "plots")}
                  for name, w in module.WORKLOADS.items()}
     return {**workloads, **EXTRA}
+
+
+def build() -> dict:
+    """The numpy version and BLAS library that the digests depend on."""
+    import numpy as np
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"numpy": np.__version__, "blas": f"{blas['name']} {blas['version']}"}
 
 
 def _sha(data: bytes) -> str:

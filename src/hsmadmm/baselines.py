@@ -8,9 +8,10 @@ rounds are minimal faithful representatives of the mixing-matrix family
 used for communication accounting: one transmits a single vector per
 directed neighbor per round, the other two (iterate plus tracker). Mixing
 is one product W @ X of the n x n weights with the stacked (n, p) iterates,
-and a round's local gradients are one stacked oracle call over the round's
-(n, b) batch rows, which ``batch_rows`` draws from every agent's own stream
-in blocks of many rounds.
+and a round's local gradients are one stacked ``batch_gradients`` call over
+the round's (n, b) batch rows, which ``batch_rows`` draws from every agent's
+own stream in blocks of many rounds, or over every agent's full local data
+at batch size 0.
 """
 from __future__ import annotations
 
@@ -20,8 +21,7 @@ from itertools import repeat
 import numpy as np
 
 from .graph import Graph
-from .problems import (CompositeProblem, batch_gradients, draw_batch,
-                       full_gradient, prox_h)
+from .problems import CompositeProblem, batch_gradients, draw_batch, prox_h
 # not called here; perfbench/tracer.py wraps this module attribute by name
 from .problems import stochastic_gradient  # noqa: F401
 
@@ -74,14 +74,6 @@ def batch_rows(prob: CompositeProblem, rngs, batch_size: int, rounds: int):
         yield from block + starts
 
 
-def _local_gradients(prob, xs, rows):
-    """Row i: agent i's gradient at xs[i] over its batch ``rows[i]`` of
-    stacked sample rows, or over its full local data when ``rows`` is None."""
-    if rows is None:
-        return np.array([full_gradient(prob, i, xs[i]) for i in range(prob.n)])
-    return batch_gradients(prob, xs, rows)
-
-
 @dataclass
 class ProxDsgdState:
     """Iterates only, shape (n, p); gradients are drawn per round."""
@@ -103,7 +95,7 @@ def prox_dsgd_round(state: ProxDsgdState, prob: CompositeProblem, graph: Graph,
     (see ``batch_rows``; None for exact gradients), prox. One vector per
     directed neighbor pair crosses the network per round."""
     gamma = baseline_step(step_scale, k)
-    grads = _local_gradients(prob, state.x, rows)
+    grads = batch_gradients(prob, state.x, rows)
     state.x = prox_h(prob, None, W @ state.x - gamma * grads, gamma)
     if ledger is not None:
         ledger.record(2 * graph.m, prob.p)
@@ -132,7 +124,7 @@ def init_gt_state(prob: CompositeProblem, graph: Graph, x0, rows) -> ProxGtState
     (None for exact gradients), which plants the telescoping identity
     sum_i s_i = sum_i g_i."""
     x = np.tile(np.asarray(x0, dtype=float), (graph.n, 1))
-    g0 = _local_gradients(prob, x, rows)
+    g0 = batch_gradients(prob, x, rows)
     return ProxGtState(x, g0.copy(), g0)
 
 
@@ -145,7 +137,7 @@ def prox_gt_round(state: ProxGtState, prob: CompositeProblem, graph: Graph,
     neighbor pair per round."""
     gamma = baseline_step(step_scale, k)
     x = prox_h(prob, None, W @ state.x - gamma * state.s, gamma)
-    grads = _local_gradients(prob, x, rows)
+    grads = batch_gradients(prob, x, rows)
     state.s = W @ state.s + grads - state.g
     state.x, state.g = x, grads
     if ledger is not None:

@@ -8,13 +8,14 @@ Row i of the estimate after a step to ``x_new`` with momentum parameter
 where both gradients are evaluated on the *same* batch, freshly drawn from
 agent i's own stream; reusing the batch is what cancels the variance of the
 correction term. ``a = 1`` discards the history and falls back to a plain
-stochastic gradient.
+stochastic gradient. With batch size 0 both gradients are exact, each one
+stacked ``batch_gradients`` call over every agent's full local data.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .problems import (CompositeProblem, draw_batch, full_gradient,
+from .problems import (CompositeProblem, batch_gradients, draw_batch,
                        stochastic_gradient)
 
 
@@ -40,7 +41,7 @@ def init_momentum(prob: CompositeProblem, x0, m0: int, rngs,
     """
     x0 = np.asarray(x0, dtype=float)
     if full:
-        return np.array([full_gradient(prob, i, x0[i]) for i in range(prob.n)])
+        return batch_gradients(prob, x0, None)
     if m0 < 1:
         raise InvalidBatch(f"initialization batch size must be >= 1, got {m0}")
     return np.array([stochastic_gradient(prob, i, x0[i], draw_batch(prob, i, rngs[i], m0))
@@ -59,13 +60,13 @@ def update_momentum(v, last_x, prob: CompositeProblem, x_new, a: float, rngs,
     """
     if not (0.0 < a <= 1.0):
         raise MomentumOutOfRange(f"momentum parameter must be in (0, 1], got {a}")
-    g_new = np.empty_like(v)
-    g_old = np.empty_like(v)
-    for i in range(prob.n):
-        if batch_size == 0:
-            g_new[i] = full_gradient(prob, i, x_new[i])
-            g_old[i] = full_gradient(prob, i, last_x[i])
-        else:
+    if batch_size == 0:
+        g_new = batch_gradients(prob, x_new, None)
+        g_old = batch_gradients(prob, last_x, None)
+    else:
+        g_new = np.empty_like(v)
+        g_old = np.empty_like(v)
+        for i in range(prob.n):
             batch = draw_batch(prob, i, rngs[i], batch_size)
             g_new[i] = stochastic_gradient(prob, i, x_new[i], batch)
             g_old[i] = stochastic_gradient(prob, i, last_x[i], batch)

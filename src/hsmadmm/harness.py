@@ -241,6 +241,10 @@ def cmd_sweep(args) -> int:
     algos = [a.strip() for a in args.algos.split(",") if a.strip()]
     if not topologies or not algos:
         raise ConfigInvalid("sweep needs at least one topology and one algorithm")
+    for option, names in (("--topologies", topologies), ("--algos", algos)):
+        repeated = sorted({name for name in names if names.count(name) > 1})
+        if repeated:
+            raise ConfigInvalid(f"{option} names {', '.join(repeated)} more than once")
     out = Path(args.out if args.out else base.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -274,13 +278,18 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_plot(args) -> int:
-    labels = [s.strip() for s in args.labels.split(",")] if args.labels else None
     paths = args.traces
-    if labels and len(labels) != len(paths):
+    labels = ([s.strip() for s in args.labels.split(",")] if args.labels
+              else [Path(path).stem for path in paths])
+    if len(labels) != len(paths):
         raise ConfigInvalid("need exactly one label per trace")
+    for j, label in enumerate(labels):
+        first = labels.index(label)
+        if first != j:
+            raise ConfigInvalid(f"label {label!r} names both {paths[first]} "
+                                f"and {paths[j]}")
     traces = {}
-    for idx, path in enumerate(paths):
-        label = labels[idx] if labels else Path(path).stem
+    for label, path in zip(labels, paths):
         try:
             traces[label] = read_trace_csv(path)
         except (OSError, ValueError) as exc:

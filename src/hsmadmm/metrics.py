@@ -21,7 +21,7 @@ from .graph import Graph, residual
 from .hsm_admm import Schedules, lower_c_beta, step_matrix_base
 from .problems import (CompositeProblem, empirical_sigma_sq, full_gradient,
                        global_mean_gradient, h_value, per_sample_gradients,
-                       smooth_value, soft_threshold)
+                       smooth_values, soft_threshold)
 
 
 class MetricsError(Exception):
@@ -141,7 +141,7 @@ def augmented_lagrangian(prob: CompositeProblem, graph: Graph,
     """F(x) + H(y) - <lam, Ax + By> + rho/2 ||Ax + By||^2."""
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
-    F = sum(smooth_value(prob, i, xs[i]) for i in range(prob.n))
+    F = sum(smooth_values(prob, xs).tolist())
     H = sum(h_value(prob, i, ys[i]) for i in range(prob.n))
     r = residual(graph, xs, ys)
     return float(F + H - lam @ r + 0.5 * rho * float(r @ r))

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -101,6 +102,17 @@ class CompositeProblem:
     def local_size(self, i: int) -> int:
         return int(self.features[i].shape[0])
 
+    @cached_property
+    def size_groups(self) -> list:
+        """One (agents, rows) pair per distinct local size N: row j of the
+        (len(agents), N) ``rows`` holds every stacked row of agent
+        ``agents[j]``. The one place that tells equal local sizes (one pair)
+        from a ragged dataset."""
+        sizes = np.diff(self.offsets)
+        return [(agents, self.offsets[agents, None] + np.arange(N))
+                for N in np.unique(sizes)
+                for agents in [np.flatnonzero(sizes == N)]]
+
     @property
     def smoothness(self) -> float:
         if self._L is None:
@@ -113,11 +125,12 @@ def _check_agent(prob: CompositeProblem, i: int) -> None:
         raise IndexOutOfRange(f"agent {i} out of range (n={prob.n})")
 
 
-def _penalty_value(prob: CompositeProblem, x: np.ndarray) -> float:
+def _penalty_value(prob: CompositeProblem, x: np.ndarray):
+    """The penalty at each row of x, kept as a last axis of length one."""
     if prob.alpha == 0.0:
         return 0.0
     x2 = x * x
-    return float(prob.alpha * np.sum(x2 / (1.0 + x2)))
+    return prob.alpha * np.sum(x2 / (1.0 + x2), axis=-1, keepdims=True)
 
 
 def _penalty_gradient(prob: CompositeProblem, x: np.ndarray) -> np.ndarray:
@@ -126,19 +139,26 @@ def _penalty_gradient(prob: CompositeProblem, x: np.ndarray) -> np.ndarray:
     return prob.alpha * 2.0 * x / (1.0 + x * x) ** 2
 
 
+def _sample_losses(prob: CompositeProblem, A: np.ndarray, b: np.ndarray,
+                   x: np.ndarray) -> np.ndarray:
+    """Losses at x of the sample rows (A, b), penalty included, shape
+    (rows,); leading axes are batch axes as in ``_sample_gradients``."""
+    margins = np.matmul(A, x[..., None])[..., 0]
+    if prob.kind == "least_squares":
+        data = 0.5 * (margins - b) ** 2
+    elif prob.kind == "logistic":
+        data = np.logaddexp(0.0, -b * margins)
+    else:
+        r2 = (margins - b) ** 2
+        data = 0.5 * r2 / (1.0 + r2)
+    return data + _penalty_value(prob, x)
+
+
 def per_sample_losses(prob: CompositeProblem, i: int, x) -> np.ndarray:
     """Per-sample loss values at x, penalty included, shape (N_i,)."""
     _check_agent(prob, i)
-    x = np.asarray(x, dtype=float)
-    A, b = prob.features[i], prob.labels[i]
-    if prob.kind == "least_squares":
-        data = 0.5 * (A @ x - b) ** 2
-    elif prob.kind == "logistic":
-        data = np.logaddexp(0.0, -b * (A @ x))
-    else:
-        r2 = (A @ x - b) ** 2
-        data = 0.5 * r2 / (1.0 + r2)
-    return data + _penalty_value(prob, x)
+    return _sample_losses(prob, prob.features[i], prob.labels[i],
+                          np.asarray(x, dtype=float))
 
 
 def _loss_weights(kind: str, margins: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -211,11 +231,26 @@ def stochastic_gradient(prob: CompositeProblem, i: int, x, idx: np.ndarray) -> n
                           np.asarray(x, dtype=float))
 
 
+def _every_agent(prob: CompositeProblem, X, evaluate, *shape) -> np.ndarray:
+    """(n, *shape) array whose entry i is agent i's entry of ``evaluate(rows,
+    X[agents])``, called once per pair of ``prob.size_groups``."""
+    X = np.asarray(X, dtype=float)
+    out = np.empty((prob.n, *shape))
+    for agents, rows in prob.size_groups:
+        out[agents] = evaluate(rows, X[agents])
+    return out
+
+
 def batch_gradients(prob: CompositeProblem, X, rows) -> np.ndarray:
     """Row i: agent i's mean per-sample gradient at X[i] over the stacked
     sample rows ``rows[i]`` (indices into ``stacked_features``), for an
     (n, p) ``X`` and an (n, b) ``rows``. Row i equals ``stochastic_gradient``
-    of agent i on the indices ``rows[i] - offsets[i]`` bit for bit."""
+    of agent i on the indices ``rows[i] - offsets[i]`` bit for bit. With
+    ``rows=None`` every sample is a row: row i is agent i's exact local
+    gradient, equal to ``full_gradient`` bit for bit."""
+    if rows is None:
+        return _every_agent(prob, X, lambda r, Xg: batch_gradients(prob, Xg, r),
+                            prob.p)
     rows = np.asarray(rows)
     if prob.p > 1:
         # gathered round-major, so that A *= w and the sum over each
@@ -252,6 +287,12 @@ def global_mean_gradient(prob: CompositeProblem, xbar) -> np.ndarray:
 def smooth_value(prob: CompositeProblem, i: int, x) -> float:
     """Local smooth objective f_i(x): mean per-sample loss plus penalty."""
     return float(np.mean(per_sample_losses(prob, i, x)))
+
+
+def smooth_values(prob: CompositeProblem, X) -> np.ndarray:
+    """Entry i: f_i(X[i]), equal to ``smooth_value`` bit for bit."""
+    return _every_agent(prob, X, lambda r, Xg: _sample_losses(
+        prob, prob.stacked_features[r], prob.stacked_labels[r], Xg).mean(axis=-1))
 
 
 def h_value(prob: CompositeProblem, i: int, y) -> float:
@@ -309,11 +350,13 @@ def empirical_sigma_sq(prob: CompositeProblem, xs) -> float:
     xs = np.asarray(xs, dtype=float)
     if xs.ndim == 1:
         xs = np.tile(xs, (prob.n, 1))
-    total = 0.0
-    for i in range(prob.n):
-        G = per_sample_gradients(prob, i, xs[i])
-        total += float(np.mean(np.sum((G - G.mean(axis=0)) ** 2, axis=1)))
-    return total
+
+    def spread(rows, Xg):
+        G = _sample_gradients(prob, prob.stacked_features[rows],
+                              prob.stacked_labels[rows], Xg)
+        D = G - G.mean(axis=1, keepdims=True)
+        return np.mean(np.sum(D ** 2, axis=2), axis=1)
+    return sum(_every_agent(prob, xs, spread).tolist())
 
 
 def draw_batch(prob: CompositeProblem, i: int, rng, size: int) -> np.ndarray:

@@ -109,6 +109,31 @@ def test_tracking_invariant(composite_problem):
         assert gap <= 1e-10
 
 
+def test_exact_gt_rounds_on_ragged_data_equal_the_per_agent_formula(ragged_problem):
+    # rows None: each round's exact gradients come from stacked passes, one
+    # size group at a time; iterates, trackers and gradients must be the
+    # per-agent formula's bit for bit
+    prob = ragged_problem(regularizer="l1", l1_weight=0.01)
+    g = build_topology("star", prob.n)
+    W = metropolis_weights(g)
+    x0 = np.array([0.5, -1.0, 2.0])
+
+    def exact(X):
+        return np.array([full_gradient(prob, i, X[i]) for i in range(prob.n)])
+
+    state = init_gt_state(prob, g, x0, None)
+    x = np.tile(x0, (prob.n, 1))
+    s = grads = exact(x)
+    for k in range(5):
+        if k > 0:
+            prox_gt_round(state, prob, g, W, k - 1, None, step_scale=0.3)
+            gamma = baseline_step(0.3, k - 1)
+            x = prox_h(prob, None, W @ x - gamma * s, gamma)
+            s, grads = W @ s + exact(x) - grads, exact(x)
+        for got, want in ((state.x, x), (state.s, s), (state.g, grads)):
+            assert got.tobytes() == want.tobytes()
+
+
 def test_single_node_reduces_to_centralized_prox_sgd():
     g = Graph(1, ())
     prob = make_problem("least_squares", 1, 2, 12, 7, regularizer="l1",

@@ -43,6 +43,22 @@ def test_momentum_one_is_plain_gradient():
         assert np.array_equal(got_s[i], stochastic_gradient(prob, i, x_new[i], batch))
 
 
+@pytest.mark.parametrize("ragged", [False, True])
+def test_exact_refresh_and_init_equal_the_per_agent_formula(ragged, ragged_problem):
+    # batch 0 evaluates every agent's exact gradient in stacked passes, one
+    # size group at a time on a ragged dataset
+    prob = (ragged_problem() if ragged
+            else make_problem("nonconvex_robust", 4, 3, 10, 1, alpha=0.3))
+    v, x_old, x_new = np.random.default_rng(6).standard_normal((3, prob.n, prob.p))
+    got = update_momentum(v, x_old, prob, x_new, 0.3, None, batch_size=0)
+    init = init_momentum(prob, x_old, 1, None, full=True)
+    for i in range(prob.n):
+        g_old = full_gradient(prob, i, x_old[i])
+        want = full_gradient(prob, i, x_new[i]) + 0.7 * (v[i] - g_old)
+        assert got[i].tobytes() == want.tobytes()
+        assert init[i].tobytes() == g_old.tobytes()
+
+
 def test_stationary_iterate_full_batch():
     prob = make_problem("least_squares", 2, 2, 8, 3)
     x = np.array([[0.5, -0.5], [1.0, 0.0]])

@@ -278,6 +278,43 @@ def test_sweep_rejects_counts_below_one(tmp_path, capsys, option):
     assert f"{option} must be >= 1, got 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("option, names, repeated", [
+    ("--topologies", "ring,ring", "ring"),
+    ("--topologies", "star, ring,star,ring", "ring, star"),
+    ("--algos", "hsm_admm,prox_gt,hsm_admm", "hsm_admm"),
+])
+def test_sweep_rejects_a_repeated_entry(tmp_path, capsys, option, names, repeated):
+    # two cells of one name would share a directory (and, with --jobs 2,
+    # its files) and one entry of sweep_summary.json
+    cfg_path = write_cfg(tmp_path, BASE_CFG.replace("K = 40", "K = 0"))
+    lists = {"--topologies": "ring,star", "--algos": "hsm_admm", option: names}
+    rc = main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "sweep"),
+               "--jobs", "2", *(word for pair in lists.items() for word in pair)])
+    assert rc == 2
+    assert f"{option} names {repeated} more than once" in capsys.readouterr().err
+    assert not (tmp_path / "sweep").exists()
+
+
+@pytest.mark.parametrize("labels", [None, "same,same"])
+def test_plot_refuses_two_traces_under_one_label(tmp_path, capsys, labels):
+    # by default a trace is labelled with its file stem, so o1/trace.csv and
+    # o2/trace.csv collide; the first curve must not vanish from the charts
+    cfg_path = write_cfg(tmp_path, BASE_CFG.replace("K = 40", "K = 5"))
+    paths = []
+    for out in ("o1", "o2"):
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / out)]) == 0
+        paths.append(str(tmp_path / out / "trace.csv"))
+    args = ["plot", "--traces", *paths, "--out", str(tmp_path / "charts")]
+    assert main(args + (["--labels", labels] if labels else [])) == 2
+    err = capsys.readouterr().err
+    label = "same" if labels else "trace"
+    assert f"label {label!r} names both {paths[0]} and {paths[1]}" in err
+    assert not (tmp_path / "charts").exists()
+    assert main(args + ["--labels", "first,second"]) == 0
+    svg = (tmp_path / "charts" / "stationarity_vs_k.svg").read_text()
+    assert "first" in svg and "second" in svg
+
+
 def test_plot_command_and_determinism(tmp_path):
     cfg_path = write_cfg(tmp_path)
     out = tmp_path / "run_out"

@@ -13,8 +13,8 @@ from hsmadmm.metrics import (DualBoundChecker, HistoryUnavailable,
                              rate_fit_averaged, residuals, stationarity_measure,
                              step_matrix_base)
 from hsmadmm.problems import (CompositeProblem, full_gradient,
-                              global_mean_gradient, make_problem, smooth_value,
-                              soft_threshold)
+                              global_mean_gradient, h_value, make_problem,
+                              smooth_value, soft_threshold)
 
 
 def quad_two_agents(b1, b2):
@@ -153,6 +153,23 @@ def test_augmented_lagrangian_penalty_term(quad_problem, ring4):
     a2 = augmented_lagrangian(quad_problem, ring4, xs, ys, lam, 3.0)
     r = residual(ring4, xs, ys)
     assert a2 - a1 == pytest.approx(float(r @ r), rel=1e-12)
+
+
+@pytest.mark.parametrize("ragged", [False, True])
+def test_augmented_lagrangian_is_the_per_agent_sum(ragged, ragged_problem):
+    # F is one stacked pass (per size group on a ragged dataset); it must
+    # equal the per-agent sum bit for bit
+    prob = (ragged_problem("nonconvex_robust", 2) if ragged
+            else make_problem("logistic", 4, 2, 15, 3, alpha=0.3))
+    g = build_topology("ring", prob.n)
+    rng = np.random.default_rng(8)
+    xs, ys = rng.standard_normal((2, prob.n, 2))
+    lam = rng.standard_normal((g.m + g.n) * 2)
+    F = sum(smooth_value(prob, i, xs[i]) for i in range(prob.n))
+    H = sum(h_value(prob, i, ys[i]) for i in range(prob.n))
+    r = residual(g, xs, ys)
+    want = float(F + H - lam @ r + 0.5 * 2.0 * float(r @ r))
+    assert augmented_lagrangian(prob, g, xs, ys, lam, 2.0) == want
 
 
 def test_descent_drift_formula():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hsmadmm.problems import (CompositeProblem, IndexOutOfRange,
+from hsmadmm.problems import (SMOOTH_KINDS, CompositeProblem, IndexOutOfRange,
                               NonPositiveScale, ProblemError,
                               batch_gradients, draw_batch, empirical_sigma_sq,
                               estimate_smoothness,
@@ -13,7 +13,7 @@ from hsmadmm.problems import (CompositeProblem, IndexOutOfRange,
                               h_value, load_dataset, make_problem,
                               _sample_gradients, per_sample_gradients, prox_h,
                               sampled_loss, save_dataset, smooth_value,
-                              soft_threshold, stochastic_gradient)
+                              smooth_values, soft_threshold, stochastic_gradient)
 
 
 def single_sample_problem(a, b, **kw):
@@ -213,6 +213,31 @@ def test_batch_gradients_equal_per_agent_oracle(kind, b):
 
 def _same_bits(got, want):
     return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("kind", SMOOTH_KINDS)
+@pytest.mark.parametrize("alpha", [0.0, 0.3])
+def test_exact_passes_equal_the_per_agent_oracles(kind, alpha, ragged_problem):
+    # the exact-data passes evaluate every agent at once when all local
+    # sizes are equal, and one size group at a time on a ragged dataset;
+    # either way each agent's entry must be its own oracle's
+    probs = [make_problem(kind, n, p, N, 3, alpha=alpha)
+             for n in (2, 8, 16) for p in (1, 2, 3, 5, 20)
+             for N in (1, 7, 20, 40, 200)]
+    probs += [ragged_problem(kind, p, alpha) for p in (1, 2, 3, 5, 20)]
+    assert [len(prob.size_groups) for prob in probs[-5:]] == [4] * 5
+    rng = np.random.default_rng(19)
+    for prob in probs:
+        X = 3.0 * rng.standard_normal((prob.n, prob.p))
+        G = batch_gradients(prob, X, None)
+        F = smooth_values(prob, X)
+        for i in range(prob.n):
+            assert _same_bits(G[i], full_gradient(prob, i, X[i]))
+            assert F[i] == smooth_value(prob, i, X[i])
+        spreads = [per_sample_gradients(prob, i, X[i]) for i in range(prob.n)]
+        want = sum(float(np.mean(np.sum((S - S.mean(axis=0)) ** 2, axis=1)))
+                   for S in spreads)
+        assert empirical_sigma_sq(prob, X) == pytest.approx(want, rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("kind", ["least_squares", "logistic", "nonconvex_robust"])

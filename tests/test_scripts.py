@@ -14,8 +14,8 @@ from hsmadmm.config import RunConfig
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_script(name, *args):
-    env = dict(os.environ)
+def run_script(name, *args, **env_vars):
+    env = dict(os.environ, **env_vars)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
@@ -78,13 +78,35 @@ def test_benchmark_workload_configs_are_valid(name):
     RunConfig(**workloads.run_config(workloads.WORKLOADS[name], 1)).validate()
 
 
-def test_trace_digests_are_reproducible():
+def load_trace_digests():
     spec = importlib.util.spec_from_file_location(
         "trace_digests", ROOT / "scripts" / "trace_digests.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    return module
+
+
+def test_trace_digests_are_reproducible():
+    module = load_trace_digests()
     first = module.digests(K=4)
     assert module.digests(K=4) == first
     assert [line.split()[:2] for line in first] == \
         [[name, f"seed={seed}"] for name in module.configs() for seed in module.SEEDS]
     assert len({line.split()[2] for line in first}) == len(first)
+
+
+def test_trace_digests_match_the_committed_file():
+    # the committed digests hold on the numpy and BLAS build they were made
+    # on, with BLAS at one thread; see the header of tests/trace_digests.txt
+    lines = [line for line in (ROOT / "tests" / "trace_digests.txt")
+             .read_text().splitlines() if line and not line.startswith("#")]
+    recorded = dict(line.split(": ", 1) for line in lines[:2])
+    found = load_trace_digests().build()
+    if found != recorded:
+        pytest.skip(f"digests recorded on numpy {recorded['numpy']} with "
+                    f"{recorded['blas']}, found numpy {found['numpy']} with "
+                    f"{found['blas']}")
+    done = run_script("trace_digests.py", OPENBLAS_NUM_THREADS="1",
+                      OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == lines[2:]
