@@ -2,11 +2,12 @@
 """SHA-256 fingerprints of a fixed set of runs, for checking that a change
 keeps every trajectory bit for bit.
 
-Runs each configuration in ``configs()`` at K=150 and seeds 1 and 7919
-through ``harness.run_single`` in a temporary directory, and prints one line
-per run: the configuration, the seed, the SHA-256 of its trace.csv files
-without the wall_ms column (every replica's, in path order) and the SHA-256
-of its summary.json. The set holds the four benchmark workloads' configs,
+Runs each configuration in ``configs()`` at K=150 and seeds 1 and 7919,
+with plots, through ``harness.run_single`` in a temporary directory, and
+prints one line per run: the configuration, the seed, the SHA-256 of its
+trace.csv files without the wall_ms column (every replica's, in path order),
+the SHA-256 of its summary.json and the SHA-256 of its SVG charts (their
+bytes, in path order). The set holds the four benchmark workloads' configs,
 read from perfbench/workloads.py, and a run of each algorithm and batch mode
 they leave out. Run it in two checkouts and diff the outputs; digests depend
 on the numpy and BLAS build (``build()``). tests/trace_digests.txt holds the
@@ -49,7 +50,7 @@ EXTRA = {
 
 def configs() -> dict:
     """The benchmark workloads' configs without K, workers and plots, then
-    ``EXTRA``; seeds are filled in per run."""
+    ``EXTRA``; seeds and plots are set per run."""
     spec = importlib.util.spec_from_file_location(
         "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
     module = importlib.util.module_from_spec(spec)
@@ -73,13 +74,14 @@ def _sha(data: bytes) -> str:
 
 
 def digests(K: int = K, seeds=SEEDS) -> list:
-    """One line per configuration and seed: name, seed and the two digests."""
+    """One line per configuration and seed: name, seed and the three
+    digests."""
     lines = []
     with tempfile.TemporaryDirectory() as tmp:
         for name, values in configs().items():
             for seed in seeds:
                 cfg = RunConfig(**values, K=K, seed=seed, dataset_seed=seed,
-                                graph_seed=seed)
+                                graph_seed=seed, plots=True)
                 cfg.validate()
                 out = Path(tmp) / f"{name}_{seed}"
                 run_single(cfg, out)
@@ -87,8 +89,11 @@ def digests(K: int = K, seeds=SEEDS) -> list:
                 traces = "\n".join(line for rel in sorted(files)
                                    if rel.endswith("trace.csv")
                                    for line in files[rel])
+                svg = b"".join(path.read_bytes()
+                               for path in sorted(out.rglob("*.svg")))
                 lines.append(f"{name} seed={seed} trace={_sha(traces.encode())} "
-                             f"summary={_sha(files['summary.json'])}")
+                             f"summary={_sha(files['summary.json'])} "
+                             f"svg={_sha(svg)}")
     return lines
 
 
