@@ -45,7 +45,7 @@ def main(argv=None):
         print(f"seed {seed}: final stationarity "
               f"{trace.column('stat_total')[-1]:.3e}")
 
-    slope, intercept = rate_fit_averaged(curves, min_k=100)
+    slope, intercept = rate_fit_averaged(curves)
     print(f"log-log slope of the mean running minimum: {slope:.3f} "
           f"(intercept {intercept:.3f})")
 

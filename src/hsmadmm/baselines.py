@@ -96,7 +96,7 @@ def prox_dsgd_round(state: ProxDsgdState, prob: CompositeProblem, graph: Graph,
     directed neighbor pair crosses the network per round."""
     gamma = baseline_step(step_scale, k)
     grads = batch_gradients(prob, state.x, rows)
-    state.x = prox_h(prob, None, W @ state.x - gamma * grads, gamma)
+    state.x = prox_h(prob, W @ state.x - gamma * grads, gamma)
     if ledger is not None:
         ledger.record(2 * graph.m, prob.p)
 
@@ -136,7 +136,7 @@ def prox_gt_round(state: ProxGtState, prob: CompositeProblem, graph: Graph,
     exact gradients). Two vectors (iterate and tracker) cross each directed
     neighbor pair per round."""
     gamma = baseline_step(step_scale, k)
-    x = prox_h(prob, None, W @ state.x - gamma * state.s, gamma)
+    x = prox_h(prob, W @ state.x - gamma * state.s, gamma)
     grads = batch_gradients(prob, x, rows)
     state.s = W @ state.s + grads - state.g
     state.x, state.g = x, grads

@@ -108,7 +108,7 @@ def prox_oracle():
         lam = float(rng.uniform(0.0, 2.0))
         prob = make_problem("least_squares", 2, 1, 2, 0, regularizer="l1",
                             l1_weight=lam)
-        got = prox_h(prob, 0, np.array([v]), c)[0]
+        got = prox_h(prob, np.array([v]), c)[0]
         want = grid[np.argmin(lam * np.abs(grid) + (grid - v) ** 2 / (2 * c))]
         worst = max(worst, abs(got - want))
     return worst <= 2e-4, f"max deviation {worst:.2e}"

@@ -23,6 +23,9 @@ import numpy as np
 # Dense matrices are for verification only; refuse to build them past this.
 DENSE_LIMIT = 4096
 
+# Rejection-sampling budget of ``random_connected``.
+MAX_ATTEMPTS = 1000
+
 TOPOLOGY_KINDS = ("ring", "star", "hub_leaf", "random_connected", "from_edge_list")
 
 
@@ -117,8 +120,7 @@ class Graph:
 
 
 def build_topology(kind: str, n: int, seed: int = 0, *,
-                   prob: float | None = None, hubs: int = 1,
-                   max_attempts: int = 1000) -> Graph:
+                   prob: float | None = None, hubs: int = 1) -> Graph:
     """Construct a named topology deterministically.
 
     Parameters
@@ -133,13 +135,12 @@ def build_topology(kind: str, n: int, seed: int = 0, *,
         deterministic kinds, so every kind is a pure function of its
         arguments.
     prob : float
-        Edge probability in (0, 1] for ``random_connected``.
+        Edge probability in (0, 1] for ``random_connected``, which draws up
+        to ``MAX_ATTEMPTS`` samples until one is connected.
     hubs : int
         For ``hub_leaf``: number of mutually connected hub nodes; remaining
         nodes are leaves attached round-robin. ``hubs=1`` is a star with one
         center.
-    max_attempts : int
-        Rejection-sampling budget for ``random_connected``.
     """
     if n < 2:
         raise InvalidParam(f"build_topology requires n >= 2, got {n}")
@@ -161,14 +162,14 @@ def build_topology(kind: str, n: int, seed: int = 0, *,
         if prob is None or not (0.0 < prob <= 1.0):
             raise InvalidParam(f"random_connected needs edge probability in (0, 1], got {prob}")
         rng = np.random.default_rng(seed)
-        for _ in range(max_attempts):
+        for _ in range(MAX_ATTEMPTS):
             mask = rng.random((n, n)) < prob
             e = tuple((i, j) for i in range(n) for j in range(i + 1, n) if mask[i, j])
             try:
                 return Graph(n, e)
             except NotConnected:
                 continue
-        raise NotConnected(f"no connected sample in {max_attempts} attempts (n={n}, prob={prob})")
+        raise NotConnected(f"no connected sample in {MAX_ATTEMPTS} attempts (n={n}, prob={prob})")
     raise InvalidParam(f"unknown topology kind {kind!r}")
 
 
@@ -192,11 +193,12 @@ def laplacian(g: Graph) -> np.ndarray:
     return L
 
 
-def load_edge_list(path, n: int | None = None) -> Graph:
-    """Load a whitespace-separated ``i j`` edge list (0-based, one per line).
+def load_edge_list(path, n: int) -> Graph:
+    """Load a whitespace-separated ``i j`` edge list (0-based, one per line)
+    over nodes 0 .. n-1.
 
-    Blank lines and ``#`` comments are skipped. ``n`` defaults to
-    ``max node index + 1``. The resulting graph is fully validated.
+    Blank lines and ``#`` comments are skipped. The resulting graph is fully
+    validated.
     """
     edges = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -212,10 +214,6 @@ def load_edge_list(path, n: int | None = None) -> Graph:
             except ValueError as exc:
                 raise InvalidParam(f"{path}:{ln}: non-integer node id") from exc
             edges.append((i, j))
-    if n is None:
-        if not edges:
-            raise InvalidParam(f"{path}: empty edge list and no node count given")
-        n = max(max(e) for e in edges) + 1
     return Graph(n, tuple(edges))
 
 

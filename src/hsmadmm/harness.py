@@ -46,15 +46,20 @@ def build_graph(cfg: RunConfig) -> graphmod.Graph:
 
 
 def build_problem(cfg: RunConfig) -> problems.CompositeProblem:
-    """The configured problem; a dataset file pair that cannot be loaded is
-    a configuration error."""
+    """The configured problem; a dataset file pair that cannot be loaded, or
+    whose dimension p differs from the configured one, is a configuration
+    error."""
     if cfg.dataset_csv:
         try:
-            return problems.load_dataset(cfg.dataset_csv, cfg.dataset_manifest,
+            prob = problems.load_dataset(cfg.dataset_csv, cfg.dataset_manifest,
                                          kind=cfg.problem, regularizer=cfg.regularizer,
                                          l1_weight=cfg.l1_weight, alpha=cfg.alpha)
         except (OSError, ValueError, problems.ProblemError) as exc:
             raise ConfigInvalid(f"dataset {cfg.dataset_csv}: {exc}") from exc
+        if prob.p != cfg.p:
+            raise ConfigInvalid(f"dataset {cfg.dataset_csv} has p={prob.p}, "
+                                f"config has p={cfg.p}")
+        return prob
     return problems.make_problem(cfg.problem, cfg.n, cfg.p, cfg.samples_per_agent,
                                  cfg.dataset_seed, regularizer=cfg.regularizer,
                                  l1_weight=cfg.l1_weight, alpha=cfg.alpha,
@@ -107,7 +112,7 @@ def _write_json(payload: dict, path: Path) -> None:
         fh.write("\n")
 
 
-def emit_plots(traces: dict, out_dir, prefix: str = "") -> dict:
+def emit_plots(traces: dict, out_dir) -> dict:
     """Write the three convergence charts from named trace arrays.
 
     ``traces`` maps a curve label to a dict of trace columns. Returns per
@@ -121,11 +126,11 @@ def emit_plots(traces: dict, out_dir, prefix: str = "") -> dict:
     meta = {}
 
     specs = (
-        (f"{prefix}stationarity_vs_k.svg", "k", "stat_total",
+        ("stationarity_vs_k.svg", "k", "stat_total",
          "iteration k", "stationarity measure"),
-        (f"{prefix}residuals_vs_k.svg", "k", "res_combined",
+        ("residuals_vs_k.svg", "k", "res_combined",
          "iteration k", "residual norm"),
-        (f"{prefix}stationarity_vs_scalars.svg", "scalars_tx", "stat_total",
+        ("stationarity_vs_scalars.svg", "scalars_tx", "stat_total",
          "scalars transmitted", "stationarity measure"),
     )
     for fname, xcol, ycol, xlabel, ylabel in specs:
@@ -138,7 +143,7 @@ def emit_plots(traces: dict, out_dir, prefix: str = "") -> dict:
             if keep.any():
                 series.append(Series(label, x[keep], y[keep]))
                 ranges[label] = (float(x[keep].min()), float(x[keep].max()))
-        svg = line_chart(series, xlabel, ylabel, logx=True, logy=True)
+        svg = line_chart(series, xlabel, ylabel)
         with open(out_dir / fname, "w", encoding="utf-8") as fh:
             fh.write(svg)
         meta[fname] = ranges

@@ -97,15 +97,14 @@ def lower_c_beta(s_norm: float, L: float, theta: float, c_rho: float) -> float:
 
 @dataclass
 class NetworkState:
-    """Stacked round state: (n, p) arrays x, y, beta, v and last_x (the
-    iterate v was last refreshed at), and the (m, p) consensus duals alpha
-    in ``graph.edges`` order."""
+    """Stacked round state: (n, p) arrays x, y, beta and v (refreshed at the
+    current x), and the (m, p) consensus duals alpha in ``graph.edges``
+    order."""
 
     x: np.ndarray
     y: np.ndarray
     beta: np.ndarray
     v: np.ndarray
-    last_x: np.ndarray
     alpha: np.ndarray
 
     def xs(self) -> np.ndarray:
@@ -130,12 +129,12 @@ def init_network_state(prob: CompositeProblem, graph: Graph, x0, m0: int,
     x = np.tile(np.asarray(x0, dtype=float), (graph.n, 1))
     return NetworkState(x=x, y=x.copy(), beta=np.zeros_like(x),
                         v=init_momentum(prob, x, m0, rngs, full=full_batch),
-                        last_x=x.copy(), alpha=np.zeros((graph.m, x.shape[1])))
+                        alpha=np.zeros((graph.m, x.shape[1])))
 
 
 def step_y(state: NetworkState, prob: CompositeProblem, rho: float) -> np.ndarray:
     """Local-only auxiliary update: prox at x - beta / rho with scale 1/rho."""
-    return prox_h(prob, None, state.x - state.beta / rho, 1.0 / rho)
+    return prox_h(prob, state.x - state.beta / rho, 1.0 / rho)
 
 
 def step_x(state: NetworkState, graph: Graph, y_new, rho: float,
@@ -167,14 +166,14 @@ def hsm_admm_round(state: NetworkState, prob: CompositeProblem, graph: Graph,
     """
     rho = sched.rho(k)
     eta = sched.eta(k, degrees)
+    x_prev = state.x
     y_new = step_y(state, prob, rho)
     state.x, state.y = step_x(state, graph, y_new, rho, eta), y_new
     if ledger is not None:
         ledger.record(2 * graph.m, prob.p)
     step_duals(state, graph, rho)
-    state.v = update_momentum(state.v, state.last_x, prob, state.x, sched.a(k),
+    state.v = update_momentum(state.v, x_prev, prob, state.x, sched.a(k),
                               rngs, batch_size)
-    state.last_x = state.x.copy()
 
 
 def dense_round_reference(graph: Graph, prob: CompositeProblem,
@@ -183,7 +182,7 @@ def dense_round_reference(graph: Graph, prob: CompositeProblem,
     """One round predicted by the stacked dense formulation.
 
     Returns (y_next, x_next, lam_next) computed with explicit matrices:
-    the per-agent prox, then
+    the prox of the stacked vector, then
 
         x_next   = x - Q^{-1} (v - A^T lam + rho A^T (A x + B y_next))
         lam_next = lam - rho (A x_next + B y_next)
@@ -197,14 +196,17 @@ def dense_round_reference(graph: Graph, prob: CompositeProblem,
     B = dense_B(graph, p)
     Q_diag = np.repeat(sched.eta(k, degrees), p)
 
-    beta = lam[graph.m * p:]
-    y_next = np.concatenate([
-        prox_h(prob, i, x[i * p:(i + 1) * p] - beta[i * p:(i + 1) * p] / rho, 1.0 / rho)
-        for i in range(graph.n)])
+    y_next = prox_h(prob, x - lam[graph.m * p:] / rho, 1.0 / rho)
     grad_term = v - A.T @ lam + rho * (A.T @ (A @ x + B @ y_next))
     x_next = x - grad_term / Q_diag
     lam_next = lam - rho * (A @ x_next + B @ y_next)
     return y_next, x_next, lam_next
+
+
+# The (theta, c_mu, c_gamma) grid that ``constants_feasibility`` searches.
+THETA_GRID = (0.5, 1.0, 2.0)
+C_MU_GRID = (0.5, 1.0, 2.0, 4.0)
+C_GAMMA_GRID = (0.25, 0.5, 1.0, 2.0)
 
 
 @dataclass
@@ -222,11 +224,10 @@ class FeasibilityReport:
 
 
 def constants_feasibility(graph: Graph, sched: Schedules, L: float, *,
-                          degrees, theta_grid=(0.5, 1.0, 2.0),
-                          c_mu_grid=(0.5, 1.0, 2.0, 4.0),
-                          c_gamma_grid=(0.25, 0.5, 1.0, 2.0)) -> FeasibilityReport:
-    """Search a small grid of analysis constants for simultaneous positivity
-    of the error coefficient and the step matrix.
+                          degrees) -> FeasibilityReport:
+    """Search the grid ``THETA_GRID`` x ``C_MU_GRID`` x ``C_GAMMA_GRID`` of
+    analysis constants for simultaneous positivity of the error coefficient
+    and the step matrix.
 
     For each (theta, c_mu, c_gamma) the error-term margin is
 
@@ -252,12 +253,12 @@ def constants_feasibility(graph: Graph, sched: Schedules, L: float, *,
     half = S + 0.5 * sched.c_rho * (laplacian(graph) + np.eye(graph.n))
     S_sq = S @ S
     step_min = {theta: float(np.linalg.eigvalsh(
-        half - (1.5 * (1.0 + theta) / sched.c_rho) * S_sq)[0]) for theta in theta_grid}
+        half - (1.5 * (1.0 + theta) / sched.c_rho) * S_sq)[0]) for theta in THETA_GRID}
 
     best = None
     feasible = False
     tried = 0
-    for theta, c_mu, c_gamma in product(theta_grid, c_mu_grid, c_gamma_grid):
+    for theta, c_mu, c_gamma in product(THETA_GRID, C_MU_GRID, C_GAMMA_GRID):
         tried += 1
         inv = 1.0 + 1.0 / theta
         c_err = 12.0 * inv

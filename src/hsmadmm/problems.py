@@ -49,7 +49,8 @@ class CompositeProblem:
     owning rows ``offsets[i]:offsets[i + 1]``. ``features[i]``, the (N_i, p)
     local design matrix of agent i, and ``labels[i]`` are views of those
     rows; construction concatenates whatever per-agent arrays it is given
-    (so ``dataclasses.replace`` rebuilds the stacked arrays too).
+    (so ``dataclasses.replace`` rebuilds the stacked arrays, and the cached
+    ``size_groups`` and ``smoothness``, too).
     ``row_divisors`` holds n * N_i for each of agent i's stacked rows. Every
     agent needs at least one sample. Immutable after construction; all oracle
     calls are pure functions of their arguments.
@@ -61,7 +62,6 @@ class CompositeProblem:
     regularizer: str = "none"
     l1_weight: float = 0.0
     alpha: float = 0.0
-    _L: float = field(default=None, repr=False)
     stacked_features: np.ndarray = field(init=False, repr=False, compare=False)
     stacked_labels: np.ndarray = field(init=False, repr=False, compare=False)
     offsets: np.ndarray = field(init=False, repr=False, compare=False)
@@ -113,11 +113,9 @@ class CompositeProblem:
                 for N in np.unique(sizes)
                 for agents in [np.flatnonzero(sizes == N)]]
 
-    @property
+    @cached_property
     def smoothness(self) -> float:
-        if self._L is None:
-            self._L = estimate_smoothness(self)
-        return self._L
+        return estimate_smoothness(self)
 
 
 def _check_agent(prob: CompositeProblem, i: int) -> None:
@@ -295,12 +293,13 @@ def smooth_values(prob: CompositeProblem, X) -> np.ndarray:
         prob, prob.stacked_features[r], prob.stacked_labels[r], Xg).mean(axis=-1))
 
 
-def h_value(prob: CompositeProblem, i: int, y) -> float:
-    """Local nonsmooth value: l1_weight * ||y||_1, or zero."""
-    _check_agent(prob, i)
+def h_values(prob: CompositeProblem, Y) -> np.ndarray:
+    """Entry i: agent i's nonsmooth value at row i of the (n, p) ``Y``,
+    l1_weight * ||Y[i]||_1, or zero (all agents share one regularizer)."""
+    Y = np.asarray(Y, dtype=float)
     if prob.regularizer == "none":
-        return 0.0
-    return float(prob.l1_weight * np.sum(np.abs(y)))
+        return np.zeros(Y.shape[0])
+    return prob.l1_weight * np.sum(np.abs(Y), axis=1)
 
 
 def soft_threshold(v: np.ndarray, t: float) -> np.ndarray:
@@ -312,16 +311,13 @@ def soft_threshold(v: np.ndarray, t: float) -> np.ndarray:
     return out
 
 
-def prox_h(prob: CompositeProblem, i: int | None, v, c: float) -> np.ndarray:
-    """Proximal map of agent i's regularizer at v with scale c > 0; with
-    ``i=None``, of every agent's at once, row i of a stacked (n, p) ``v``
-    for agent i (all agents share one regularizer).
+def prox_h(prob: CompositeProblem, v, c: float) -> np.ndarray:
+    """Proximal map of the agents' shared regularizer at v with scale c > 0,
+    for one agent's vector or a stacked (n, p) ``v``, row by row.
 
     For l1 this is componentwise soft thresholding at ``c * l1_weight``; for
     no regularizer it is the identity.
     """
-    if i is not None:
-        _check_agent(prob, i)
     if c <= 0:
         raise NonPositiveScale(f"prox scale must be positive, got {c}")
     v = np.asarray(v, dtype=float)
@@ -346,10 +342,7 @@ def estimate_smoothness(prob: CompositeProblem) -> float:
 def empirical_sigma_sq(prob: CompositeProblem, xs) -> float:
     """Stacked empirical gradient variance: sum over agents of the mean
     squared deviation of per-sample gradients from the local full gradient,
-    each agent evaluated at its own point ``xs[i]``."""
-    xs = np.asarray(xs, dtype=float)
-    if xs.ndim == 1:
-        xs = np.tile(xs, (prob.n, 1))
+    each agent evaluated at its own point ``xs[i]`` of the (n, p) ``xs``."""
 
     def spread(rows, Xg):
         G = _sample_gradients(prob, prob.stacked_features[rows],

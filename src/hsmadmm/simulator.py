@@ -16,6 +16,7 @@ import math
 from collections import deque
 from dataclasses import asdict, dataclass, field
 from time import perf_counter
+from typing import ClassVar
 
 import numpy as np
 
@@ -64,7 +65,7 @@ class MessageLedger:
 class MetricsTrace:
     """Per-round metric rows plus checker violation records."""
 
-    header: tuple = TRACE_HEADER
+    header: ClassVar[tuple] = TRACE_HEADER
     rows: list = field(default_factory=list)
     violations: list = field(default_factory=list)
     meta: dict = field(default_factory=dict)

@@ -1,9 +1,8 @@
-"""Minimal deterministic SVG line charts.
+"""Minimal deterministic SVG line charts on log-log axes.
 
 Pure string assembly from the data: no timestamps, no randomized ids, so a
-fixed input always produces byte-identical output. Log axes drop
-non-positive points; decade ticks on log axes, five round ticks on linear
-ones.
+fixed input always produces byte-identical output. Both axes are
+logarithmic with decade ticks, so every point must be finite and positive.
 """
 from __future__ import annotations
 
@@ -19,6 +18,7 @@ class EmptyTrace(Exception):
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
+_WIDTH, _HEIGHT = 640, 440
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 64.0, 16.0, 28.0, 46.0
 
 
@@ -34,8 +34,6 @@ def _fmt(v: float) -> str:
 
 
 def _tick_label(v: float) -> str:
-    if v == 0:
-        return "0"
     if abs(v) >= 1e4 or abs(v) < 1e-3:
         return f"{v:.0e}"
     return f"{v:g}"
@@ -48,86 +46,46 @@ def _log_ticks(lo: float, hi: float) -> list:
             if lo <= 10.0 ** e <= hi]
 
 
-def _linear_ticks(lo: float, hi: float) -> list:
-    if hi <= lo:
-        return [lo]
-    step = 10.0 ** math.floor(math.log10((hi - lo) / 4.0))
-    for mult in (1.0, 2.0, 5.0, 10.0):
-        if (hi - lo) / (step * mult) <= 5.0:
-            step *= mult
-            break
-    start = math.ceil(lo / step) * step
-    ticks = []
-    t = start
-    while t <= hi + 1e-12 * max(1.0, abs(hi)):
-        ticks.append(t)
-        t += step
-    return ticks
+def line_chart(series, xlabel: str, ylabel: str) -> str:
+    """Render the series, whose points must all be finite and positive, to
+    a self-contained log-log SVG string."""
+    if not series:
+        raise EmptyTrace("nothing to plot")
 
-
-def line_chart(series, xlabel: str, ylabel: str, *, logx: bool = False,
-               logy: bool = False, width: int = 640, height: int = 440,
-               title: str = "") -> str:
-    """Render the series to a self-contained SVG string."""
-    cleaned = []
-    for s in series:
-        x = np.asarray(s.x, dtype=float)
-        y = np.asarray(s.y, dtype=float)
-        keep = np.isfinite(x) & np.isfinite(y)
-        if logx:
-            keep &= x > 0
-        if logy:
-            keep &= y > 0
-        if keep.any():
-            cleaned.append(Series(s.label, x[keep], y[keep]))
-    if not cleaned:
-        raise EmptyTrace("nothing to plot after filtering non-finite/log-invalid points")
-
-    xs = np.concatenate([s.x for s in cleaned])
-    ys = np.concatenate([s.y for s in cleaned])
+    xs = np.concatenate([s.x for s in series])
+    ys = np.concatenate([s.y for s in series])
     x_lo, x_hi = float(xs.min()), float(xs.max())
     y_lo, y_hi = float(ys.min()), float(ys.max())
     if x_lo == x_hi:
-        x_lo, x_hi = x_lo * 0.9 if x_lo else -1.0, x_hi * 1.1 if x_hi else 1.0
+        x_lo, x_hi = x_lo * 0.9, x_hi * 1.1
     if y_lo == y_hi:
-        y_lo, y_hi = y_lo * 0.9 if y_lo else -1.0, y_hi * 1.1 if y_hi else 1.0
+        y_lo, y_hi = y_lo * 0.9, y_hi * 1.1
 
     def tx(v):
-        if logx:
-            f = (math.log10(v) - math.log10(x_lo)) / (math.log10(x_hi) - math.log10(x_lo))
-        else:
-            f = (v - x_lo) / (x_hi - x_lo)
-        return _MARGIN_L + f * (width - _MARGIN_L - _MARGIN_R)
+        f = (math.log10(v) - math.log10(x_lo)) / (math.log10(x_hi) - math.log10(x_lo))
+        return _MARGIN_L + f * (_WIDTH - _MARGIN_L - _MARGIN_R)
 
     def ty(v):
-        if logy:
-            f = (math.log10(v) - math.log10(y_lo)) / (math.log10(y_hi) - math.log10(y_lo))
-        else:
-            f = (v - y_lo) / (y_hi - y_lo)
-        return height - _MARGIN_B - f * (height - _MARGIN_T - _MARGIN_B)
+        f = (math.log10(v) - math.log10(y_lo)) / (math.log10(y_hi) - math.log10(y_lo))
+        return _HEIGHT - _MARGIN_B - f * (_HEIGHT - _MARGIN_T - _MARGIN_B)
 
     out = []
-    out.append(f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-               f'height="{height}" viewBox="0 0 {width} {height}">')
-    out.append(f'<rect width="{width}" height="{height}" fill="white"/>')
-    plot_w = width - _MARGIN_L - _MARGIN_R
-    plot_h = height - _MARGIN_T - _MARGIN_B
+    out.append(f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
+               f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">')
+    out.append(f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>')
+    plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
+    plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B
     out.append(f'<rect x="{_fmt(_MARGIN_L)}" y="{_fmt(_MARGIN_T)}" width="{_fmt(plot_w)}" '
                f'height="{_fmt(plot_h)}" fill="none" stroke="#333" stroke-width="1"/>')
-    if title:
-        out.append(f'<text x="{_fmt(width / 2)}" y="18" text-anchor="middle" '
-                   f'font-family="sans-serif" font-size="13">{title}</text>')
 
-    xticks = _log_ticks(x_lo, x_hi) if logx else _linear_ticks(x_lo, x_hi)
-    for t in xticks:
+    for t in _log_ticks(x_lo, x_hi):
         px = tx(t)
-        out.append(f'<line x1="{_fmt(px)}" y1="{_fmt(height - _MARGIN_B)}" '
-                   f'x2="{_fmt(px)}" y2="{_fmt(height - _MARGIN_B + 4)}" stroke="#333"/>')
-        out.append(f'<text x="{_fmt(px)}" y="{_fmt(height - _MARGIN_B + 16)}" '
+        out.append(f'<line x1="{_fmt(px)}" y1="{_fmt(_HEIGHT - _MARGIN_B)}" '
+                   f'x2="{_fmt(px)}" y2="{_fmt(_HEIGHT - _MARGIN_B + 4)}" stroke="#333"/>')
+        out.append(f'<text x="{_fmt(px)}" y="{_fmt(_HEIGHT - _MARGIN_B + 16)}" '
                    f'text-anchor="middle" font-family="sans-serif" font-size="10">'
                    f'{_tick_label(t)}</text>')
-    yticks = _log_ticks(y_lo, y_hi) if logy else _linear_ticks(y_lo, y_hi)
-    for t in yticks:
+    for t in _log_ticks(y_lo, y_hi):
         py = ty(t)
         out.append(f'<line x1="{_fmt(_MARGIN_L - 4)}" y1="{_fmt(py)}" '
                    f'x2="{_fmt(_MARGIN_L)}" y2="{_fmt(py)}" stroke="#333"/>')
@@ -135,19 +93,19 @@ def line_chart(series, xlabel: str, ylabel: str, *, logx: bool = False,
                    f'text-anchor="end" font-family="sans-serif" font-size="10">'
                    f'{_tick_label(t)}</text>')
 
-    out.append(f'<text x="{_fmt(_MARGIN_L + plot_w / 2)}" y="{_fmt(height - 8)}" '
+    out.append(f'<text x="{_fmt(_MARGIN_L + plot_w / 2)}" y="{_fmt(_HEIGHT - 8)}" '
                f'text-anchor="middle" font-family="sans-serif" font-size="12">{xlabel}</text>')
     out.append(f'<text x="14" y="{_fmt(_MARGIN_T + plot_h / 2)}" text-anchor="middle" '
                f'font-family="sans-serif" font-size="12" '
                f'transform="rotate(-90 14 {_fmt(_MARGIN_T + plot_h / 2)})">{ylabel}</text>')
 
-    for idx, s in enumerate(cleaned):
+    for idx, s in enumerate(series):
         color = PALETTE[idx % len(PALETTE)]
         pts = " ".join(f"{_fmt(tx(xv))},{_fmt(ty(yv))}" for xv, yv in zip(s.x, s.y))
         out.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
                    f'stroke-width="1.5"/>')
         ly = _MARGIN_T + 14 + 16 * idx
-        lx = width - _MARGIN_R - 150
+        lx = _WIDTH - _MARGIN_R - 150
         out.append(f'<line x1="{_fmt(lx)}" y1="{_fmt(ly - 4)}" x2="{_fmt(lx + 22)}" '
                    f'y2="{_fmt(ly - 4)}" stroke="{color}" stroke-width="1.5"/>')
         out.append(f'<text x="{_fmt(lx + 27)}" y="{_fmt(ly)}" font-family="sans-serif" '

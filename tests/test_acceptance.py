@@ -153,7 +153,7 @@ def test_criterion_07_rate():
     for seed in range(5):
         trace = run(dataclasses.replace(base, seed=seed), prob, g)
         curves.append((trace.column("k"), trace.column("stat_total")))
-    slope, _ = rate_fit_averaged(curves, min_k=100)
+    slope, _ = rate_fit_averaged(curves)
     elapsed = time.perf_counter() - t0
     _report(7, "seed-averaged min-prefix stationarity decays fast enough",
             slope <= -0.5 and elapsed < 600.0,

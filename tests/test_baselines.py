@@ -128,7 +128,7 @@ def test_exact_gt_rounds_on_ragged_data_equal_the_per_agent_formula(ragged_probl
         if k > 0:
             prox_gt_round(state, prob, g, W, k - 1, None, step_scale=0.3)
             gamma = baseline_step(0.3, k - 1)
-            x = prox_h(prob, None, W @ x - gamma * s, gamma)
+            x = prox_h(prob, W @ x - gamma * s, gamma)
             s, grads = W @ s + exact(x) - grads, exact(x)
         for got, want in ((state.x, x), (state.s, s), (state.g, grads)):
             assert got.tobytes() == want.tobytes()
@@ -146,7 +146,7 @@ def test_single_node_reduces_to_centralized_prox_sgd():
     # centralized prediction with the same (deterministic) gradient
     gamma = baseline_step(0.2, 0)
     g0 = full_gradient(prob, 0, np.array([1.0, -2.0]))
-    want = prox_h(prob, 0, np.array([1.0, -2.0]) - gamma * g0, gamma)
+    want = prox_h(prob, np.array([1.0, -2.0]) - gamma * g0, gamma)
     assert np.allclose(state.x[0], want, atol=1e-15)
 
 

@@ -45,7 +45,7 @@ def test_random_connected_deterministic():
 
 def test_random_connected_exhausts_attempts():
     with pytest.raises(NotConnected):
-        build_topology("random_connected", 10, seed=0, prob=1e-9, max_attempts=3)
+        build_topology("random_connected", 10, seed=0, prob=1e-9)
 
 
 def test_build_topology_rejects_small_n():
@@ -161,7 +161,7 @@ def test_edge_list_rejects_malformed(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("0 1\n2\n")
     with pytest.raises(InvalidParam):
-        load_edge_list(path)
+        load_edge_list(path, n=3)
 
 
 def test_sum_of_degrees_is_twice_edges():

@@ -205,6 +205,21 @@ def test_malformed_manifest_exits_2(tmp_path, capsys, manifest, message):
     assert f"config error: dataset {csv}" in err and message in err
 
 
+def test_dataset_dimension_mismatch_exits_2(tmp_path, capsys):
+    # a configured p that disagrees with the dataset's must not be recorded
+    # as the run's p
+    prob = make_problem("least_squares", 2, 6, 4, 0)
+    csv, manifest = tmp_path / "data.csv", tmp_path / "manifest.json"
+    save_dataset(prob, csv, manifest)
+    path = write_cfg(tmp_path, f"n = 2\np = 2\nK = 5\ntrack_lyapunov = false\n"
+                               f"dataset_csv = {csv}\ndataset_manifest = {manifest}\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+    assert (f"config error: dataset {csv} has p=6, config has p=2"
+            in capsys.readouterr().err)
+    assert not (out / "config.cfg").exists()
+
+
 @pytest.mark.parametrize("edges, n, message", [
     (None, 3, "No such file"),
     ("0 1\n1 x\n", 3, "non-integer node id"),

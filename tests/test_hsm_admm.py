@@ -42,8 +42,7 @@ def _state(x, beta, v, alpha=None):
     alpha = np.zeros((0, x.shape[1])) if alpha is None else np.asarray(alpha, float)
     return NetworkState(x=x, y=np.zeros_like(x),
                         beta=np.atleast_2d(np.asarray(beta, float)),
-                        v=np.atleast_2d(np.asarray(v, float)), last_x=x.copy(),
-                        alpha=alpha)
+                        v=np.atleast_2d(np.asarray(v, float)), alpha=alpha)
 
 
 def test_step_y_identity_regularizer():
@@ -180,7 +179,7 @@ def test_single_node_degenerates_to_centralized():
     # manual centralized prediction for round 0
     x, beta, v = state.x[0], state.beta[0], state.v[0]
     rho = sched.rho(0)
-    y_pred = prox_h(prob, 0, x - beta / rho, 1.0 / rho)
+    y_pred = prox_h(prob, x - beta / rho, 1.0 / rho)
     x_pred = x - (v - beta + rho * (x - y_pred)) / sched.eta(0, 0)
     ledger = MessageLedger()
     hsm_admm_round(state, prob, g, sched, 0, rngs, degrees=step_degrees(g),

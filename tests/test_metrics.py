@@ -13,7 +13,7 @@ from hsmadmm.metrics import (DualBoundChecker, HistoryUnavailable,
                              rate_fit_averaged, residuals, stationarity_measure,
                              step_matrix_base)
 from hsmadmm.problems import (CompositeProblem, full_gradient,
-                              global_mean_gradient, h_value, make_problem,
+                              global_mean_gradient, make_problem,
                               smooth_value, soft_threshold)
 
 
@@ -88,11 +88,12 @@ def test_gradient_error_cases():
 
 
 def test_lyapunov_constants_validation():
-    with pytest.raises(MetricsError):
-        LyapunovConstants(theta=1.0, c_mu=1.0, c_gamma=1.0, c_err=20.0,
-                          c_beta=1.0, L=1.0)
-    consts = LyapunovConstants(theta=1.0, c_mu=1.0, c_gamma=1.0, c_err=24.0,
-                               c_beta=1.0, L=1.0)
+    for bad in ("theta", "c_mu", "c_gamma"):
+        values = dict(theta=1.0, c_mu=1.0, c_gamma=1.0, c_beta=1.0, L=1.0)
+        values[bad] = 0.0
+        with pytest.raises(MetricsError, match="must be positive"):
+            LyapunovConstants(**values)
+    consts = LyapunovConstants(theta=1.0, c_mu=1.0, c_gamma=1.0, c_beta=1.0, L=1.0)
     assert consts.c_err == 24.0
 
 
@@ -157,19 +158,22 @@ def test_augmented_lagrangian_penalty_term(quad_problem, ring4):
 
 @pytest.mark.parametrize("ragged", [False, True])
 def test_augmented_lagrangian_is_the_per_agent_sum(ragged, ragged_problem):
-    # F is one stacked pass (per size group on a ragged dataset); it must
-    # equal the per-agent sum bit for bit
-    prob = (ragged_problem("nonconvex_robust", 2) if ragged
-            else make_problem("logistic", 4, 2, 15, 3, alpha=0.3))
-    g = build_topology("ring", prob.n)
-    rng = np.random.default_rng(8)
-    xs, ys = rng.standard_normal((2, prob.n, 2))
-    lam = rng.standard_normal((g.m + g.n) * 2)
-    F = sum(smooth_value(prob, i, xs[i]) for i in range(prob.n))
-    H = sum(h_value(prob, i, ys[i]) for i in range(prob.n))
-    r = residual(g, xs, ys)
-    want = float(F + H - lam @ r + 0.5 * 2.0 * float(r @ r))
-    assert augmented_lagrangian(prob, g, xs, ys, lam, 2.0) == want
+    # F is one stacked pass (per size group on a ragged dataset) and H one
+    # stacked l1 pass; each must equal the per-agent sum bit for bit, with
+    # and without a regularizer
+    for reg in ({}, {"regularizer": "l1", "l1_weight": 0.07}):
+        prob = (ragged_problem("nonconvex_robust", 2, **reg) if ragged
+                else make_problem("logistic", 4, 2, 15, 3, alpha=0.3, **reg))
+        g = build_topology("ring", prob.n)
+        rng = np.random.default_rng(8)
+        xs, ys = rng.standard_normal((2, prob.n, 2))
+        lam = rng.standard_normal((g.m + g.n) * 2)
+        F = sum(smooth_value(prob, i, xs[i]) for i in range(prob.n))
+        H = sum(float(prob.l1_weight * np.sum(np.abs(ys[i]))) for i in range(prob.n))
+        assert (H > 0) == bool(reg)
+        r = residual(g, xs, ys)
+        want = float(F + H - lam @ r + 0.5 * 2.0 * float(r @ r))
+        assert augmented_lagrangian(prob, g, xs, ys, lam, 2.0) == want
 
 
 def test_descent_drift_formula():
@@ -289,16 +293,18 @@ def test_step_matrix_layer_matches_dense_oracle(kind, n, p, hubs, uniform):
         consts = make_lyapunov_constants(g, sched, L, theta=theta,
                                          degrees=step_degrees(g, uniform))
         assert consts.c_beta == pytest.approx(c_beta, rel=1e-12)
-        c_mu, c_gamma = 2.0, 0.5
-        Cx = (C_eta - 0.5 * sched.c_rho * AtA
-              - (1.5 * (1.0 + theta) / sched.c_rho) * (S_dense @ S_dense)
-              - (0.5 * c_mu + 0.5 * c_beta + 0.5 * L + 2.0 * L * L * c_gamma)
-              * np.eye(n * p))
-        report = constants_feasibility(g, sched, L, degrees=step_degrees(g, uniform),
-                                       theta_grid=(theta,), c_mu_grid=(c_mu,),
-                                       c_gamma_grid=(c_gamma,))
-        assert report.best["margin_step_matrix"] == pytest.approx(
-            float(np.linalg.eigvalsh(Cx)[0]), rel=1e-10, abs=1e-10)
+
+    # the step-matrix margin the search reports at its best grid point
+    best = constants_feasibility(g, sched, L, degrees=step_degrees(g, uniform)).best
+    theta, c_mu, c_gamma = best["theta"], best["c_mu"], best["c_gamma"]
+    inv = 1.0 + 1.0 / theta
+    c_beta = (6.0 * inv * norm_dense ** 2 + 12.0 * L * L * inv) / sched.c_rho
+    Cx = (C_eta - 0.5 * sched.c_rho * AtA
+          - (1.5 * (1.0 + theta) / sched.c_rho) * (S_dense @ S_dense)
+          - (0.5 * c_mu + 0.5 * c_beta + 0.5 * L + 2.0 * L * L * c_gamma)
+          * np.eye(n * p))
+    assert best["margin_step_matrix"] == pytest.approx(
+        float(np.linalg.eigvalsh(Cx)[0]), rel=1e-10, abs=1e-10)
 
     rng = np.random.default_rng(4)
     xs, xs_prev, xs_prev2 = rng.standard_normal((3, n, p))

@@ -10,7 +10,7 @@ from hsmadmm.problems import (SMOOTH_KINDS, CompositeProblem, IndexOutOfRange,
                               batch_gradients, draw_batch, empirical_sigma_sq,
                               estimate_smoothness,
                               full_gradient, global_mean_gradient,
-                              h_value, load_dataset, make_problem,
+                              h_values, load_dataset, make_problem,
                               _sample_gradients, per_sample_gradients, prox_h,
                               sampled_loss, save_dataset, smooth_value,
                               smooth_values, soft_threshold, stochastic_gradient)
@@ -79,12 +79,12 @@ def _grid_prox(v, c, lam, step=1e-4):
 
 def test_prox_matches_grid_search_hand_cases():
     prob = single_sample_problem([1.0], 0.0, regularizer="l1", l1_weight=0.5)
-    got = prox_h(prob, 0, np.array([2.0]), 1.0)[0]
+    got = prox_h(prob, np.array([2.0]), 1.0)[0]
     assert abs(got - _grid_prox(2.0, 1.0, 0.5)) <= 2e-4
     assert abs(got - 1.5) <= 1e-12
 
     prob2 = single_sample_problem([1.0], 0.0, regularizer="l1", l1_weight=1.0)
-    got2 = prox_h(prob2, 0, np.array([0.3]), 1.0)[0]
+    got2 = prox_h(prob2, np.array([0.3]), 1.0)[0]
     assert abs(got2 - _grid_prox(0.3, 1.0, 1.0)) <= 2e-4
     assert got2 == 0.0
 
@@ -92,13 +92,13 @@ def test_prox_matches_grid_search_hand_cases():
 def test_prox_identity_for_no_regularizer():
     prob = single_sample_problem([1.0], 0.0)
     v = np.array([3.0, -2.0, 0.0])[:1]
-    assert np.array_equal(prox_h(prob, 0, v, 0.7), v)
+    assert np.array_equal(prox_h(prob, v, 0.7), v)
 
 
 def test_prox_rejects_nonpositive_scale():
     prob = single_sample_problem([1.0], 0.0, regularizer="l1", l1_weight=1.0)
     with pytest.raises(NonPositiveScale):
-        prox_h(prob, 0, np.array([1.0]), 0.0)
+        prox_h(prob, np.array([1.0]), 0.0)
 
 
 def _prox_optimality_residual(u, v, c, lam):
@@ -119,8 +119,18 @@ def test_prox_optimality_condition_random():
         v = rng.uniform(-3, 3, size=4)
         trial = CompositeProblem("least_squares", prob.features, prob.labels,
                                  regularizer="l1", l1_weight=lam)
-        u = prox_h(trial, 0, v, c)
+        u = prox_h(trial, v, c)
         assert _prox_optimality_residual(u, v, c, lam) <= 1e-10
+
+
+def test_replace_rebuilds_the_smoothness():
+    # the smoothness is cached per problem; a problem built by
+    # dataclasses.replace must estimate its own
+    prob = make_problem("least_squares", 2, 3, 10, 4)
+    before = prob.smoothness
+    scaled = dataclasses.replace(prob, features=[3.0 * A for A in prob.features])
+    assert scaled.smoothness == estimate_smoothness(scaled)
+    assert scaled.smoothness == pytest.approx(9.0 * before, rel=1e-12)
 
 
 def test_estimate_smoothness_formulas():
@@ -284,8 +294,8 @@ def test_soft_threshold_and_prox_equal_the_formula_bit_for_bit():
         assert np.array_equal(got, formula) and _same_bits(got, formula)
     prob = make_problem("least_squares", 2, 7, 3, 0, regularizer="l1", l1_weight=0.5)
     V = v.reshape(2, 7)
-    for got, want in ((prox_h(prob, None, V, 0.5), formula.reshape(2, 7)),
-                      (prox_h(prob, 1, V[1], 0.5), formula[7:])):
+    for got, want in ((prox_h(prob, V, 0.5), formula.reshape(2, 7)),
+                      (prox_h(prob, V[1], 0.5), formula[7:])):
         assert np.array_equal(got, want) and _same_bits(got, want)
     assert np.signbit(v[1])  # the input is left as it was
 
@@ -341,8 +351,8 @@ def test_noniid_partition_is_heterogeneous():
 def test_smooth_and_h_values():
     prob = make_problem("least_squares", 2, 3, 5, 1, regularizer="l1",
                         l1_weight=0.5, alpha=0.0)
-    y = np.array([1.0, -2.0, 0.0])
-    assert h_value(prob, 0, y) == pytest.approx(1.5)
+    Y = np.array([[1.0, -2.0, 0.0], [0.0, 0.5, -0.25]])
+    assert h_values(prob, Y).tolist() == pytest.approx([1.5, 0.375])
     x = np.zeros(3)
     want = float(np.mean(0.5 * prob.labels[0] ** 2))
     assert smooth_value(prob, 0, x) == pytest.approx(want)
@@ -382,13 +392,13 @@ def test_empirical_sigma_zero_for_identical_samples():
     A = np.tile(np.array([[1.0, 2.0]]), (4, 1))
     b = np.full(4, 3.0)
     prob = CompositeProblem("least_squares", [A], [b])
-    assert empirical_sigma_sq(prob, np.zeros(2)) == 0.0
+    assert empirical_sigma_sq(prob, np.zeros((1, 2))) == 0.0
 
 
 @settings(max_examples=40, deadline=None)
 @given(v=st.floats(-3, 3), c=st.floats(0.05, 2.5), lam=st.floats(0, 2))
 def test_prox_shrinks_toward_zero(v, c, lam):
     prob = single_sample_problem([1.0], 0.0, regularizer="l1", l1_weight=lam)
-    u = prox_h(prob, 0, np.array([v]), c)[0]
+    u = prox_h(prob, np.array([v]), c)[0]
     assert abs(u) <= abs(v) + 1e-12
     assert u * v >= 0 or u == 0.0
