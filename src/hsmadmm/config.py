@@ -44,7 +44,6 @@ class RunConfig:
     regularizer: str = "none"
     l1_weight: float = 0.0
     alpha: float = 0.0
-    noise_std: float = 0.1
     dataset_csv: str = ""
     dataset_manifest: str = ""
     c_rho: float = 1.0
@@ -62,11 +61,7 @@ class RunConfig:
     check_dual_bound: bool = False
     track_lyapunov: bool = True
     record_accumulation: bool = False
-    divergence_guard: float = 1e12
     plots: bool = False
-    theta: float = 1.0
-    c_mu: float = 1.0
-    c_gamma: float = 1.0
 
     def validate(self) -> None:
         for f in dataclasses.fields(self):
@@ -95,11 +90,10 @@ class RunConfig:
             raise ConfigInvalid(f"hubs must be in [1, n), got {self.hubs}")
         if self.samples_per_agent < 1:
             raise ConfigInvalid("samples_per_agent must be >= 1")
-        for name in ("c_rho", "c_a", "c_eta", "step_scale", "theta", "c_mu",
-                     "c_gamma", "divergence_guard"):
+        for name in ("c_rho", "c_a", "c_eta", "step_scale"):
             if getattr(self, name) <= 0:
                 raise ConfigInvalid(f"{name} must be positive")
-        for name in ("l1_weight", "alpha", "noise_std"):
+        for name in ("l1_weight", "alpha"):
             if getattr(self, name) < 0:
                 raise ConfigInvalid(f"{name} must be nonnegative")
         if self.batch_size < 0:

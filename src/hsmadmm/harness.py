@@ -63,7 +63,7 @@ def build_problem(cfg: RunConfig) -> problems.CompositeProblem:
     return problems.make_problem(cfg.problem, cfg.n, cfg.p, cfg.samples_per_agent,
                                  cfg.dataset_seed, regularizer=cfg.regularizer,
                                  l1_weight=cfg.l1_weight, alpha=cfg.alpha,
-                                 noniid=cfg.noniid, noise_std=cfg.noise_std)
+                                 noniid=cfg.noniid)
 
 
 def _final_metrics(trace: MetricsTrace) -> dict:
@@ -73,7 +73,8 @@ def _final_metrics(trace: MetricsTrace) -> dict:
 
 def _replica_summary(trace: MetricsTrace, seed: int) -> dict:
     try:
-        slope, intercept = metrics.rate_fit(trace)
+        slope, intercept = metrics.rate_fit(trace.column("k"),
+                                            trace.column("stat_total"))
     except metrics.InsufficientTrace:
         slope, intercept = None, None
     return {

@@ -24,6 +24,15 @@ from .problems import (CompositeProblem, empirical_sigma_sq, full_gradient,
                        smooth_values, soft_threshold)
 
 
+# Proof constants, fixed at 1: THETA is the Young's-inequality split in the
+# dual-step bound and in c_beta, C_GAMMA weights the current estimation error
+# in the merit function. C_ERR, the previous error's weight, sits at its lower
+# admissible value 12 (1 + 1/theta).
+THETA = 1.0
+C_GAMMA = 1.0
+C_ERR = 12.0 * (1.0 + 1.0 / THETA)
+
+
 class MetricsError(Exception):
     pass
 
@@ -89,37 +98,13 @@ def gradient_error(prob: CompositeProblem, xs, vs) -> float:
     return total
 
 
-@dataclass
-class LyapunovConstants:
-    """Analysis constants for the merit function.
-
-    ``c_err`` sits at its lower admissible value 12 (1 + 1/theta); ``c_beta``
-    is pinned to its lower admissible value, which involves the squared
-    spectral norm of the constant part of the step-minus-penalty matrix.
-    """
-
-    theta: float
-    c_mu: float
-    c_gamma: float
-    c_beta: float
-    L: float
-
-    def __post_init__(self):
-        if self.theta <= 0 or self.c_mu <= 0 or self.c_gamma <= 0:
-            raise MetricsError("theta, c_mu, c_gamma must be positive")
-
-    @property
-    def c_err(self) -> float:
-        return 12.0 * (1.0 + 1.0 / self.theta)
-
-
 def make_lyapunov_constants(graph: Graph, sched: Schedules, L: float, *,
-                            theta: float = 1.0, c_mu: float = 1.0,
-                            c_gamma: float = 1.0, degrees) -> LyapunovConstants:
+                            degrees) -> float:
+    """The merit function's momentum weight c_beta at its lower admissible
+    value, which involves the squared spectral norm of the constant part of
+    the step-minus-penalty matrix."""
     s_norm = float(np.linalg.norm(step_matrix_base(graph, sched, degrees=degrees), 2))
-    c_beta = lower_c_beta(s_norm, L, theta, sched.c_rho)
-    return LyapunovConstants(theta=theta, c_mu=c_mu, c_gamma=c_gamma,
-                             c_beta=c_beta, L=L)
+    return lower_c_beta(s_norm, L, THETA, sched.c_rho)
 
 
 @dataclass
@@ -129,7 +114,6 @@ class LyapunovSnapshot:
     err_term: float
     err_prev_term: float
     momentum_term: float
-    constants: LyapunovConstants
 
 
 def augmented_lagrangian(prob: CompositeProblem, graph: Graph,
@@ -144,7 +128,7 @@ def augmented_lagrangian(prob: CompositeProblem, graph: Graph,
 
 
 def lyapunov(prob: CompositeProblem, graph: Graph, sched: Schedules,
-             consts: LyapunovConstants, k: int, xs, ys, lam, xs_prev,
+             c_beta: float, k: int, xs, ys, lam, xs_prev,
              err_sq: float, err_prev_sq: float) -> LyapunovSnapshot:
     """Merit value at state index k (two completed rounds required):
     the augmented Lagrangian at the previous round's penalty, plus weighted
@@ -155,22 +139,21 @@ def lyapunov(prob: CompositeProblem, graph: Graph, sched: Schedules,
     xs = np.asarray(xs, dtype=float)
     rho_prev = sched.rho(k - 1)
     al = augmented_lagrangian(prob, graph, xs, ys, lam, rho_prev)
-    inv_gamma = consts.c_gamma * float(k) ** (1.0 / 3.0)
-    beta_k = consts.c_beta * float(k) ** (1.0 / 3.0)
+    inv_gamma = C_GAMMA * float(k) ** (1.0 / 3.0)
+    beta_k = c_beta * float(k) ** (1.0 / 3.0)
     err_term = inv_gamma * err_sq
-    err_prev_term = consts.c_err / rho_prev * err_prev_sq
+    err_prev_term = C_ERR / rho_prev * err_prev_sq
     momentum_term = 0.5 * beta_k * float(np.sum((xs - np.asarray(xs_prev)) ** 2))
     phi = al + err_term + err_prev_term + momentum_term
-    return LyapunovSnapshot(phi, al, err_term, err_prev_term, momentum_term, consts)
+    return LyapunovSnapshot(phi, al, err_term, err_prev_term, momentum_term)
 
 
-def descent_drift(sched: Schedules, consts: LyapunovConstants, k: int,
-                  r_sq: float, sigma_sq: float) -> float:
+def descent_drift(sched: Schedules, k: int, r_sq: float, sigma_sq: float) -> float:
     """Allowed merit increase over the transition from state k to k+1: the
     penalty-growth term plus the momentum-noise term."""
     rho_step = 0.5 * (sched.rho(k) - sched.rho(k - 1))
     a = sched.a(k)
-    inv_gamma_next = consts.c_gamma * float(k + 1) ** (1.0 / 3.0)
+    inv_gamma_next = C_GAMMA * float(k + 1) ** (1.0 / 3.0)
     return rho_step * r_sq + 2.0 * a * a * sigma_sq * inv_gamma_next
 
 
@@ -191,11 +174,8 @@ class DualBoundChecker:
     state arrays as S @ dx.
     """
 
-    def __init__(self, graph: Graph, sched: Schedules, L: float, *,
-                 degrees, theta: float = 1.0):
-        self.sched = sched
+    def __init__(self, graph: Graph, sched: Schedules, L: float, *, degrees):
         self.L = L
-        self.theta = theta
         self.S_base = step_matrix_base(graph, sched, degrees=degrees)
         self.s_base_norm = float(np.linalg.norm(self.S_base, 2))
 
@@ -212,8 +192,8 @@ class DualBoundChecker:
         t_cur = float(s) ** (1.0 / 3.0)          # round s-1 evaluates at t = s
         t_prev = float(s - 1) ** (1.0 / 3.0)
         S_dx = t_cur * (self.S_base @ dx)
-        inv = 1.0 + 1.0 / self.theta
-        rhs = ((1.0 + self.theta) * float(np.vdot(S_dx, S_dx))
+        inv = 1.0 + 1.0 / THETA
+        rhs = ((1.0 + THETA) * float(np.vdot(S_dx, S_dx))
                + (2.0 * inv * (t_prev * self.s_base_norm) ** 2
                   + 4.0 * self.L ** 2 * inv) * float(np.vdot(dx_prev, dx_prev))
                + 8.0 * inv * (err_sq_prev + err_sq_prev2))
@@ -273,20 +253,14 @@ def min_prefix(values) -> np.ndarray:
     return np.minimum.accumulate(np.asarray(values, dtype=float))
 
 
-def rate_fit(trace) -> tuple:
+def rate_fit(ks, vals) -> tuple:
     """Log-log slope of the running-minimum stationarity over 40
     log-spaced checkpoints from k = 100 on.
 
-    ``trace`` is either a trace object exposing ``column`` or a pair of
-    arrays (iteration indices, stationarity totals). Returns (slope,
-    intercept) of the least-squares line through log10(min-prefix) against
-    log10(k).
+    ``ks`` are the logged iteration indices and ``vals`` their stationarity
+    totals. Returns (slope, intercept) of the least-squares line through
+    log10(min-prefix) against log10(k).
     """
-    if hasattr(trace, "column"):
-        ks = trace.column("k")
-        vals = trace.column("stat_total")
-    else:
-        ks, vals = trace
     ks = np.asarray(ks, dtype=float)
     vals = np.asarray(vals, dtype=float)
     if ks.size < 100:
@@ -320,7 +294,7 @@ def rate_fit_averaged(curves) -> tuple:
         if ks.shape != ks0.shape or not np.array_equal(ks, ks0):
             raise MetricsError("replicas must share their logged rounds")
         prefixes.append(min_prefix(vals))
-    return rate_fit((ks0, np.mean(prefixes, axis=0)))
+    return rate_fit(ks0, np.mean(prefixes, axis=0))
 
 
 def accumulation_weighted_sum(err_sq, dx_sq, r_sq, K: int) -> float:

@@ -27,6 +27,9 @@ REGULARIZERS = ("l1", "none")
 # Upper bound on the second derivative of the per-sample scalar loss.
 _CURVATURE = {"least_squares": 1.0, "logistic": 0.25, "nonconvex_robust": 1.0}
 
+# Standard deviation of the Gaussian noise ``make_problem`` adds to the margins.
+NOISE_STD = 0.1
+
 
 class ProblemError(Exception):
     """Base class for objective/oracle failures."""
@@ -364,9 +367,9 @@ def draw_batch(prob: CompositeProblem, i: int, rng, size: int) -> np.ndarray:
 
 def make_problem(kind: str, n: int, p: int, samples_per_agent: int, seed: int, *,
                  regularizer: str = "none", l1_weight: float = 0.0,
-                 alpha: float = 0.0, noniid: bool = False,
-                 noise_std: float = 0.1) -> CompositeProblem:
-    """Synthesize an n-agent problem with a planted sparse ground truth.
+                 alpha: float = 0.0, noniid: bool = False) -> CompositeProblem:
+    """Synthesize an n-agent problem with a planted sparse ground truth,
+    whose margins carry Gaussian noise of standard deviation ``NOISE_STD``.
 
     Features are Gaussian scaled by 1/sqrt(p) so per-sample curvature stays
     O(1). With ``noniid=True`` samples are sorted by label before being
@@ -383,7 +386,7 @@ def make_problem(kind: str, n: int, p: int, samples_per_agent: int, seed: int, *
 
     N = n * samples_per_agent
     A = rng.standard_normal((N, p)) / np.sqrt(p)
-    margins = A @ x_true + noise_std * rng.standard_normal(N)
+    margins = A @ x_true + NOISE_STD * rng.standard_normal(N)
     if kind == "logistic":
         b = np.where(margins >= 0.0, 1.0, -1.0)
     else:

@@ -4,11 +4,11 @@ Each agent owns an independent RNG stream seeded from (master seed, agent
 id), so the trajectory is a pure function of the run configuration. A run
 is one process working on stacked (n, p) arrays; parallel work happens
 across runs (``hsmadmm sweep --jobs``), whose outputs are byte-identical
-for any job count apart from wall times. The engine is the only writer of
-the ledger.
+for any job count apart from wall times. The engine creates each run's
+message ledger and passes it to the rounds, which record into it.
 
-A configurable divergence guard converts numerical blow-up into a structured
-error carrying the trace logged so far.
+A fixed divergence guard, ``DIVERGENCE_GUARD``, converts numerical blow-up
+into a structured error carrying the trace logged so far.
 """
 from __future__ import annotations
 
@@ -29,6 +29,9 @@ from .hsm_admm import (Schedules, constants_feasibility, hsm_admm_round,
 from .metrics import (DualBoundChecker, gradient_error, lyapunov,
                       make_lyapunov_constants, residuals, stationarity_measure)
 from .problems import CompositeProblem
+
+# Largest agent-state magnitude a run may reach before it counts as diverged.
+DIVERGENCE_GUARD = 1e12
 
 
 class SimulatorError(Exception):
@@ -181,19 +184,16 @@ def run(config: RunConfig, prob: CompositeProblem, graph: Graph,
     track_phi = config.track_lyapunov and admm
     check_dual = config.check_dual_bound and admm
     record_accum = config.record_accumulation and admm
-    consts = None
+    c_beta = None
     checker = None
     if track_phi:
-        consts = make_lyapunov_constants(graph, sched, prob.smoothness,
-                                         theta=config.theta, c_mu=config.c_mu,
-                                         c_gamma=config.c_gamma,
+        c_beta = make_lyapunov_constants(graph, sched, prob.smoothness,
                                          degrees=degrees)
     if check_dual:
-        checker = DualBoundChecker(graph, sched, prob.smoothness,
-                                   degrees=degrees, theta=config.theta)
+        checker = DualBoundChecker(graph, sched, prob.smoothness, degrees=degrees)
 
     need_history = track_phi or check_dual or record_accum
-    history = deque(maxlen=3)
+    history = deque(maxlen=2)
 
     def snapshot(xs=None):
         return {"xs": state.xs() if xs is None else xs, "vs": state.vs(),
@@ -222,18 +222,18 @@ def run(config: RunConfig, prob: CompositeProblem, graph: Graph,
         s = r + 1
         xs = state.xs()
         peak = float(np.max(np.abs(xs))) if xs.size else 0.0
-        if not np.isfinite(peak) or peak > config.divergence_guard:
+        if not np.isfinite(peak) or peak > DIVERGENCE_GUARD:
             trace.meta["diverged_at"] = s
             raise NumericalDivergence(
                 f"state magnitude {peak:.3g} exceeded guard "
-                f"{config.divergence_guard:.3g} at round {s}",
+                f"{DIVERGENCE_GUARD:.3g} at round {s}",
                 trace=trace, round_index=s)
 
         entry = None
         if need_history:
             entry = snapshot(xs)
 
-        if checker is not None and s >= 2 and len(history) >= 2:
+        if checker is not None and s >= 2:
             prev, prev2 = history[-1], history[-2]
             rec = checker.check(s, xs, prev["xs"], prev2["xs"],
                                 entry["lam"], prev["lam"],
@@ -260,9 +260,9 @@ def run(config: RunConfig, prob: CompositeProblem, graph: Graph,
                     err_sq = entry_err_sq(entry)
                 else:
                     err_sq = gradient_error(prob, xs, state.vs())
-                if track_phi and s >= 2 and len(history) >= 1:
+                if track_phi and s >= 2:
                     prev = history[-1]
-                    snap = lyapunov(prob, graph, sched, consts, s, xs, ys,
+                    snap = lyapunov(prob, graph, sched, c_beta, s, xs, ys,
                                     entry["lam"], prev["xs"], err_sq,
                                     entry_err_sq(prev))
                     phi = snap.phi

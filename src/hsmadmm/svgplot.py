@@ -33,6 +33,12 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
+def _text(label: str) -> str:
+    # xml.sax.saxutils.escape would do, but importing it pulls in
+    # urllib.request and ssl: about 0.1 s and several MB per process
+    return label.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def _tick_label(v: float) -> str:
     if abs(v) >= 1e4 or abs(v) < 1e-3:
         return f"{v:.0e}"
@@ -48,7 +54,8 @@ def _log_ticks(lo: float, hi: float) -> list:
 
 def line_chart(series, xlabel: str, ylabel: str) -> str:
     """Render the series, whose points must all be finite and positive, to
-    a self-contained log-log SVG string."""
+    a self-contained log-log SVG string. Labels are text: ``&``, ``<`` and
+    ``>`` in them are escaped."""
     if not series:
         raise EmptyTrace("nothing to plot")
 
@@ -94,10 +101,12 @@ def line_chart(series, xlabel: str, ylabel: str) -> str:
                    f'{_tick_label(t)}</text>')
 
     out.append(f'<text x="{_fmt(_MARGIN_L + plot_w / 2)}" y="{_fmt(_HEIGHT - 8)}" '
-               f'text-anchor="middle" font-family="sans-serif" font-size="12">{xlabel}</text>')
+               f'text-anchor="middle" font-family="sans-serif" font-size="12">'
+               f'{_text(xlabel)}</text>')
     out.append(f'<text x="14" y="{_fmt(_MARGIN_T + plot_h / 2)}" text-anchor="middle" '
                f'font-family="sans-serif" font-size="12" '
-               f'transform="rotate(-90 14 {_fmt(_MARGIN_T + plot_h / 2)})">{ylabel}</text>')
+               f'transform="rotate(-90 14 {_fmt(_MARGIN_T + plot_h / 2)})">'
+               f'{_text(ylabel)}</text>')
 
     for idx, s in enumerate(series):
         color = PALETTE[idx % len(PALETTE)]
@@ -109,7 +118,7 @@ def line_chart(series, xlabel: str, ylabel: str) -> str:
         out.append(f'<line x1="{_fmt(lx)}" y1="{_fmt(ly - 4)}" x2="{_fmt(lx + 22)}" '
                    f'y2="{_fmt(ly - 4)}" stroke="{color}" stroke-width="1.5"/>')
         out.append(f'<text x="{_fmt(lx + 27)}" y="{_fmt(ly)}" font-family="sans-serif" '
-                   f'font-size="11">{s.label}</text>')
+                   f'font-size="11">{_text(s.label)}</text>')
 
     out.append("</svg>")
     return "\n".join(out) + "\n"

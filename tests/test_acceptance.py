@@ -14,10 +14,9 @@ import pytest
 from hsmadmm import checks
 from hsmadmm.config import RunConfig
 from hsmadmm.harness import build_graph, build_problem
-from hsmadmm.hsm_admm import Schedules, step_degrees
-from hsmadmm.metrics import (descent_drift, make_lyapunov_constants,
-                             momentum_recursion_mc_check, rate_fit_averaged,
-                             rounds_to_tolerance)
+from hsmadmm.hsm_admm import Schedules
+from hsmadmm.metrics import (descent_drift, momentum_recursion_mc_check,
+                             rate_fit_averaged, rounds_to_tolerance)
 from hsmadmm.problems import empirical_sigma_sq
 from hsmadmm.simulator import run
 
@@ -102,8 +101,7 @@ def quadratic_run():
     cfg = RunConfig(algorithm="hsm_admm", topology="ring", n=4, p=3,
                     problem="least_squares", samples_per_agent=25,
                     regularizer="none", batch_size=0, m0=1, K=5000, seed=0,
-                    dataset_seed=11, track_lyapunov=False, check_dual_bound=True,
-                    theta=1.0)
+                    dataset_seed=11, track_lyapunov=False, check_dual_bound=True)
     g, prob = build_graph(cfg), build_problem(cfg)
     H = np.zeros((3, 3))
     c = np.zeros(3)
@@ -171,8 +169,6 @@ def test_criterion_09_merit_descent():
                      K=K, dataset_seed=5, metric_every=1, track_lyapunov=True)
     g, prob = build_graph(base), build_problem(base)
     sched = Schedules(base.c_rho, base.c_a, base.c_eta)
-    consts = make_lyapunov_constants(g, sched, prob.smoothness,
-                                     degrees=step_degrees(g))
     phis, rsqs, sigs = [], [], []
     for r in range(R):
         cfg = dataclasses.replace(base, seed=100 + r)
@@ -186,8 +182,8 @@ def test_criterion_09_merit_descent():
     fails = 0
     total = 0
     for k in range(10, K):
-        drift = np.array([descent_drift(sched, consts, k, rsqs[r, k - 1],
-                                        sigs[r, k]) for r in range(R)])
+        drift = np.array([descent_drift(sched, k, rsqs[r, k - 1], sigs[r, k])
+                          for r in range(R)])
         D = phis[:, k] - phis[:, k - 1] - drift
         total += 1
         if D.mean() > 3.0 * D.std(ddof=1) / np.sqrt(R):

@@ -1,6 +1,7 @@
 import json
 import warnings
 from pathlib import Path
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -11,7 +12,9 @@ from hsmadmm.config import (ConfigInvalid, RunConfig, config_to_text,
 from hsmadmm.harness import emit_plots, main
 from hsmadmm.problems import make_problem, save_dataset
 from hsmadmm.simulator import TRACE_HEADER, NumericalDivergence, read_trace_csv
-from hsmadmm.svgplot import EmptyTrace
+from hsmadmm.svgplot import EmptyTrace, Series, line_chart
+
+SVG_TEXT = "{http://www.w3.org/2000/svg}text"
 
 
 BASE_CFG = """
@@ -121,7 +124,7 @@ def test_invalid_config_exits_2(tmp_path):
     assert main(["run", "--config", str(path)]) == 2
 
 
-@pytest.mark.parametrize("line", ["divergence_guard = nan", "l1_weight = nan",
+@pytest.mark.parametrize("line", ["step_scale = nan", "l1_weight = nan",
                                   "alpha = nan", "c_rho = inf"])
 def test_non_finite_config_exits_2(tmp_path, capsys, line):
     key = line.split(" = ")[0]
@@ -130,6 +133,17 @@ def test_non_finite_config_exits_2(tmp_path, capsys, line):
     out = tmp_path / "out"
     assert main(["run", "--config", str(path), "--out", str(out)]) == 2
     assert f"{key} must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["theta", "c_mu", "c_gamma", "divergence_guard",
+                                 "noise_std"])
+def test_removed_key_exits_2(tmp_path, capsys, key):
+    # a config.cfg written before these keys became constants still names them
+    path = write_cfg(tmp_path, BASE_CFG + f"{key} = 1.0\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+    assert f"unknown key {key!r}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -237,7 +251,7 @@ def test_bad_edge_list_exits_2(tmp_path, capsys, edges, n, message):
 
 
 def test_divergence_exits_3(tmp_path):
-    text = BASE_CFG + "c_eta = 1e-9\ndivergence_guard = 1e6\nK = 300\n"
+    text = BASE_CFG + "c_eta = 1e-9\nK = 300\n"
     path = write_cfg(tmp_path, text.replace("K = 40\n", ""))
     out = tmp_path / "div"
     assert main(["run", "--config", str(path), "--out", str(out)]) == 3
@@ -347,6 +361,24 @@ def test_plot_command_and_determinism(tmp_path):
     for name in ("stationarity_vs_k.svg", "residuals_vs_k.svg",
                  "stationarity_vs_scalars.svg"):
         assert (plots / name).read_bytes() == (again / name).read_bytes()
+
+
+def test_plot_escapes_label_text(tmp_path):
+    cfg_path = write_cfg(tmp_path, BASE_CFG.replace("K = 40", "K = 5"))
+    out = tmp_path / "run_out"
+    assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+    label = "a<b & c"
+    plots = tmp_path / "plots"
+    assert main(["plot", "--traces", str(out / "trace.csv"), "--labels", label,
+                 "--out", str(plots)]) == 0
+    for name in ("stationarity_vs_k.svg", "residuals_vs_k.svg",
+                 "stationarity_vs_scalars.svg"):
+        root = ElementTree.parse(plots / name).getroot()
+        assert label in [el.text for el in root.iter(SVG_TEXT)]
+    # the axis labels are escaped too
+    ks = np.arange(1.0, 5.0)
+    root = ElementTree.fromstring(line_chart([Series(label, ks, ks)], "k > 0", "f & g"))
+    assert {label, "k > 0", "f & g"} <= {el.text for el in root.iter(SVG_TEXT)}
 
 
 @pytest.mark.parametrize("content, message", [

@@ -4,9 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hsmadmm.graph import Graph, build_topology, dense_AtA, residual
-from hsmadmm.hsm_admm import Schedules, constants_feasibility, step_degrees
-from hsmadmm.metrics import (DualBoundChecker, HistoryUnavailable,
-                             InsufficientTrace, LyapunovConstants, MetricsError,
+from hsmadmm.hsm_admm import (Schedules, constants_feasibility, lower_c_beta,
+                              step_degrees)
+from hsmadmm.metrics import (C_ERR, C_GAMMA, THETA, DualBoundChecker,
+                             HistoryUnavailable, InsufficientTrace, MetricsError,
                              accumulation_weighted_sum, augmented_lagrangian,
                              descent_drift, gradient_error, lyapunov,
                              make_lyapunov_constants, min_prefix, rate_fit,
@@ -87,24 +88,14 @@ def test_gradient_error_cases():
     assert gradient_error(prob, xs, zeros) == pytest.approx(want)
 
 
-def test_lyapunov_constants_validation():
-    for bad in ("theta", "c_mu", "c_gamma"):
-        values = dict(theta=1.0, c_mu=1.0, c_gamma=1.0, c_beta=1.0, L=1.0)
-        values[bad] = 0.0
-        with pytest.raises(MetricsError, match="must be positive"):
-            LyapunovConstants(**values)
-    consts = LyapunovConstants(theta=1.0, c_mu=1.0, c_gamma=1.0, c_beta=1.0, L=1.0)
-    assert consts.c_err == 24.0
-
-
 def test_make_constants_defaults(ring4):
+    assert THETA == 1.0 and C_GAMMA == 1.0 and C_ERR == 24.0
     sched = Schedules()
-    consts = make_lyapunov_constants(ring4, sched, L=1.0,
+    c_beta = make_lyapunov_constants(ring4, sched, L=1.0,
                                      degrees=step_degrees(ring4))
-    assert consts.c_err == pytest.approx(24.0)
     S = step_matrix_base(ring4, sched, degrees=step_degrees(ring4))
     want = (12.0 * np.max(np.abs(np.linalg.eigvalsh(S))) ** 2 + 24.0) / sched.c_rho
-    assert consts.c_beta == pytest.approx(want)
+    assert c_beta == pytest.approx(want)
 
 
 def test_lyapunov_collapses_at_stationary_state(quad_problem, ring4):
@@ -121,11 +112,11 @@ def test_lyapunov_collapses_at_stationary_state(quad_problem, ring4):
     xs = np.tile(xstar, (4, 1))
     vs = np.array([full_gradient(prob, i, xstar) for i in range(4)])
     sched = Schedules()
-    consts = make_lyapunov_constants(g, sched, prob.smoothness,
+    c_beta = make_lyapunov_constants(g, sched, prob.smoothness,
                                      degrees=step_degrees(g))
     lam = np.zeros((g.m + g.n) * 2)
     err_sq = gradient_error(prob, xs, vs)
-    snap = lyapunov(prob, g, sched, consts, 5, xs, xs, lam, xs, err_sq, err_sq)
+    snap = lyapunov(prob, g, sched, c_beta, 5, xs, xs, lam, xs, err_sq, err_sq)
     F = sum(smooth_value(prob, i, xstar) for i in range(4))
     assert snap.phi == pytest.approx(F)
     assert snap.err_term == 0.0 and snap.momentum_term == 0.0
@@ -135,13 +126,13 @@ def test_lyapunov_collapses_at_stationary_state(quad_problem, ring4):
 
 def test_lyapunov_needs_history(quad_problem, ring4):
     sched = Schedules()
-    consts = make_lyapunov_constants(ring4, sched, 1.0,
+    c_beta = make_lyapunov_constants(ring4, sched, 1.0,
                                      degrees=step_degrees(ring4))
     xs = np.zeros((4, 2))
     vs = np.zeros((4, 2))
     err_sq = gradient_error(quad_problem, xs, vs)
     with pytest.raises(HistoryUnavailable):
-        lyapunov(quad_problem, ring4, sched, consts, 1, xs, xs,
+        lyapunov(quad_problem, ring4, sched, c_beta, 1, xs, xs,
                  np.zeros((ring4.m + ring4.n) * 2), xs, err_sq, err_sq)
 
 
@@ -178,29 +169,27 @@ def test_augmented_lagrangian_is_the_per_agent_sum(ragged, ragged_problem):
 
 def test_descent_drift_formula():
     sched = Schedules()
-    g = build_topology("ring", 4)
-    consts = make_lyapunov_constants(g, sched, 1.0, degrees=step_degrees(g))
     k = 10
     want = (0.5 * (sched.rho(k) - sched.rho(k - 1)) * 2.0
-            + 2.0 * sched.a(k) ** 2 * 0.7 * consts.c_gamma * (k + 1) ** (1 / 3))
-    assert descent_drift(sched, consts, k, 2.0, 0.7) == pytest.approx(want)
+            + 2.0 * sched.a(k) ** 2 * 0.7 * C_GAMMA * (k + 1) ** (1 / 3))
+    assert descent_drift(sched, k, 2.0, 0.7) == pytest.approx(want)
 
 
 def test_rate_fit_power_law():
     ks = np.arange(1, 10001, dtype=float)
-    slope, _ = rate_fit((ks, ks ** (-2.0 / 3.0)))
+    slope, _ = rate_fit(ks, ks ** (-2.0 / 3.0))
     assert slope == pytest.approx(-2.0 / 3.0, abs=1e-6)
 
 
 def test_rate_fit_constant():
     ks = np.arange(1, 2001, dtype=float)
-    slope, _ = rate_fit((ks, np.full(ks.size, 3.7)))
+    slope, _ = rate_fit(ks, np.full(ks.size, 3.7))
     assert slope == pytest.approx(0.0, abs=1e-12)
 
 
 def test_rate_fit_insufficient():
     with pytest.raises(InsufficientTrace):
-        rate_fit((np.arange(1, 50, dtype=float), np.ones(49)))
+        rate_fit(np.arange(1, 50, dtype=float), np.ones(49))
 
 
 def test_rate_fit_averaged():
@@ -290,9 +279,12 @@ def test_step_matrix_layer_matches_dense_oracle(kind, n, p, hubs, uniform):
     for theta in (0.5, 1.0, 2.0):
         inv = 1.0 + 1.0 / theta
         c_beta = (6.0 * inv * norm_dense ** 2 + 12.0 * L * L * inv) / sched.c_rho
-        consts = make_lyapunov_constants(g, sched, L, theta=theta,
-                                         degrees=step_degrees(g, uniform))
-        assert consts.c_beta == pytest.approx(c_beta, rel=1e-12)
+        assert lower_c_beta(checker.s_base_norm, L, theta, sched.c_rho) == \
+            pytest.approx(c_beta, rel=1e-12)
+    # the merit function's c_beta is the theta = 1 value
+    c_beta = (12.0 * norm_dense ** 2 + 24.0 * L * L) / sched.c_rho
+    assert make_lyapunov_constants(g, sched, L, degrees=step_degrees(g, uniform)) == \
+        pytest.approx(c_beta, rel=1e-12)
 
     # the step-matrix margin the search reports at its best grid point
     best = constants_feasibility(g, sched, L, degrees=step_degrees(g, uniform)).best

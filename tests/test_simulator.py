@@ -75,7 +75,7 @@ def test_determinism_across_runs_and_workers():
 
 
 def test_divergence_guard_raises_with_trace():
-    cfg = small_cfg(c_eta=1e-8, K=200, divergence_guard=1e6)
+    cfg = small_cfg(c_eta=1e-8, K=200)
     with pytest.raises(NumericalDivergence) as err:
         run(cfg, build_problem(cfg), build_graph(cfg))
     assert err.value.trace is not None
