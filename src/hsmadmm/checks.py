@@ -23,8 +23,8 @@ from .graph import (Graph, apply_M, apply_Mt, build_topology, dense_A, dense_AtA
 from .harness import build_graph, build_problem, emit_plots, main, run_outputs
 from .hsm_admm import (Schedules, dense_round_reference, hsm_admm_round,
                        init_network_state, step_degrees)
-from .problems import (draw_batch, full_gradient, make_problem, prox_h,
-                       sampled_loss, stochastic_gradient)
+from .problems import (batch_gradients, draw_batch, full_gradient, make_problem,
+                       prox_h, sampled_loss, stochastic_gradient)
 from .simulator import agent_streams, run
 
 
@@ -116,7 +116,7 @@ def prox_oracle():
 
 def gradient_oracle():
     """Criterion 4: sampled gradients match central finite differences, and
-    the full batch reproduces the exact gradient bit for bit."""
+    full batches, per agent and stacked, give the exact gradient bit for bit."""
     rng = np.random.default_rng(57)
     worst = 0.0
     exact = True
@@ -138,6 +138,9 @@ def gradient_oracle():
             x = rng.standard_normal(5)
             full = stochastic_gradient(prob, 0, x, np.arange(prob.local_size(0)))
             exact = exact and np.array_equal(full, full_gradient(prob, 0, x))
+            X = np.stack([x, -x])
+            exact = exact and all(np.array_equal(g, full_gradient(prob, i, X[i]))
+                                  for i, g in enumerate(batch_gradients(prob, X, None)))
     return (worst <= 1e-5 and exact,
             f"max rel deviation {worst:.2e}, full batch exact: {exact}")
 

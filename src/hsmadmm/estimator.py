@@ -8,8 +8,8 @@ Row i of the estimate after a step to ``x_new`` with momentum parameter
 where both gradients are evaluated on the *same* batch, freshly drawn from
 agent i's own stream; reusing the batch is what cancels the variance of the
 correction term. ``a = 1`` discards the history and falls back to a plain
-stochastic gradient. With batch size 0 both gradients are exact, each one
-stacked ``batch_gradients`` call over every agent's full local data.
+stochastic gradient. The sampled refresh evaluates agent by agent; the
+batch-0 refresh and ``init_momentum`` are stacked ``batch_gradients`` calls.
 """
 from __future__ import annotations
 
@@ -33,19 +33,18 @@ class MomentumOutOfRange(EstimatorError):
 
 def init_momentum(prob: CompositeProblem, x0, m0: int, rngs,
                   full: bool = False) -> np.ndarray:
-    """Row i is the average of ``m0`` gradients at ``x0[i]``, sampled from
-    agent i's stream ``rngs[i]``.
+    """Row i is the average of ``m0`` gradients at ``x0[i]`` on indices drawn
+    from agent i's stream ``rngs[i]``, all rows in one stacked call.
 
     With ``full=True`` the sampler is bypassed and the exact local gradients
     are used (the deterministic mode; ``m0`` and ``rngs`` are then unused).
     """
-    x0 = np.asarray(x0, dtype=float)
     if full:
         return batch_gradients(prob, x0, None)
     if m0 < 1:
         raise InvalidBatch(f"initialization batch size must be >= 1, got {m0}")
-    return np.array([stochastic_gradient(prob, i, x0[i], draw_batch(prob, i, rngs[i], m0))
-                     for i in range(prob.n)])
+    idx = np.stack([draw_batch(prob, i, rngs[i], m0) for i in range(prob.n)])
+    return batch_gradients(prob, x0, idx + prob.offsets[:-1, None])
 
 
 def update_momentum(v, last_x, prob: CompositeProblem, x_new, a: float, rngs,

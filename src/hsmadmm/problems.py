@@ -266,9 +266,9 @@ def batch_gradients(prob: CompositeProblem, X, rows) -> np.ndarray:
 
 
 def full_gradient(prob: CompositeProblem, i: int, x) -> np.ndarray:
-    """Exact local gradient: the empirical expectation of the stochastic one,
-    computed in a copy of agent i's rows (the values and C layout that
-    gathering every index in order gives, so the bits are the same)."""
+    """Exact local gradient, the reference oracle for the stacked exact pass
+    ``batch_gradients(prob, X, None)`` that runs use: the kernel on a copy of
+    agent i's rows (the values and C layout an in-order gather gives)."""
     _check_agent(prob, i)
     return _mean_gradient(prob, prob.features[i].copy(), prob.labels[i],
                           np.asarray(x, dtype=float))

@@ -46,17 +46,24 @@ def test_momentum_one_is_plain_gradient():
 @pytest.mark.parametrize("ragged", [False, True])
 def test_exact_refresh_and_init_equal_the_per_agent_formula(ragged, ragged_problem):
     # batch 0 evaluates every agent's exact gradient in stacked passes, one
-    # size group at a time on a ragged dataset
+    # size group at a time on a ragged dataset; the sampled start draws per
+    # agent, in agent order, and evaluates every draw in one stacked pass
     prob = (ragged_problem() if ragged
             else make_problem("nonconvex_robust", 4, 3, 10, 1, alpha=0.3))
     v, x_old, x_new = np.random.default_rng(6).standard_normal((3, prob.n, prob.p))
     got = update_momentum(v, x_old, prob, x_new, 0.3, None, batch_size=0)
     init = init_momentum(prob, x_old, 1, None, full=True)
+    rngs = [np.random.default_rng([9, i]) for i in range(prob.n)]
+    sampled = init_momentum(prob, x_old, 3, rngs)
     for i in range(prob.n):
         g_old = full_gradient(prob, i, x_old[i])
         want = full_gradient(prob, i, x_new[i]) + 0.7 * (v[i] - g_old)
         assert got[i].tobytes() == want.tobytes()
         assert init[i].tobytes() == g_old.tobytes()
+        rng = np.random.default_rng([9, i])
+        batch = draw_batch(prob, i, rng, 3)
+        assert sampled[i].tobytes() == stochastic_gradient(prob, i, x_old[i], batch).tobytes()
+        assert rngs[i].bit_generator.state == rng.bit_generator.state
 
 
 def test_stationary_iterate_full_batch():

@@ -78,14 +78,20 @@ def test_residuals_pythagorean(seed):
                                               abs=1e-12)
 
 
-def test_gradient_error_cases():
-    prob = quad_two_agents(1.0, -1.0)
-    xs = np.array([[0.5], [0.5]])
-    vs = np.array([full_gradient(prob, 0, xs[0]), full_gradient(prob, 1, xs[1])])
-    assert gradient_error(prob, xs, vs) == 0.0
-    zeros = np.zeros_like(vs)
-    want = sum(np.sum(full_gradient(prob, i, xs[i]) ** 2) for i in range(2))
-    assert gradient_error(prob, xs, zeros) == pytest.approx(want)
+@pytest.mark.parametrize("kind", ["least_squares", "logistic", "nonconvex_robust"])
+@pytest.mark.parametrize("case", ["equal", "ragged", "p1"])
+def test_gradient_error_cases(kind, case, ragged_problem):
+    # one stacked exact pass gives the per-agent full_gradient sum bit for bit
+    prob = {"equal": lambda: make_problem(kind, 4, 3, 10, 1, alpha=0.3),
+            "ragged": lambda: ragged_problem(kind),
+            "p1": lambda: make_problem(kind, 3, 1, 17, 2, alpha=0.3)}[case]()
+    xs, vs = np.random.default_rng(8).standard_normal((2, prob.n, prob.p))
+    exact = np.array([full_gradient(prob, i, xs[i]) for i in range(prob.n)])
+    want = 0.0
+    for i in range(prob.n):
+        want += float(np.sum((vs[i] - exact[i]) ** 2))
+    assert gradient_error(prob, xs, vs) == want
+    assert gradient_error(prob, xs, exact) == 0.0
 
 
 def test_make_constants_defaults(ring4):
