@@ -28,9 +28,7 @@ repair.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -202,87 +200,3 @@ def dense_round_reference(graph: Graph, prob: CompositeProblem,
     lam_next = lam - rho * (A @ x_next + B @ y_next)
     return y_next, x_next, lam_next
 
-
-# The (theta, c_mu, c_gamma) grid that ``constants_feasibility`` searches.
-THETA_GRID = (0.5, 1.0, 2.0)
-C_MU_GRID = (0.5, 1.0, 2.0, 4.0)
-C_GAMMA_GRID = (0.25, 0.5, 1.0, 2.0)
-
-
-@dataclass
-class FeasibilityReport:
-    """Outcome of the step-constant positivity search.
-
-    ``feasible`` means both scalar and matrix positivity margins are strictly
-    positive somewhere on the grid; ``best`` holds the grid point with the
-    largest worst margin either way.
-    """
-
-    feasible: bool
-    best: dict
-    tried: int
-
-
-def constants_feasibility(graph: Graph, sched: Schedules, L: float, *,
-                          degrees) -> FeasibilityReport:
-    """Search the grid ``THETA_GRID`` x ``C_MU_GRID`` x ``C_GAMMA_GRID`` of
-    analysis constants for simultaneous positivity of the error coefficient
-    and the step matrix.
-
-    For each (theta, c_mu, c_gamma) the error-term margin is
-
-        margin_e = 2 c_a c_gamma - 1/(2 c_mu) - (12 (1 + 1/theta) + c_err) / c_rho
-
-    with c_err at its lower admissible value 12 (1 + 1/theta), and the step
-    matrix whose smallest eigenvalue must be positive is
-
-        (C_eta - c_rho/2 AtA) - 3(1+theta)/(2 c_rho) S^2
-        - (c_mu/2 + c_beta/2 + L/2 + 2 L^2 c_gamma) I,
-
-    with S = C_eta - c_rho AtA from ``step_matrix_base`` (``degrees`` as
-    there) and AtA = L_graph + I, all n x n. Only the scalar shift depends
-    on (c_mu, c_gamma), so the smallest eigenvalue is computed once per
-    theta.
-
-    The search reports rather than enforces: the published conditions leave
-    the constants as experimental knobs and the desk problems run fine
-    outside the certified region.
-    """
-    S = step_matrix_base(graph, sched, degrees=degrees)
-    s_norm = float(np.linalg.norm(S, 2))
-    half = S + 0.5 * sched.c_rho * (laplacian(graph) + np.eye(graph.n))
-    S_sq = S @ S
-    step_min = {theta: float(np.linalg.eigvalsh(
-        half - (1.5 * (1.0 + theta) / sched.c_rho) * S_sq)[0]) for theta in THETA_GRID}
-
-    best = None
-    feasible = False
-    tried = 0
-    for theta, c_mu, c_gamma in product(THETA_GRID, C_MU_GRID, C_GAMMA_GRID):
-        tried += 1
-        inv = 1.0 + 1.0 / theta
-        c_err = 12.0 * inv
-        c_beta = lower_c_beta(s_norm, L, theta, sched.c_rho)
-        margin_e = (2.0 * sched.c_a * c_gamma - 0.5 / c_mu
-                    - (12.0 * inv + c_err) / sched.c_rho)
-        margin_x = step_min[theta] - (0.5 * c_mu + 0.5 * c_beta + 0.5 * L
-                                      + 2.0 * L * L * c_gamma)
-        worst = min(margin_e, margin_x)
-        entry = {"theta": theta, "c_mu": c_mu, "c_gamma": c_gamma,
-                 "margin_error": margin_e, "margin_step_matrix": margin_x,
-                 "worst": worst}
-        if best is None or worst > best["worst"]:
-            best = entry
-        if margin_e > 0 and margin_x > 0:
-            feasible = True
-            best = entry
-            break
-    return FeasibilityReport(feasible=feasible, best=best, tried=tried)
-
-
-def warn_if_infeasible(report: FeasibilityReport) -> None:
-    if not report.feasible:
-        warnings.warn(
-            "no grid point certifies the accumulation-bound positivity "
-            f"(best worst-margin {report.best['worst']:.3g}); the schedule "
-            "constants remain experimental knobs", RuntimeWarning, stacklevel=2)

@@ -1,5 +1,6 @@
 """Measurements: stationarity, residuals, estimation error, the merit
-function with its inequality checkers, and rate fitting.
+function with its inequality checkers and step-constant feasibility report,
+and rate fitting.
 
 The headline quantity is the network stationarity measure evaluated at the
 agent average: the squared prox-gradient gap of the aggregate objective plus
@@ -13,11 +14,12 @@ the simulator attaches to the trace.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, residual
+from .graph import Graph, laplacian, residual
 from .hsm_admm import Schedules, lower_c_beta, step_matrix_base
 from .problems import (CompositeProblem, batch_gradients, empirical_sigma_sq,
                        global_mean_gradient, h_values, per_sample_gradients,
@@ -103,6 +105,58 @@ def make_lyapunov_constants(graph: Graph, sched: Schedules, L: float, *,
     the step-minus-penalty matrix."""
     s_norm = float(np.linalg.norm(step_matrix_base(graph, sched, degrees=degrees), 2))
     return lower_c_beta(s_norm, L, THETA, sched.c_rho)
+
+
+@dataclass
+class FeasibilityReport:
+    """Step-constant positivity at the merit's constants: ``margin`` is the
+    smaller of the error and step-matrix margins at the momentum weight
+    ``c_mu`` that maximizes it, and ``feasible`` means it is positive."""
+
+    feasible: bool
+    c_mu: float
+    margin: float
+
+
+def constants_feasibility(graph: Graph, sched: Schedules, L: float, *,
+                          degrees) -> FeasibilityReport:
+    """Positivity of the error coefficient and of the step matrix at
+    theta = ``THETA``, c_gamma = ``C_GAMMA`` and c_err = ``C_ERR``, with the
+    free weight c_mu at its best value.
+
+    The error-term margin is
+
+        margin_e = 2 c_a c_gamma - 1/(2 c_mu) - (12 (1 + 1/theta) + c_err) / c_rho
+
+    and the step matrix whose smallest eigenvalue is margin_x is
+
+        (C_eta - c_rho/2 AtA) - 3(1+theta)/(2 c_rho) S^2
+        - (c_mu/2 + c_beta/2 + L/2 + 2 L^2 c_gamma) I,
+
+    with S = C_eta - c_rho AtA from ``step_matrix_base`` (``degrees`` as
+    there) and AtA = L_graph + I, all n x n. c_mu enters only as
+    margin_e = E0 - 1/(2 c_mu), rising, and margin_x = X0 - c_mu/2, falling,
+    so the smaller margin peaks where they cross: at the positive root of
+    c^2 - 2 Delta c - 1 = 0 with Delta = X0 - E0.
+
+    The report does not enforce anything: the desk problems run fine
+    outside the certified region, which as transcribed holds a single node
+    and, on every configuration scanned, no graph with an edge.
+    """
+    S = step_matrix_base(graph, sched, degrees=degrees)
+    c_beta = make_lyapunov_constants(graph, sched, L, degrees=degrees)
+    half = S + 0.5 * sched.c_rho * (laplacian(graph) + np.eye(graph.n))
+    step_min = float(np.linalg.eigvalsh(
+        half - (1.5 * (1.0 + THETA) / sched.c_rho) * (S @ S))[0])
+    e0 = (2.0 * sched.c_a * C_GAMMA
+          - (12.0 * (1.0 + 1.0 / THETA) + C_ERR) / sched.c_rho)
+    x0 = step_min - 0.5 * c_beta - 0.5 * L - 2.0 * L * L * C_GAMMA
+    delta = x0 - e0
+    root = math.hypot(delta, 1.0)
+    # the root's two forms; each avoids cancellation on its side of 0
+    c_mu = delta + root if delta >= 0 else 1.0 / (root - delta)
+    margin = min(e0 - 0.5 / c_mu, x0 - 0.5 * c_mu)
+    return FeasibilityReport(feasible=margin > 0, c_mu=c_mu, margin=margin)
 
 
 @dataclass
@@ -269,7 +323,10 @@ def rate_fit(ks, vals) -> tuple:
         raise InsufficientTrace("no checkpoints at or beyond k=100")
     ks_f, pf = ks[mask], prefix[mask]
     targets = np.geomspace(ks_f[0], ks_f[-1], 40)
-    idx = np.unique(np.searchsorted(ks_f, targets).clip(0, ks_f.size - 1))
+    # idx is non-decreasing, so dropping repeats of the predecessor leaves
+    # the distinct entries (np.unique would import numpy.ma on first use)
+    idx = np.searchsorted(ks_f, targets).clip(0, ks_f.size - 1)
+    idx = idx[np.concatenate(([True], idx[1:] != idx[:-1]))]
     xs = np.log10(ks_f[idx])
     ys = np.log10(np.maximum(pf[idx], 1e-300))
     slope, intercept = np.polyfit(xs, ys, 1)

@@ -111,9 +111,9 @@ class CompositeProblem:
         (len(agents), N) ``rows`` holds every stacked row of agent
         ``agents[j]``. The one place that tells equal local sizes (one pair)
         from a ragged dataset."""
-        sizes = np.diff(self.offsets)
+        sizes = np.diff(self.offsets)  # not np.unique: it imports numpy.ma
         return [(agents, self.offsets[agents, None] + np.arange(N))
-                for N in np.unique(sizes)
+                for N in sorted(set(sizes.tolist()))
                 for agents in [np.flatnonzero(sizes == N)]]
 
     @cached_property

@@ -24,10 +24,11 @@ from .baselines import (batch_rows, init_dsgd_state, init_gt_state,
                         metropolis_weights, prox_dsgd_round, prox_gt_round)
 from .config import ConfigInvalid, RunConfig
 from .graph import Graph
-from .hsm_admm import (Schedules, constants_feasibility, hsm_admm_round,
-                       init_network_state, step_degrees, warn_if_infeasible)
-from .metrics import (DualBoundChecker, gradient_error, lyapunov,
-                      make_lyapunov_constants, residuals, stationarity_measure)
+from .hsm_admm import (Schedules, hsm_admm_round, init_network_state,
+                       step_degrees)
+from .metrics import (DualBoundChecker, constants_feasibility, gradient_error,
+                      lyapunov, make_lyapunov_constants, residuals,
+                      stationarity_measure)
 from .problems import CompositeProblem
 
 # Largest agent-state magnitude a run may reach before it counts as diverged.
@@ -154,10 +155,8 @@ def run(config: RunConfig, prob: CompositeProblem, graph: Graph,
     degrees = step_degrees(graph, config.algorithm == "uniform_admm")
 
     if admm:
-        report = constants_feasibility(graph, sched, prob.smoothness,
-                                       degrees=degrees)
-        warn_if_infeasible(report)
-        trace.meta["feasibility"] = asdict(report)
+        trace.meta["feasibility"] = asdict(constants_feasibility(
+            graph, sched, prob.smoothness, degrees=degrees))
         state = init_network_state(prob, graph, x0, config.m0, rngs, full_batch=full)
 
         def round_fn(k):

@@ -4,10 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hsmadmm.graph import Graph, build_topology, incidence_matrix
-from hsmadmm.hsm_admm import (NetworkState, Schedules, constants_feasibility,
-                              dense_round_reference, hsm_admm_round,
-                              init_network_state, step_degrees, step_duals,
-                              step_x, step_y, warn_if_infeasible)
+from hsmadmm.hsm_admm import (NetworkState, Schedules, dense_round_reference,
+                              hsm_admm_round, init_network_state, step_degrees,
+                              step_duals, step_x, step_y)
 from hsmadmm.problems import (CompositeProblem, full_gradient, make_problem,
                               prox_h)
 from hsmadmm.simulator import MessageLedger, agent_streams
@@ -189,16 +188,6 @@ def test_single_node_degenerates_to_centralized():
     assert ledger.vector_messages == 0
 
 
-def test_feasibility_report_and_warning(ring4):
-    report = constants_feasibility(ring4, Schedules(), L=1.0,
-                                   degrees=step_degrees(ring4))
-    assert report.tried >= 1
-    assert {"theta", "c_mu", "c_gamma", "worst"} <= set(report.best)
-    if not report.feasible:
-        with pytest.warns(RuntimeWarning):
-            warn_if_infeasible(report)
-
-
 def test_topology_independence_no_divergence(quad_problem):
     # constants fixed once; residuals must trend down on every topology
     sched = Schedules()
@@ -218,15 +207,3 @@ def test_topology_independence_no_divergence(quad_problem):
         spread = float(np.sum((xs - xs.mean(axis=0)) ** 2))
         assert spread < 1e-6, f"{kind} failed to contract: {spread}"
         assert np.max(np.abs(xs)) < 10 * max(1.0, first)
-
-
-def test_feasibility_stops_at_first_certified_grid_point():
-    # single node with c_eta = c_rho: S = 0, so the step margin is positive
-    # and the error margin first turns positive at (0.5, 0.5, 1.0), the
-    # third point in grid order
-    g = Graph(1, ())
-    report = constants_feasibility(g, Schedules(100.0, 1.0, 100.0), L=0.1,
-                                   degrees=step_degrees(g))
-    assert report.feasible and report.tried == 3
-    assert (report.best["theta"], report.best["c_mu"], report.best["c_gamma"]) == (0.5, 0.5, 1.0)
-    assert report.best["margin_step_matrix"] == pytest.approx(49.6782, rel=1e-12)

@@ -4,15 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hsmadmm.graph import Graph, build_topology, dense_AtA, residual
-from hsmadmm.hsm_admm import (Schedules, constants_feasibility, lower_c_beta,
-                              step_degrees)
+from hsmadmm.hsm_admm import Schedules, lower_c_beta, step_degrees
 from hsmadmm.metrics import (C_ERR, C_GAMMA, THETA, DualBoundChecker,
                              HistoryUnavailable, InsufficientTrace, MetricsError,
                              accumulation_weighted_sum, augmented_lagrangian,
-                             descent_drift, gradient_error, lyapunov,
-                             make_lyapunov_constants, min_prefix, rate_fit,
-                             rate_fit_averaged, residuals, stationarity_measure,
-                             step_matrix_base)
+                             constants_feasibility, descent_drift,
+                             gradient_error, lyapunov, make_lyapunov_constants,
+                             min_prefix, rate_fit, rate_fit_averaged, residuals,
+                             stationarity_measure, step_matrix_base)
 from hsmadmm.problems import (CompositeProblem, full_gradient,
                               global_mean_gradient, make_problem,
                               smooth_value, soft_threshold)
@@ -102,6 +101,61 @@ def test_make_constants_defaults(ring4):
     S = step_matrix_base(ring4, sched, degrees=step_degrees(ring4))
     want = (12.0 * np.max(np.abs(np.linalg.eigvalsh(S))) ** 2 + 24.0) / sched.c_rho
     assert c_beta == pytest.approx(want)
+
+
+@pytest.mark.parametrize("n, sched, L", [(4, Schedules(), 1.0),
+                                         (1, Schedules(100.0, 1.0, 100.0), 0.1)],
+                         ids=["ring4", "single_node"])
+def test_feasibility_c_mu_maximizes_the_smaller_margin(n, sched, L):
+    # the ring's crossing lies below c_mu = 1 and the single node's above,
+    # one per form of the closed-form root
+    g = build_topology("ring", n) if n > 1 else Graph(1, ())
+    degrees = step_degrees(g)
+    report = constants_feasibility(g, sched, L, degrees=degrees)
+    AtA = dense_AtA(g, 1)
+    S = np.diag(sched.c_eta * (degrees + 1.0)) - sched.c_rho * AtA
+    c_beta = make_lyapunov_constants(g, sched, L, degrees=degrees)
+    step_min = np.linalg.eigvalsh(S + 0.5 * sched.c_rho * AtA
+                                  - (3.0 / sched.c_rho) * (S @ S))[0]
+    c_mu = np.geomspace(1e-4, 1e4, 200_001)
+    margin_e = 2.0 * sched.c_a - 48.0 / sched.c_rho - 0.5 / c_mu
+    margin_x = step_min - 0.5 * c_mu - 0.5 * c_beta - 0.5 * L - 2.0 * L * L
+    worst = np.minimum(margin_e, margin_x)
+    best = int(np.argmax(worst))
+    assert report.c_mu == pytest.approx(c_mu[best], rel=1e-4)
+    assert report.margin >= worst[best]
+    assert report.margin == pytest.approx(worst[best], rel=1e-6)
+    assert report.feasible == (n == 1)
+
+
+def test_feasibility_certifies_a_single_node():
+    # one node with c_eta = c_rho: S = 0, so the step margin is
+    # X0 - c_mu/2 with X0 = c_rho/2 - c_beta/2 - L/2 - 2 L^2 and
+    # c_beta = 24 L^2 / c_rho; the error margin is E0 - 1/(2 c_mu) with
+    # E0 = 2 c_a - 48 / c_rho
+    g = Graph(1, ())
+    report = constants_feasibility(g, Schedules(100.0, 1.0, 100.0), L=0.1,
+                                   degrees=step_degrees(g))
+    e0, x0 = 2.0 - 0.48, 50.0 - 0.0012 - 0.05 - 0.02
+    c_mu = (x0 - e0) + np.hypot(x0 - e0, 1.0)
+    assert report.feasible
+    assert report.c_mu == pytest.approx(c_mu, rel=1e-12)      # about 96.83
+    assert report.margin == pytest.approx(e0 - 0.5 / c_mu, rel=1e-12)  # about 1.515
+
+
+@pytest.mark.parametrize("uniform", [False, True])
+def test_feasibility_certifies_no_graph_with_an_edge(uniform):
+    # on the pair the step margin needs 2 c_eta / c_rho in two disjoint
+    # intervals at once, one per eigenvalue of L + I
+    for g in (Graph(2, ((0, 1),)), build_topology("ring", 4),
+              build_topology("star", 8)):
+        for c_rho in np.geomspace(0.1, 1e4, 6):
+            for c_eta in np.geomspace(0.1, 1e5, 7):
+                for L in (0.1, 1.0):
+                    report = constants_feasibility(
+                        g, Schedules(c_rho, 10.0, c_eta), L,
+                        degrees=step_degrees(g, uniform))
+                    assert not report.feasible and report.margin < 0
 
 
 def test_lyapunov_collapses_at_stationary_state(quad_problem, ring4):
@@ -292,16 +346,13 @@ def test_step_matrix_layer_matches_dense_oracle(kind, n, p, hubs, uniform):
     assert make_lyapunov_constants(g, sched, L, degrees=step_degrees(g, uniform)) == \
         pytest.approx(c_beta, rel=1e-12)
 
-    # the step-matrix margin the search reports at its best grid point
-    best = constants_feasibility(g, sched, L, degrees=step_degrees(g, uniform)).best
-    theta, c_mu, c_gamma = best["theta"], best["c_mu"], best["c_gamma"]
-    inv = 1.0 + 1.0 / theta
-    c_beta = (6.0 * inv * norm_dense ** 2 + 12.0 * L * L * inv) / sched.c_rho
-    Cx = (C_eta - 0.5 * sched.c_rho * AtA
-          - (1.5 * (1.0 + theta) / sched.c_rho) * (S_dense @ S_dense)
-          - (0.5 * c_mu + 0.5 * c_beta + 0.5 * L + 2.0 * L * L * c_gamma)
+    # the report's margin is the step-matrix margin at theta = c_gamma = 1
+    # and its c_mu
+    report = constants_feasibility(g, sched, L, degrees=step_degrees(g, uniform))
+    Cx = (C_eta - 0.5 * sched.c_rho * AtA - (3.0 / sched.c_rho) * (S_dense @ S_dense)
+          - (0.5 * report.c_mu + 0.5 * c_beta + 0.5 * L + 2.0 * L * L)
           * np.eye(n * p))
-    assert best["margin_step_matrix"] == pytest.approx(
+    assert report.margin == pytest.approx(
         float(np.linalg.eigvalsh(Cx)[0]), rel=1e-10, abs=1e-10)
 
     rng = np.random.default_rng(4)
