@@ -45,6 +45,10 @@ EXTRA = {
     "uniform_admm_b2": dict(algorithm="uniform_admm", topology="star", n=8, p=5,
                             problem="logistic", samples_per_agent=20,
                             regularizer="l1", l1_weight=1e-3, batch_size=2),
+    "hsm_admm_every7": dict(algorithm="hsm_admm", topology="ring", n=6, p=4,
+                            problem="least_squares", samples_per_agent=20,
+                            batch_size=1, track_lyapunov=True,
+                            check_dual_bound=True, metric_every=7),
 }
 
 
