@@ -1,7 +1,9 @@
 """Run configuration: a flat key = value text format with strict parsing.
 
 Unknown keys are rejected; every field has a typed default. Booleans accept
-true/false/1/0/yes/no. A ``#`` starts a comment anywhere on a line. Numbers
+true/false/1/0/yes/no. A ``#`` starts a comment anywhere on a line and
+values are stripped, so no string value may hold a ``#`` or a line break,
+or start or end with white space: the text could not record it. Numbers
 must be finite, and seeds nonnegative.
 """
 from __future__ import annotations
@@ -68,6 +70,10 @@ class RunConfig:
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigInvalid(f"{f.name} must be finite, got {value}")
+            if isinstance(value, str) and ("#" in value or value != value.strip()
+                                           or "".join(value.splitlines()) != value):
+                raise ConfigInvalid(f"{f.name} must hold no '#', line break or "
+                                    f"surrounding white space, got {value!r}")
         if self.algorithm not in ALGORITHMS:
             raise ConfigInvalid(f"algorithm must be one of {ALGORITHMS}, got {self.algorithm!r}")
         if self.topology not in TOPOLOGY_KINDS:

@@ -21,7 +21,8 @@ its low endpoint with a minus sign and its high endpoint with a plus sign.
 Step sizes scale with the local degree, eta_i = c_eta * (d_i + 1) * t^{1/3},
 so no agent waits on the global maximum degree. ``step_degrees`` picks the
 degree vector d (local, or the maximum for the uniform-step baseline); the
-round, the dense reference and the analysis constants all take that vector.
+round, the dense reference and the analysis constants in ``metrics`` all
+take that vector.
 Schedules evaluate at t = k + 1: the k^{1/3} law would make the round-0
 penalty zero and the prox scale undefined, and the one-shift is the minimal
 repair.
@@ -33,8 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimator import init_momentum, update_momentum
-from .graph import (Graph, InvalidParam, apply_M, apply_Mt, dense_A, dense_B,
-                    laplacian)
+from .graph import Graph, InvalidParam, apply_M, apply_Mt, dense_A, dense_B
 from .problems import CompositeProblem, prox_h
 
 
@@ -69,28 +69,6 @@ def step_degrees(graph: Graph, uniform: bool = False) -> np.ndarray:
     if uniform:
         return np.full(graph.n, graph.degree.max())
     return graph.degree
-
-
-def step_matrix_base(graph: Graph, sched: Schedules, *, degrees) -> np.ndarray:
-    """Constant part of the n x n step-minus-penalty matrix,
-
-        S = diag(c_eta (d + 1)) - c_rho (L + I),
-
-    with d = ``degrees`` from ``step_degrees``; the matrix at round k is
-    (k+1)^{1/3} S.
-    On the stacked variable the analysis matrix is S kron I_p: its spectrum
-    is that of S with each eigenvalue repeated p times, and on an (n, p)
-    block array X it acts as S @ X, so every analysis quantity is computed
-    on S alone."""
-    return (np.diag(sched.c_eta * (np.asarray(degrees, dtype=float) + 1.0))
-            - sched.c_rho * (laplacian(graph) + np.eye(graph.n)))
-
-
-def lower_c_beta(s_norm: float, L: float, theta: float, c_rho: float) -> float:
-    """Lower admissible merit constant c_beta from the spectral norm of
-    ``step_matrix_base``."""
-    inv = 1.0 + 1.0 / theta
-    return (6.0 * inv * s_norm ** 2 + 12.0 * L * L * inv) / c_rho
 
 
 @dataclass

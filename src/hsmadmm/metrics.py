@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Graph, laplacian, residual
-from .hsm_admm import Schedules, lower_c_beta, step_matrix_base
+from .hsm_admm import Schedules
 from .problems import (CompositeProblem, batch_gradients, empirical_sigma_sq,
                        global_mean_gradient, h_values, per_sample_gradients,
                        smooth_values, soft_threshold)
@@ -98,13 +98,32 @@ def gradient_error(prob: CompositeProblem, xs, vs) -> float:
     return sum(np.sum(D ** 2, axis=1).tolist())
 
 
+def step_matrix_base(graph: Graph, sched: Schedules, *, degrees) -> np.ndarray:
+    """Constant part of the n x n step-minus-penalty matrix,
+
+        S = diag(c_eta (d + 1)) - c_rho (L + I),
+
+    with d = ``degrees`` from ``hsm_admm.step_degrees``; the matrix at round
+    k is (k+1)^{1/3} S.
+    On the stacked variable the analysis matrix is S kron I_p: its spectrum
+    is that of S with each eigenvalue repeated p times, and on an (n, p)
+    block array X it acts as S @ X, so every analysis quantity is computed
+    on S alone."""
+    return (np.diag(sched.c_eta * (np.asarray(degrees, dtype=float) + 1.0))
+            - sched.c_rho * (laplacian(graph) + np.eye(graph.n)))
+
+
 def make_lyapunov_constants(graph: Graph, sched: Schedules, L: float, *,
                             degrees) -> float:
     """The merit function's momentum weight c_beta at its lower admissible
-    value, which involves the squared spectral norm of the constant part of
-    the step-minus-penalty matrix."""
+    value,
+
+        c_beta = (6 (1 + 1/theta) ||S||_2^2 + 12 L^2 (1 + 1/theta)) / c_rho,
+
+    with theta = ``THETA`` and S from ``step_matrix_base``."""
     s_norm = float(np.linalg.norm(step_matrix_base(graph, sched, degrees=degrees), 2))
-    return lower_c_beta(s_norm, L, THETA, sched.c_rho)
+    inv = 1.0 + 1.0 / THETA
+    return (6.0 * inv * s_norm ** 2 + 12.0 * L * L * inv) / sched.c_rho
 
 
 @dataclass

@@ -9,11 +9,16 @@ message ledger and passes it to the rounds, which record into it.
 
 A fixed divergence guard, ``DIVERGENCE_GUARD``, converts numerical blow-up
 into a structured error carrying the trace logged so far.
+
+Rounds rebind the state's arrays (``state.x = ...``) and never write into
+them. The merit function, the dual-bound checker and the accumulation
+records read the last two states (x, lam, ||E||^2), so the run keeps those
+by reference, without copies. The states whose estimation error ||E||^2 is
+read are fixed before round 1, and each such error is evaluated once.
 """
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import asdict, dataclass, field
 from time import perf_counter
 from typing import ClassVar
@@ -139,7 +144,10 @@ def run(config: RunConfig, prob: CompositeProblem, graph: Graph,
 
     Returns the full metrics trace; raises ``NumericalDivergence`` (carrying
     the partial trace) if any agent state exceeds the guard. The optional
-    ``metrics_sink(k, row, state)`` is invoked at every logged round.
+    ``metrics_sink(k, row, state)`` is invoked at every logged round with the
+    live state. The run still reads its arrays, so the sink must not write
+    into them, and the next round rebinds them, so the sink keeps what it
+    needs as copies (``state.xs()``), not as the ``state`` object.
     """
     config.validate()
     if prob.n != graph.n:
@@ -181,45 +189,41 @@ def run(config: RunConfig, prob: CompositeProblem, graph: Graph,
                           step_scale=config.step_scale, ledger=ledger)
 
     track_phi = config.track_lyapunov and admm
-    check_dual = config.check_dual_bound and admm
-    record_accum = config.record_accumulation and admm
-    c_beta = None
-    checker = None
+    c_beta = checker = accum = None
     if track_phi:
         c_beta = make_lyapunov_constants(graph, sched, prob.smoothness,
                                          degrees=degrees)
-    if check_dual:
+    if config.check_dual_bound and admm:
         checker = DualBoundChecker(graph, sched, prob.smoothness, degrees=degrees)
+    if config.record_accumulation and admm:
+        accum = {key: np.zeros(config.K + 1) for key in ("err_sq", "dx_sq", "r_sq")}
+    need_lam = track_phi or checker is not None
 
-    need_history = track_phi or check_dual or record_accum
-    history = deque(maxlen=2)
-
-    def snapshot(xs=None):
-        return {"xs": state.xs() if xs is None else xs, "vs": state.vs(),
-                "lam": state.duals_vector()}
-
-    def entry_err_sq(entry):
-        if "err_sq" not in entry:
-            entry["err_sq"] = gradient_error(prob, entry["xs"], entry["vs"])
-        return entry["err_sq"]
-
-    accum = {"err_sq": [], "dx_sq": [], "r_sq": []} if record_accum else None
-
-    if need_history:
-        first = snapshot()
-        history.append(first)
-        if record_accum:
-            res0 = residuals(graph, first["xs"], state.ys())
-            accum["err_sq"].append(entry_err_sq(first))
-            accum["dx_sq"].append(0.0)
-            accum["r_sq"].append(res0.combined ** 2)
-
+    # States whose estimation error is read: all of them for the checker and
+    # the accumulation records, else the logged ones and, for the merit, the
+    # state before each.
     logset = metric_rounds(config.K, config.metric_every)
+    if checker is not None or accum is not None:
+        err_states = range(config.K + 1)
+    elif admm:
+        err_states = logset | {s - 1 for s in logset if track_phi and s >= 2}
+    else:
+        err_states = set()
+
+    nan = float("nan")
+    err_sq = gradient_error(prob, state.x, state.v) if 0 in err_states else nan
+    # (x, lam, err_sq) at states s-1 and s-2, by reference
+    prev = (state.x, state.duals_vector() if need_lam else None, err_sq)
+    prev2 = None
+    if accum is not None:
+        accum["err_sq"][0] = err_sq
+        accum["r_sq"][0] = residuals(graph, state.x, state.y).combined ** 2
+
     start = perf_counter()
     for r in range(config.K):
         round_fn(r)
         s = r + 1
-        xs = state.xs()
+        xs = state.x
         peak = float(np.max(np.abs(xs))) if xs.size else 0.0
         if not np.isfinite(peak) or peak > DIVERGENCE_GUARD:
             trace.meta["diverged_at"] = s
@@ -228,43 +232,29 @@ def run(config: RunConfig, prob: CompositeProblem, graph: Graph,
                 f"{DIVERGENCE_GUARD:.3g} at round {s}",
                 trace=trace, round_index=s)
 
-        entry = None
-        if need_history:
-            entry = snapshot(xs)
+        err_sq = gradient_error(prob, xs, state.v) if s in err_states else nan
+        cur = (xs, state.duals_vector() if need_lam else None, err_sq)
 
         if checker is not None and s >= 2:
-            prev, prev2 = history[-1], history[-2]
-            rec = checker.check(s, xs, prev["xs"], prev2["xs"],
-                                entry["lam"], prev["lam"],
-                                entry_err_sq(prev), entry_err_sq(prev2))
+            rec = checker.check(s, xs, prev[0], prev2[0], cur[1], prev[1],
+                                prev[2], prev2[2])
             if rec is not None:
                 trace.violations.append(rec)
 
-        if record_accum:
-            prev = history[-1]
-            res_s = residuals(graph, xs, state.ys())
-            accum["err_sq"].append(entry_err_sq(entry))
-            dx = xs - prev["xs"]
-            accum["dx_sq"].append(float(np.sum(dx * dx)))
-            accum["r_sq"].append(res_s.combined ** 2)
+        if accum is not None:
+            dx = xs - prev[0]
+            accum["err_sq"][s] = err_sq
+            accum["dx_sq"][s] = float(np.sum(dx * dx))
+            accum["r_sq"][s] = residuals(graph, xs, state.y).combined ** 2
 
         if s in logset:
             stat = stationarity_measure(prob, xs)
-            ys = state.ys() if admm else xs
+            ys = state.y if admm else xs
             res = residuals(graph, xs, ys)
-            err_sq = float("nan")
-            phi = float("nan")
-            if admm:
-                if entry is not None:
-                    err_sq = entry_err_sq(entry)
-                else:
-                    err_sq = gradient_error(prob, xs, state.vs())
-                if track_phi and s >= 2:
-                    prev = history[-1]
-                    snap = lyapunov(prob, graph, sched, c_beta, s, xs, ys,
-                                    entry["lam"], prev["xs"], err_sq,
-                                    entry_err_sq(prev))
-                    phi = snap.phi
+            phi = nan
+            if track_phi and s >= 2:
+                phi = lyapunov(prob, graph, sched, c_beta, s, xs, ys, cur[1],
+                               prev[0], err_sq, prev[2]).phi
             wall = (perf_counter() - start) * 1000.0
             row = (s, stat.total, stat.prox_gradient_gap, stat.consensus_gap,
                    res.combined, res.consensus, res.splitting, err_sq, phi,
@@ -273,8 +263,7 @@ def run(config: RunConfig, prob: CompositeProblem, graph: Graph,
             if metrics_sink is not None:
                 metrics_sink(s, dict(zip(TRACE_HEADER, row)), state)
 
-        if need_history:
-            history.append(entry)
+        prev2, prev = prev, cur
 
     trace.meta.update({
         "algorithm": config.algorithm,
@@ -286,6 +275,6 @@ def run(config: RunConfig, prob: CompositeProblem, graph: Graph,
         "scalars_transmitted": ledger.scalars_transmitted,
         "violation_count": len(trace.violations),
     })
-    if record_accum:
-        trace.meta["accumulation"] = {k: np.array(v) for k, v in accum.items()}
+    if accum is not None:
+        trace.meta["accumulation"] = accum
     return trace

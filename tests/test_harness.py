@@ -90,6 +90,21 @@ def test_config_text_round_trip():
     assert again == cfg
 
 
+@pytest.mark.parametrize("values", [dict(out_dir="results/run#2"),
+                                    dict(out_dir="a\nb"), dict(out_dir="a\rb"),
+                                    dict(edge_list="edges.txt#"),
+                                    dict(dataset_csv="d\u2028.csv",
+                                         dataset_manifest="m.json"),
+                                    dict(out_dir="results/run "),
+                                    dict(topology=" ring")])
+def test_string_values_config_text_cannot_hold_are_refused(values):
+    # in config.cfg "#" opens a comment, a line break ends the value and the
+    # value is stripped, so the text would read back another value
+    name = next(iter(values))
+    with pytest.raises(ConfigInvalid, match=f"{name} must hold no '#'"):
+        RunConfig(**values).validate()
+
+
 def test_run_command_outputs(tmp_path):
     cfg_path = write_cfg(tmp_path)
     out = tmp_path / "out"
@@ -165,6 +180,14 @@ def test_negative_seed_exits_2(tmp_path, capsys, lines):
     key = lines[0].split(" = ")[0]
     assert f"{key} must be >= 0, got -1" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_out_dir_with_hash_exits_2(tmp_path, capsys):
+    out = tmp_path / "a#1"
+    assert main(["run", "--config", str(write_cfg(tmp_path)), "--out", str(out)]) == 2
+    assert "out_dir must hold no '#'" in capsys.readouterr().err
+    assert not out.exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
 
 
 def test_non_finite_dataset_exits_2(tmp_path, capsys):

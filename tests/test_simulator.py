@@ -4,11 +4,12 @@ import math
 import numpy as np
 import pytest
 
+from hsmadmm import simulator
 from hsmadmm.checks import determinism
 from hsmadmm.config import ConfigInvalid, RunConfig
 from hsmadmm.harness import build_graph, build_problem
 from hsmadmm.hsm_admm import Schedules, step_degrees
-from hsmadmm.metrics import constants_feasibility
+from hsmadmm.metrics import constants_feasibility, gradient_error
 from hsmadmm.simulator import (TRACE_HEADER, MessageLedger, MetricsTrace,
                                NumericalDivergence, metric_rounds,
                                read_trace_csv, run)
@@ -119,6 +120,83 @@ def test_accumulation_recording_lengths():
     for key in ("err_sq", "dx_sq", "r_sq"):
         assert acc[key].shape == (16,)  # states 0..15
     assert acc["dx_sq"][0] == 0.0
+
+
+@pytest.mark.parametrize("batch_size", [0, 2])
+@pytest.mark.parametrize("algorithm", ["hsm_admm", "uniform_admm", "prox_dsgd",
+                                       "prox_gt"])
+def test_rounds_never_write_into_state_arrays(algorithm, batch_size):
+    # the run keeps earlier states by reference: a round rebinds the state's
+    # arrays and must never write into them
+    cfg = small_cfg(algorithm=algorithm, batch_size=batch_size, K=12,
+                    metric_every=1, track_lyapunov=True, check_dual_bound=True,
+                    record_accumulation=True)
+
+    def freeze(s, row, state):
+        for value in vars(state).values():
+            value.setflags(write=False)
+
+    trace = run(cfg, build_problem(cfg), build_graph(cfg), metrics_sink=freeze)
+    assert trace.column("k").tolist() == list(range(1, 13))
+
+
+def counted_run(cfg, monkeypatch):
+    """Run ``cfg``; return its trace, its ``gradient_error`` call count and
+    the arguments of every dual-bound check."""
+    calls, checks = [], []
+    check = simulator.DualBoundChecker.check
+
+    def counting(*args):
+        calls.append(1)
+        return gradient_error(*args)
+
+    def recording(self, *args):
+        checks.append(args)
+        return check(self, *args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(simulator, "gradient_error", counting)
+        patch.setattr(simulator.DualBoundChecker, "check", recording)
+        trace = run(cfg, build_problem(cfg), build_graph(cfg))
+    return trace, len(calls), checks
+
+
+def assert_shared_rows_equal(sparse, dense):
+    rows = {row[0]: row[:-1] for row in dense.rows}   # without wall_ms
+    assert len(sparse.rows) < len(dense.rows)
+    for row in sparse.rows:
+        assert np.array_equal(row[:-1], rows[row[0]], equal_nan=True)
+
+
+def test_logging_cadence_changes_no_value(monkeypatch):
+    base = small_cfg(K=60, batch_size=1, regularizer="l1", l1_weight=0.01,
+                     track_lyapunov=True, check_dual_bound=True,
+                     record_accumulation=True)
+    dense, _, dense_checks = counted_run(dataclasses.replace(base, metric_every=1),
+                                         monkeypatch)
+    sparse, calls, checks = counted_run(dataclasses.replace(base, metric_every=7),
+                                        monkeypatch)
+    assert calls == 61                  # every state 0..K, once each
+    assert_shared_rows_equal(sparse, dense)
+    assert sparse.violations == dense.violations
+    assert len(checks) == len(dense_checks) == 59
+    for got, want in zip(checks, dense_checks):
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    for key, values in dense.meta["accumulation"].items():
+        assert np.array_equal(sparse.meta["accumulation"][key], values)
+
+    # the merit alone reads the error at each logged state and the one
+    # before it, not at every state
+    merit = small_cfg(K=1200, batch_size=1, track_lyapunov=True)
+    dense, _, _ = counted_run(dataclasses.replace(merit, metric_every=1),
+                              monkeypatch)
+    strided, calls, _ = counted_run(merit, monkeypatch)       # stride 2 past 100
+    assert calls == 1200
+    assert_shared_rows_equal(strided, dense)
+    every7, calls, _ = counted_run(dataclasses.replace(merit, metric_every=7),
+                                   monkeypatch)
+    assert calls == 2 * len(every7.rows) == 344
+    assert_shared_rows_equal(every7, dense)
 
 
 def test_agent_mismatch_rejected():
