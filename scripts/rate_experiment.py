@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Stationarity decay-rate study on the nonconvex composite testbed.
 
-Averages the running-minimum stationarity over several seeds on a ring of 8
-agents with label-partitioned data, fits the log-log slope, and writes the
-averaged trace plus a chart.
+Runs several seeds on a ring of 8 agents with label-partitioned data as the
+replicas of one ``harness.run_single`` call, which writes the replica
+traces, the summary with the rate fit of the mean running minimum, and the
+charts; adds the averaged running minimum as ``mean_min_prefix.csv``.
 
 Usage: python scripts/rate_experiment.py --seeds 5 --rounds 20000
 """
@@ -15,9 +16,9 @@ from pathlib import Path
 import numpy as np
 
 from hsmadmm.config import RunConfig
-from hsmadmm.harness import build_graph, build_problem, emit_plots
-from hsmadmm.metrics import min_prefix, rate_fit_averaged
-from hsmadmm.simulator import run
+from hsmadmm.harness import run_single
+from hsmadmm.metrics import min_prefix
+from hsmadmm.simulator import read_trace_csv
 
 
 def main(argv=None):
@@ -32,31 +33,27 @@ def main(argv=None):
                      regularizer="l1", l1_weight=1e-4, alpha=0.2, noniid=True,
                      batch_size=1, m0=32, K=args.rounds, dataset_seed=7,
                      track_lyapunov=False)
-    g, prob = build_graph(base), build_problem(base)
-
-    curves = []
-    traces = {}
-    for seed in range(args.seeds):
-        cfg = dataclasses.replace(base, seed=seed)
-        trace = run(cfg, prob, g)
-        curves.append((trace.column("k"), trace.column("stat_total")))
-        traces[f"seed {seed}"] = {name: trace.column(name)
-                                  for name in trace.header}
-        print(f"seed {seed}: final stationarity "
-              f"{trace.column('stat_total')[-1]:.3e}")
-
-    slope, intercept = rate_fit_averaged(curves)
-    print(f"log-log slope of the mean running minimum: {slope:.3f} "
-          f"(intercept {intercept:.3f})")
-
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    ks = curves[0][0]
-    mean_prefix = np.mean([min_prefix(vals) for _, vals in curves], axis=0)
+    summary = run_single(dataclasses.replace(
+        base, replicas=args.seeds, plots=True, out_dir=str(out)))
+    for rep in summary["replicas"]:
+        print(f"seed {rep['seed']}: final stationarity "
+              f"{rep['final']['stat_total']:.3e}")
+    agg = summary["aggregate"]
+    if "slope_of_mean_min_prefix" in agg:
+        print(f"log-log slope of the mean running minimum: "
+              f"{agg['slope_of_mean_min_prefix']:.3f} "
+              f"(intercept {agg['intercept_of_mean_min_prefix']:.3f})")
+    else:
+        print("no rate fit: it needs at least 100 logged rounds")
+
+    dirs = ([out] if args.seeds == 1
+            else [out / f"replica_{r:03d}" for r in range(args.seeds)])
+    traces = [read_trace_csv(d / "trace.csv") for d in dirs]
+    mean_prefix = np.mean([min_prefix(t["stat_total"]) for t in traces], axis=0)
     np.savetxt(out / "mean_min_prefix.csv",
-               np.column_stack([ks, mean_prefix]), delimiter=",",
+               np.column_stack([traces[0]["k"], mean_prefix]), delimiter=",",
                header="k,mean_min_prefix_stationarity", comments="")
-    emit_plots(traces, out)
     print(f"outputs written under {out}/")
     return 0
 

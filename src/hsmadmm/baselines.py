@@ -80,9 +80,6 @@ class ProxDsgdState:
 
     x: np.ndarray
 
-    def xs(self) -> np.ndarray:
-        return self.x.copy()
-
 
 def init_dsgd_state(graph: Graph, x0) -> ProxDsgdState:
     return ProxDsgdState(np.tile(np.asarray(x0, dtype=float), (graph.n, 1)))
@@ -111,12 +108,6 @@ class ProxGtState:
 
     def xs(self) -> np.ndarray:
         return self.x.copy()
-
-    def trackers(self) -> np.ndarray:
-        return self.s.copy()
-
-    def gradients(self) -> np.ndarray:
-        return self.g.copy()
 
 
 def init_gt_state(prob: CompositeProblem, graph: Graph, x0, rows) -> ProxGtState:

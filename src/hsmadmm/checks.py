@@ -82,7 +82,8 @@ def compact_form():
     sched = Schedules()
     degrees = step_degrees(g)
     rngs = agent_streams(17, 6)
-    state = init_network_state(prob, g, np.zeros(3), 8, rngs)
+    state = init_network_state(prob, g, np.zeros(3),
+                               next(batch_rows(prob, rngs, 8, 1)))
     worst = 0.0
     for k in range(200):
         x, y = state.xs().ravel(), state.ys().ravel()
@@ -205,8 +206,7 @@ def mixing_tracking():
     worst = 0.0
     for k in range(30):
         prox_gt_round(state, prob, g, W, k, next(rows))
-        gap = np.linalg.norm(state.trackers().sum(axis=0)
-                             - state.gradients().sum(axis=0))
+        gap = np.linalg.norm(state.s.sum(axis=0) - state.g.sum(axis=0))
         worst = max(worst, float(gap))
     ok = sym <= 1e-15 and stoch <= 1e-12 and worst <= 1e-10
     return ok, f"tracking gap {worst:.2e}"

@@ -10,6 +10,8 @@ agent i's own stream; reusing the batch is what cancels the variance of the
 correction term. ``a = 1`` discards the history and falls back to a plain
 stochastic gradient. The sampled refresh evaluates agent by agent; the
 batch-0 refresh and ``init_momentum`` are stacked ``batch_gradients`` calls.
+The refresh is the only consumer of the agents' streams here: the start
+takes rows drawn by the caller.
 """
 from __future__ import annotations
 
@@ -23,28 +25,17 @@ class EstimatorError(Exception):
     pass
 
 
-class InvalidBatch(EstimatorError):
-    """Initialization batch size below one."""
-
-
 class MomentumOutOfRange(EstimatorError):
     """Momentum parameter outside (0, 1]."""
 
 
-def init_momentum(prob: CompositeProblem, x0, m0: int, rngs,
-                  full: bool = False) -> np.ndarray:
-    """Row i is the average of ``m0`` gradients at ``x0[i]`` on indices drawn
-    from agent i's stream ``rngs[i]``, all rows in one stacked call.
-
-    With ``full=True`` the sampler is bypassed and the exact local gradients
-    are used (the deterministic mode; ``m0`` and ``rngs`` are then unused).
+def init_momentum(prob: CompositeProblem, x0, rows) -> np.ndarray:
+    """Row i is the average of the gradients at ``x0[i]`` over agent i's
+    batch rows ``rows[i]`` (stacked sample rows, see
+    ``baselines.batch_rows``), all rows in one ``batch_gradients`` call;
+    ``rows=None`` gives the exact local gradients (the deterministic mode).
     """
-    if full:
-        return batch_gradients(prob, x0, None)
-    if m0 < 1:
-        raise InvalidBatch(f"initialization batch size must be >= 1, got {m0}")
-    idx = np.stack([draw_batch(prob, i, rngs[i], m0) for i in range(prob.n)])
-    return batch_gradients(prob, x0, idx + prob.offsets[:-1, None])
+    return batch_gradients(prob, x0, rows)
 
 
 def update_momentum(v, last_x, prob: CompositeProblem, x_new, a: float, rngs,

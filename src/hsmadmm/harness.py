@@ -35,14 +35,18 @@ SUMMARY_COLUMNS = tuple(name for name in TRACE_HEADER if name != "wall_ms")
 
 def build_graph(cfg: RunConfig) -> graphmod.Graph:
     """The configured graph; an edge-list file that cannot be read or does
-    not describe a valid connected graph is a configuration error."""
+    not describe a valid connected graph, or a topology that cannot be built
+    (no connected ``random_connected`` sample), is a configuration error."""
     if cfg.topology == "from_edge_list":
         try:
             return graphmod.load_edge_list(cfg.edge_list, n=cfg.n)
         except (OSError, ValueError, graphmod.GraphError) as exc:
             raise ConfigInvalid(f"edge list {cfg.edge_list}: {exc}") from exc
-    return graphmod.build_topology(cfg.topology, cfg.n, cfg.graph_seed,
-                                   prob=cfg.edge_prob, hubs=cfg.hubs)
+    try:
+        return graphmod.build_topology(cfg.topology, cfg.n, cfg.graph_seed,
+                                       prob=cfg.edge_prob, hubs=cfg.hubs)
+    except graphmod.GraphError as exc:
+        raise ConfigInvalid(f"topology {cfg.topology}: {exc}") from exc
 
 
 def build_problem(cfg: RunConfig) -> problems.CompositeProblem:
@@ -157,10 +161,10 @@ def run_single(cfg: RunConfig, out_dir=None) -> dict:
     Raises ``NumericalDivergence`` after persisting the partial trace and a
     divergence summary that keeps the completed replicas' entries.
     """
-    out = Path(out_dir if out_dir is not None else cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     g = build_graph(cfg)
     prob = build_problem(cfg)
+    out = Path(out_dir if out_dir is not None else cfg.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     write_config(cfg, out / "config.cfg")
 
     replicas = []

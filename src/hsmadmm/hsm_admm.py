@@ -98,13 +98,13 @@ class NetworkState:
         return np.concatenate([self.alpha.ravel(), self.beta.ravel()])
 
 
-def init_network_state(prob: CompositeProblem, graph: Graph, x0, m0: int,
-                       rngs, full_batch: bool = False) -> NetworkState:
+def init_network_state(prob: CompositeProblem, graph: Graph, x0,
+                       rows) -> NetworkState:
     """Identical primal start across agents, y = x, zero duals, momentum from
-    an m0-sample batch (or the exact gradient in deterministic mode)."""
+    the batch ``rows`` (None for the exact gradient in deterministic mode)."""
     x = np.tile(np.asarray(x0, dtype=float), (graph.n, 1))
     return NetworkState(x=x, y=x.copy(), beta=np.zeros_like(x),
-                        v=init_momentum(prob, x, m0, rngs, full=full_batch),
+                        v=init_momentum(prob, x, rows),
                         alpha=np.zeros((graph.m, x.shape[1])))
 
 

@@ -113,17 +113,15 @@ def step_matrix_base(graph: Graph, sched: Schedules, *, degrees) -> np.ndarray:
             - sched.c_rho * (laplacian(graph) + np.eye(graph.n)))
 
 
-def make_lyapunov_constants(graph: Graph, sched: Schedules, L: float, *,
-                            degrees) -> float:
+def make_lyapunov_constants(s_norm: float, L: float, c_rho: float) -> float:
     """The merit function's momentum weight c_beta at its lower admissible
     value,
 
         c_beta = (6 (1 + 1/theta) ||S||_2^2 + 12 L^2 (1 + 1/theta)) / c_rho,
 
-    with theta = ``THETA`` and S from ``step_matrix_base``."""
-    s_norm = float(np.linalg.norm(step_matrix_base(graph, sched, degrees=degrees), 2))
+    with theta = ``THETA`` and ``s_norm`` = ||S||_2 of ``step_matrix_base``."""
     inv = 1.0 + 1.0 / THETA
-    return (6.0 * inv * s_norm ** 2 + 12.0 * L * L * inv) / sched.c_rho
+    return (6.0 * inv * s_norm ** 2 + 12.0 * L * L * inv) / c_rho
 
 
 @dataclass
@@ -137,8 +135,8 @@ class FeasibilityReport:
     margin: float
 
 
-def constants_feasibility(graph: Graph, sched: Schedules, L: float, *,
-                          degrees) -> FeasibilityReport:
+def constants_feasibility(graph: Graph, sched: Schedules, L: float, S,
+                          c_beta: float) -> FeasibilityReport:
     """Positivity of the error coefficient and of the step matrix at
     theta = ``THETA``, c_gamma = ``C_GAMMA`` and c_err = ``C_ERR``, with the
     free weight c_mu at its best value.
@@ -152,18 +150,16 @@ def constants_feasibility(graph: Graph, sched: Schedules, L: float, *,
         (C_eta - c_rho/2 AtA) - 3(1+theta)/(2 c_rho) S^2
         - (c_mu/2 + c_beta/2 + L/2 + 2 L^2 c_gamma) I,
 
-    with S = C_eta - c_rho AtA from ``step_matrix_base`` (``degrees`` as
-    there) and AtA = L_graph + I, all n x n. c_mu enters only as
-    margin_e = E0 - 1/(2 c_mu), rising, and margin_x = X0 - c_mu/2, falling,
-    so the smaller margin peaks where they cross: at the positive root of
-    c^2 - 2 Delta c - 1 = 0 with Delta = X0 - E0.
+    with S = C_eta - c_rho AtA from ``step_matrix_base``, c_beta from
+    ``make_lyapunov_constants`` and AtA = L_graph + I, all n x n. c_mu
+    enters only as margin_e = E0 - 1/(2 c_mu), rising, and margin_x =
+    X0 - c_mu/2, falling, so the smaller margin peaks where they cross: at
+    the positive root of c^2 - 2 Delta c - 1 = 0 with Delta = X0 - E0.
 
     The report does not enforce anything: the desk problems run fine
     outside the certified region, which as transcribed holds a single node
     and, on every configuration scanned, no graph with an edge.
     """
-    S = step_matrix_base(graph, sched, degrees=degrees)
-    c_beta = make_lyapunov_constants(graph, sched, L, degrees=degrees)
     half = S + 0.5 * sched.c_rho * (laplacian(graph) + np.eye(graph.n))
     step_min = float(np.linalg.eigvalsh(
         half - (1.5 * (1.0 + THETA) / sched.c_rho) * (S @ S))[0])
@@ -241,14 +237,14 @@ class DualBoundChecker:
 
     Violations are recorded, never raised: an empirical violation flags a
     subtlety in the bound's range condition, not a broken update. S is
-    (k+1)^{1/3} times the n x n ``step_matrix_base``, applied to the (n, p)
-    state arrays as S @ dx.
+    (k+1)^{1/3} times the n x n ``step_matrix_base`` ``S_base``, applied to
+    the (n, p) state arrays as S @ dx; ``s_base_norm`` is its ||.||_2.
     """
 
-    def __init__(self, graph: Graph, sched: Schedules, L: float, *, degrees):
+    def __init__(self, S_base, s_base_norm: float, L: float):
         self.L = L
-        self.S_base = step_matrix_base(graph, sched, degrees=degrees)
-        self.s_base_norm = float(np.linalg.norm(self.S_base, 2))
+        self.S_base = S_base
+        self.s_base_norm = s_base_norm
 
     def check(self, s: int, xs, xs_prev, xs_prev2, lam, lam_prev,
               err_sq_prev: float, err_sq_prev2: float):

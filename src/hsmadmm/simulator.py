@@ -33,7 +33,7 @@ from .hsm_admm import (Schedules, hsm_admm_round, init_network_state,
                        step_degrees)
 from .metrics import (DualBoundChecker, constants_feasibility, gradient_error,
                       lyapunov, make_lyapunov_constants, residuals,
-                      stationarity_measure)
+                      stationarity_measure, step_matrix_base)
 from .problems import CompositeProblem
 
 # Largest agent-state magnitude a run may reach before it counts as diverged.
@@ -156,16 +156,22 @@ def run(config: RunConfig, prob: CompositeProblem, graph: Graph,
     sched = Schedules(config.c_rho, config.c_a, config.c_eta)
     rngs = agent_streams(config.seed, graph.n)
     x0 = initial_point(config.seed, p)
-    full = config.batch_size == 0
     ledger = MessageLedger()
     trace = MetricsTrace()
     admm = config.algorithm in ("hsm_admm", "uniform_admm")
-    degrees = step_degrees(graph, config.algorithm == "uniform_admm")
 
+    c_beta = checker = accum = None
     if admm:
+        # the analysis step matrix S, its norm and c_beta, once per run
+        degrees = step_degrees(graph, config.algorithm == "uniform_admm")
+        S = step_matrix_base(graph, sched, degrees=degrees)
+        s_norm = float(np.linalg.norm(S, 2))
+        c_beta = make_lyapunov_constants(s_norm, prob.smoothness, sched.c_rho)
         trace.meta["feasibility"] = asdict(constants_feasibility(
-            graph, sched, prob.smoothness, degrees=degrees))
-        state = init_network_state(prob, graph, x0, config.m0, rngs, full_batch=full)
+            graph, sched, prob.smoothness, S, c_beta))
+        rows = (None if config.batch_size == 0
+                else next(batch_rows(prob, rngs, config.m0, 1)))
+        state = init_network_state(prob, graph, x0, rows)
 
         def round_fn(k):
             hsm_admm_round(state, prob, graph, sched, k, rngs, degrees=degrees,
@@ -189,12 +195,8 @@ def run(config: RunConfig, prob: CompositeProblem, graph: Graph,
                           step_scale=config.step_scale, ledger=ledger)
 
     track_phi = config.track_lyapunov and admm
-    c_beta = checker = accum = None
-    if track_phi:
-        c_beta = make_lyapunov_constants(graph, sched, prob.smoothness,
-                                         degrees=degrees)
     if config.check_dual_bound and admm:
-        checker = DualBoundChecker(graph, sched, prob.smoothness, degrees=degrees)
+        checker = DualBoundChecker(S, s_norm, prob.smoothness)
     if config.record_accumulation and admm:
         accum = {key: np.zeros(config.K + 1) for key in ("err_sq", "dx_sq", "r_sq")}
     need_lam = track_phi or checker is not None

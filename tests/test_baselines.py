@@ -65,11 +65,13 @@ def test_uniform_star_step_ratio():
 
 def test_uniform_message_count_matches_hsm(quad_problem, ring4):
     rngs = agent_streams(3, 4)
-    state_h = init_network_state(quad_problem, ring4, np.zeros(2), 2, rngs)
+    state_h = init_network_state(quad_problem, ring4, np.zeros(2),
+                                 next(batch_rows(quad_problem, rngs, 2, 1)))
     led_h = MessageLedger()
     led_u = MessageLedger()
     rngs_u = agent_streams(3, 4)
-    state_u = init_network_state(quad_problem, ring4, np.zeros(2), 2, rngs_u)
+    state_u = init_network_state(quad_problem, ring4, np.zeros(2),
+                                 next(batch_rows(quad_problem, rngs_u, 2, 1)))
     uniform = step_degrees(ring4, uniform=True)
     for k in range(10):
         hsm_admm_round(state_h, quad_problem, ring4, Schedules(), k, rngs,
@@ -104,8 +106,7 @@ def test_tracking_invariant(composite_problem):
     state = init_gt_state(composite_problem, g, np.zeros(3), next(rows))
     for k in range(50):
         prox_gt_round(state, composite_problem, g, W, k, next(rows))
-        gap = np.linalg.norm(state.trackers().sum(axis=0)
-                             - state.gradients().sum(axis=0))
+        gap = np.linalg.norm(state.s.sum(axis=0) - state.g.sum(axis=0))
         assert gap <= 1e-10
 
 

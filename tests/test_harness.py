@@ -182,6 +182,22 @@ def test_negative_seed_exits_2(tmp_path, capsys, lines):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("lines, message", [
+    (["topology = random_connected", "n = 40", "edge_prob = 0.01"],
+     "config error: topology random_connected: no connected sample in 1000 "
+     "attempts (n=40, prob=0.01)"),
+    (["m0 = 0"], "config error: m0 must be >= 1"),
+], ids=["random_connected", "m0"])
+def test_unsatisfiable_config_exits_2(tmp_path, capsys, lines, message):
+    keys = {line.split(" = ")[0] for line in lines}
+    kept = [ln for ln in BASE_CFG.splitlines() if ln.split(" = ")[0] not in keys]
+    path = write_cfg(tmp_path, "\n".join(kept + lines + [""]))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_out_dir_with_hash_exits_2(tmp_path, capsys):
     out = tmp_path / "a#1"
     assert main(["run", "--config", str(write_cfg(tmp_path)), "--out", str(out)]) == 2

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hsmadmm.baselines import batch_rows
 from hsmadmm.graph import Graph, build_topology, incidence_matrix
 from hsmadmm.hsm_admm import (NetworkState, Schedules, dense_round_reference,
                               hsm_admm_round, init_network_state, step_degrees,
@@ -99,9 +100,7 @@ def test_step_duals_zero_residuals():
     g = Graph(2, ((0, 1),))
     prob = CompositeProblem("least_squares", [np.zeros((1, 2))] * 2,
                             [np.zeros(1)] * 2)
-    rngs = agent_streams(0, 2)
-    state = init_network_state(prob, g, np.array([1.0, -1.0]), 1, rngs,
-                               full_batch=True)
+    state = init_network_state(prob, g, np.array([1.0, -1.0]), None)
     # consensus and splitting both hold at the start
     before = state.duals_vector()
     step_duals(state, g, rho=4.0)
@@ -112,7 +111,8 @@ def test_round_matches_dense_reference(composite_problem):
     g = build_topology("random_connected", 4, seed=3, prob=0.6)
     sched = Schedules()
     rngs = agent_streams(5, 4)
-    state = init_network_state(composite_problem, g, np.zeros(3), 4, rngs)
+    state = init_network_state(composite_problem, g, np.zeros(3),
+                               next(batch_rows(composite_problem, rngs, 4, 1)))
     worst = 0.0
     for k in range(40):
         x, y = state.xs().ravel(), state.ys().ravel()
@@ -144,7 +144,7 @@ def test_exact_stationary_point_is_fixed(quad_problem, ring4):
     alpha, *_ = np.linalg.lstsq(np.kron(M.T, np.eye(2)), grads, rcond=None)
 
     rngs = agent_streams(1, 4)
-    state = init_network_state(prob, g, xstar, 1, rngs, full_batch=True)
+    state = init_network_state(prob, g, xstar, None)
     state.alpha = alpha.reshape(g.m, 2)
     before_x = state.xs()
     before_lam = state.duals_vector()
@@ -158,7 +158,8 @@ def test_exact_stationary_point_is_fixed(quad_problem, ring4):
 def test_round_message_count(quad_problem):
     g = build_topology("ring", 4)
     rngs = agent_streams(2, 4)
-    state = init_network_state(quad_problem, g, np.zeros(2), 2, rngs)
+    state = init_network_state(quad_problem, g, np.zeros(2),
+                               next(batch_rows(quad_problem, rngs, 2, 1)))
     ledger = MessageLedger()
     for k in range(20):
         hsm_admm_round(state, quad_problem, g, Schedules(), k, rngs,
@@ -172,8 +173,7 @@ def test_single_node_degenerates_to_centralized():
     prob = make_problem("least_squares", 1, 2, 10, 3, regularizer="l1",
                         l1_weight=0.05)
     rngs = agent_streams(4, 1)
-    state = init_network_state(prob, g, np.array([1.0, -1.0]), 1, rngs,
-                               full_batch=True)
+    state = init_network_state(prob, g, np.array([1.0, -1.0]), None)
     sched = Schedules()
     # manual centralized prediction for round 0
     x, beta, v = state.x[0], state.beta[0], state.v[0]
@@ -194,8 +194,7 @@ def test_topology_independence_no_divergence(quad_problem):
     for kind in ("ring", "star", "hub_leaf"):
         g = build_topology(kind, 4)
         rngs = agent_streams(8, 4)
-        state = init_network_state(quad_problem, g, np.ones(2), 1, rngs,
-                                   full_batch=True)
+        state = init_network_state(quad_problem, g, np.ones(2), None)
         first = None
         for k in range(400):
             hsm_admm_round(state, quad_problem, g, sched, k, rngs,

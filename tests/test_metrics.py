@@ -17,6 +17,13 @@ from hsmadmm.problems import (CompositeProblem, full_gradient,
                               smooth_value, soft_threshold)
 
 
+def step_analysis(g, sched, L, uniform=False):
+    """S, ||S||_2 and c_beta, as ``simulator.run`` builds them once per run."""
+    S = step_matrix_base(g, sched, degrees=step_degrees(g, uniform))
+    s_norm = float(np.linalg.norm(S, 2))
+    return S, s_norm, make_lyapunov_constants(s_norm, L, sched.c_rho)
+
+
 def quad_two_agents(b1, b2):
     # scalar least squares: grad_i(x) = x - b_i
     return CompositeProblem("least_squares", [np.array([[1.0]]), np.array([[1.0]])],
@@ -96,9 +103,7 @@ def test_gradient_error_cases(kind, case, ragged_problem):
 def test_make_constants_defaults(ring4):
     assert THETA == 1.0 and C_GAMMA == 1.0 and C_ERR == 24.0
     sched = Schedules()
-    c_beta = make_lyapunov_constants(ring4, sched, L=1.0,
-                                     degrees=step_degrees(ring4))
-    S = step_matrix_base(ring4, sched, degrees=step_degrees(ring4))
+    S, _, c_beta = step_analysis(ring4, sched, 1.0)
     want = (12.0 * np.max(np.abs(np.linalg.eigvalsh(S))) ** 2 + 24.0) / sched.c_rho
     assert c_beta == pytest.approx(want)
 
@@ -111,10 +116,10 @@ def test_feasibility_c_mu_maximizes_the_smaller_margin(n, sched, L):
     # one per form of the closed-form root
     g = build_topology("ring", n) if n > 1 else Graph(1, ())
     degrees = step_degrees(g)
-    report = constants_feasibility(g, sched, L, degrees=degrees)
+    S_run, _, c_beta = step_analysis(g, sched, L)
+    report = constants_feasibility(g, sched, L, S_run, c_beta)
     AtA = dense_AtA(g, 1)
     S = np.diag(sched.c_eta * (degrees + 1.0)) - sched.c_rho * AtA
-    c_beta = make_lyapunov_constants(g, sched, L, degrees=degrees)
     step_min = np.linalg.eigvalsh(S + 0.5 * sched.c_rho * AtA
                                   - (3.0 / sched.c_rho) * (S @ S))[0]
     c_mu = np.geomspace(1e-4, 1e4, 200_001)
@@ -134,8 +139,9 @@ def test_feasibility_certifies_a_single_node():
     # c_beta = 24 L^2 / c_rho; the error margin is E0 - 1/(2 c_mu) with
     # E0 = 2 c_a - 48 / c_rho
     g = Graph(1, ())
-    report = constants_feasibility(g, Schedules(100.0, 1.0, 100.0), L=0.1,
-                                   degrees=step_degrees(g))
+    sched = Schedules(100.0, 1.0, 100.0)
+    S, _, c_beta = step_analysis(g, sched, 0.1)
+    report = constants_feasibility(g, sched, 0.1, S, c_beta)
     e0, x0 = 2.0 - 0.48, 50.0 - 0.0012 - 0.05 - 0.02
     c_mu = (x0 - e0) + np.hypot(x0 - e0, 1.0)
     assert report.feasible
@@ -152,9 +158,9 @@ def test_feasibility_certifies_no_graph_with_an_edge(uniform):
         for c_rho in np.geomspace(0.1, 1e4, 6):
             for c_eta in np.geomspace(0.1, 1e5, 7):
                 for L in (0.1, 1.0):
-                    report = constants_feasibility(
-                        g, Schedules(c_rho, 10.0, c_eta), L,
-                        degrees=step_degrees(g, uniform))
+                    sched = Schedules(c_rho, 10.0, c_eta)
+                    S, _, c_beta = step_analysis(g, sched, L, uniform)
+                    report = constants_feasibility(g, sched, L, S, c_beta)
                     assert not report.feasible and report.margin < 0
 
 
@@ -172,8 +178,7 @@ def test_lyapunov_collapses_at_stationary_state(quad_problem, ring4):
     xs = np.tile(xstar, (4, 1))
     vs = np.array([full_gradient(prob, i, xstar) for i in range(4)])
     sched = Schedules()
-    c_beta = make_lyapunov_constants(g, sched, prob.smoothness,
-                                     degrees=step_degrees(g))
+    c_beta = step_analysis(g, sched, prob.smoothness)[2]
     lam = np.zeros((g.m + g.n) * 2)
     err_sq = gradient_error(prob, xs, vs)
     snap = lyapunov(prob, g, sched, c_beta, 5, xs, xs, lam, xs, err_sq, err_sq)
@@ -186,8 +191,7 @@ def test_lyapunov_collapses_at_stationary_state(quad_problem, ring4):
 
 def test_lyapunov_needs_history(quad_problem, ring4):
     sched = Schedules()
-    c_beta = make_lyapunov_constants(ring4, sched, 1.0,
-                                     degrees=step_degrees(ring4))
+    c_beta = step_analysis(ring4, sched, 1.0)[2]
     xs = np.zeros((4, 2))
     vs = np.zeros((4, 2))
     err_sq = gradient_error(quad_problem, xs, vs)
@@ -302,8 +306,8 @@ def test_accumulation_growth_is_at_most_logarithmic():
 
 
 def test_dual_bound_checker_flags_fabricated_violation(ring4):
-    checker = DualBoundChecker(ring4, Schedules(), L=1.0,
-                               degrees=step_degrees(ring4))
+    S, s_norm, _ = step_analysis(ring4, Schedules(), 1.0)
+    checker = DualBoundChecker(S, s_norm, L=1.0)
     lam_prev = np.zeros(ring4.m * 2 + 8)
     lam = np.full(ring4.m * 2 + 8, 50.0)   # huge dual jump, no motion
     xs = np.zeros((4, 2))
@@ -330,20 +334,19 @@ def test_step_matrix_layer_matches_dense_oracle(kind, n, p, hubs, uniform):
     S_dense = C_eta - sched.c_rho * AtA
     norm_dense = float(np.max(np.abs(np.linalg.eigvalsh(S_dense))))
 
-    S = step_matrix_base(g, sched, degrees=step_degrees(g, uniform))
+    S, s_norm, c_beta_run = step_analysis(g, sched, L, uniform)
     assert S.shape == (n, n)
     assert np.allclose(np.kron(S, np.eye(p)), S_dense, rtol=0, atol=1e-12)
-    checker = DualBoundChecker(g, sched, L, degrees=step_degrees(g, uniform))
-    assert checker.s_base_norm == pytest.approx(norm_dense, rel=1e-12)
+    assert s_norm == pytest.approx(norm_dense, rel=1e-12)
+    checker = DualBoundChecker(S, s_norm, L)
 
     # the merit function's c_beta at theta = THETA = 1
     c_beta = (12.0 * norm_dense ** 2 + 24.0 * L * L) / sched.c_rho
-    assert make_lyapunov_constants(g, sched, L, degrees=step_degrees(g, uniform)) == \
-        pytest.approx(c_beta, rel=1e-12)
+    assert c_beta_run == pytest.approx(c_beta, rel=1e-12)
 
     # the report's margin is the step-matrix margin at theta = c_gamma = 1
     # and its c_mu
-    report = constants_feasibility(g, sched, L, degrees=step_degrees(g, uniform))
+    report = constants_feasibility(g, sched, L, S, c_beta_run)
     Cx = (C_eta - 0.5 * sched.c_rho * AtA - (3.0 / sched.c_rho) * (S_dense @ S_dense)
           - (0.5 * report.c_mu + 0.5 * c_beta + 0.5 * L + 2.0 * L * L)
           * np.eye(n * p))

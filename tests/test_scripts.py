@@ -44,7 +44,8 @@ def test_topology_comparison(tmp_path):
 
 
 @pytest.mark.parametrize("workload,mode", [("oracle_gt16", "traced"),
-                                           ("rate_ring8", "setup")])
+                                           ("rate_ring8", "setup"),
+                                           ("analysis_n32p64", "traced")])
 def test_benchmark_worker(tmp_path, workload, mode):
     # the traced mode wraps every function the benchmark patches by name, so
     # a renamed one fails here rather than only in a benchmark run
@@ -57,6 +58,9 @@ def test_benchmark_worker(tmp_path, workload, mode):
     assert "setup_s" in result
     if mode == "traced":
         assert "layers" in result
+    if workload == "analysis_n32p64":
+        # the checker runs from state 2 to K = 100
+        assert result["layers"]["metrics.dual_check_calls"] == 99
 
 
 

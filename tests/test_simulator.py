@@ -4,12 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from hsmadmm import simulator
+from hsmadmm import metrics, simulator
 from hsmadmm.checks import determinism
 from hsmadmm.config import ConfigInvalid, RunConfig
 from hsmadmm.harness import build_graph, build_problem
 from hsmadmm.hsm_admm import Schedules, step_degrees
-from hsmadmm.metrics import constants_feasibility, gradient_error
+from hsmadmm.metrics import (constants_feasibility, gradient_error,
+                             make_lyapunov_constants, step_matrix_base)
 from hsmadmm.simulator import (TRACE_HEADER, MessageLedger, MetricsTrace,
                                NumericalDivergence, metric_rounds,
                                read_trace_csv, run)
@@ -246,6 +247,32 @@ def test_merit_and_dual_check_run_past_the_dense_size():
     assert np.all(np.isfinite(phi[1:]))
 
 
+def test_admm_set_up_builds_the_step_matrix_once(monkeypatch):
+    # the feasibility report, the merit and the dual-bound checker share one
+    # step matrix S and one spectral norm ||S||_2
+    builds, norms = [], []
+    build, norm = metrics.step_matrix_base, np.linalg.norm
+
+    def counting_build(*args, **kwargs):
+        builds.append(1)
+        return build(*args, **kwargs)
+
+    def counting_norm(x, ord=None, *args, **kwargs):
+        if ord == 2:
+            norms.append(1)
+        return norm(x, ord, *args, **kwargs)
+
+    monkeypatch.setattr(metrics, "step_matrix_base", counting_build)
+    monkeypatch.setattr(simulator, "step_matrix_base", counting_build,
+                        raising=False)
+    monkeypatch.setattr(np.linalg, "norm", counting_norm)
+    cfg = small_cfg(K=5, metric_every=1, track_lyapunov=True,
+                    check_dual_bound=True)
+    trace = run(cfg, build_problem(cfg), build_graph(cfg))
+    assert np.all(np.isfinite(trace.column("phi")[1:]))
+    assert (len(builds), len(norms)) == (1, 1)
+
+
 def test_every_admm_run_carries_its_feasibility_report():
     cfg = small_cfg(K=2)
     prob, g = build_problem(cfg), build_graph(cfg)
@@ -261,9 +288,15 @@ def test_uniform_admm_feasibility_uses_max_degree():
     prob, g = build_problem(cfg), build_graph(cfg)
     sched = Schedules(cfg.c_rho, cfg.c_a, cfg.c_eta)
     report = run(cfg, prob, g).meta["feasibility"]
-    uniform = dataclasses.asdict(constants_feasibility(
-        g, sched, prob.smoothness, degrees=step_degrees(g, True)))
-    local = dataclasses.asdict(constants_feasibility(
-        g, sched, prob.smoothness, degrees=step_degrees(g)))
+
+    def report_for(degrees):
+        S = step_matrix_base(g, sched, degrees=degrees)
+        c_beta = make_lyapunov_constants(float(np.linalg.norm(S, 2)),
+                                         prob.smoothness, sched.c_rho)
+        return dataclasses.asdict(constants_feasibility(
+            g, sched, prob.smoothness, S, c_beta))
+
+    uniform = report_for(step_degrees(g, True))
+    local = report_for(step_degrees(g))
     assert report == uniform
     assert report != local
