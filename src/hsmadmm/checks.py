@@ -85,12 +85,12 @@ def compact_form():
     state = init_network_state(prob, g, np.zeros(3),
                                next(batch_rows(prob, rngs, 8, 1)))
     worst = 0.0
-    for k in range(200):
+    for k, rows in enumerate(batch_rows(prob, rngs, 1, 200)):
         x, y = state.xs().ravel(), state.ys().ravel()
         lam, v = state.duals_vector(), state.vs().ravel()
         y_ref, x_ref, lam_ref = dense_round_reference(g, prob, sched, k, x, y,
                                                       lam, v, degrees=degrees)
-        hsm_admm_round(state, prob, g, sched, k, rngs, degrees=degrees)
+        hsm_admm_round(state, prob, g, sched, k, rows, degrees=degrees)
         worst = max(worst,
                     float(np.max(np.abs(state.ys().ravel() - y_ref))),
                     float(np.max(np.abs(state.xs().ravel() - x_ref))),

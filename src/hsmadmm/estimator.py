@@ -5,20 +5,21 @@ Row i of the estimate after a step to ``x_new`` with momentum parameter
 
     v_i <- g_i(x_new_i, batch_i) + (1 - a) * (v_i - g_i(x_old_i, batch_i))
 
-where both gradients are evaluated on the *same* batch, freshly drawn from
-agent i's own stream; reusing the batch is what cancels the variance of the
-correction term. ``a = 1`` discards the history and falls back to a plain
-stochastic gradient. The sampled refresh evaluates agent by agent; the
-batch-0 refresh and ``init_momentum`` are stacked ``batch_gradients`` calls.
-The refresh is the only consumer of the agents' streams here: the start
-takes rows drawn by the caller.
+where both gradients are evaluated on the *same* batch, row i of the
+round's fresh batch rows; reusing the batch is what cancels the variance of
+the correction term. ``a = 1`` discards the history and falls back to a
+plain stochastic gradient. Nothing here draws: the start and the refresh
+take rows drawn by the caller (``baselines.batch_rows``). The sampled
+refresh evaluates agent by agent; the batch-0 refresh and ``init_momentum``
+are stacked ``batch_gradients`` calls.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .problems import (CompositeProblem, batch_gradients, draw_batch,
-                       stochastic_gradient)
+from .problems import CompositeProblem, batch_gradients, stochastic_gradient
+# not called here; perfbench/tracer.py wraps this module attribute by name
+from .problems import draw_batch  # noqa: F401
 
 
 class EstimatorError(Exception):
@@ -38,26 +39,25 @@ def init_momentum(prob: CompositeProblem, x0, rows) -> np.ndarray:
     return batch_gradients(prob, x0, rows)
 
 
-def update_momentum(v, last_x, prob: CompositeProblem, x_new, a: float, rngs,
-                    batch_size: int = 1) -> np.ndarray:
+def update_momentum(v, last_x, prob: CompositeProblem, x_new, a: float,
+                    rows) -> np.ndarray:
     """One recursive-momentum refresh of every row at the new iterates;
     returns the new (n, p) estimate.
 
-    ``batch_size = 0`` selects the deterministic full-data batch (no rng
-    consumption); otherwise agent i draws ``batch_size`` samples uniformly
-    with replacement from ``rngs[i]``, shared by its two gradient
-    evaluations.
+    Agent i evaluates both gradients on the stacked sample rows ``rows[i]``
+    of the round's (n, b) batch; ``rows=None`` selects the deterministic
+    full-data batch.
     """
     if not (0.0 < a <= 1.0):
         raise MomentumOutOfRange(f"momentum parameter must be in (0, 1], got {a}")
-    if batch_size == 0:
+    if rows is None:
         g_new = batch_gradients(prob, x_new, None)
         g_old = batch_gradients(prob, last_x, None)
     else:
         g_new = np.empty_like(v)
         g_old = np.empty_like(v)
         for i in range(prob.n):
-            batch = draw_batch(prob, i, rngs[i], batch_size)
+            batch = rows[i] - prob.offsets[i]
             g_new[i] = stochastic_gradient(prob, i, x_new[i], batch)
             g_old[i] = stochastic_gradient(prob, i, last_x[i], batch)
     return g_new + (1.0 - a) * (v - g_old)

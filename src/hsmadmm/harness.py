@@ -51,8 +51,8 @@ def build_graph(cfg: RunConfig) -> graphmod.Graph:
 
 def build_problem(cfg: RunConfig) -> problems.CompositeProblem:
     """The configured problem; a dataset file pair that cannot be loaded, or
-    whose dimension p differs from the configured one, is a configuration
-    error."""
+    whose agent count n or dimension p differs from the configured one, is a
+    configuration error."""
     if cfg.dataset_csv:
         try:
             prob = problems.load_dataset(cfg.dataset_csv, cfg.dataset_manifest,
@@ -60,19 +60,16 @@ def build_problem(cfg: RunConfig) -> problems.CompositeProblem:
                                          l1_weight=cfg.l1_weight, alpha=cfg.alpha)
         except (OSError, ValueError, problems.ProblemError) as exc:
             raise ConfigInvalid(f"dataset {cfg.dataset_csv}: {exc}") from exc
-        if prob.p != cfg.p:
-            raise ConfigInvalid(f"dataset {cfg.dataset_csv} has p={prob.p}, "
-                                f"config has p={cfg.p}")
+        for key in ("n", "p"):
+            found, want = getattr(prob, key), getattr(cfg, key)
+            if found != want:
+                raise ConfigInvalid(f"dataset {cfg.dataset_csv} has {key}={found}, "
+                                    f"config has {key}={want}")
         return prob
     return problems.make_problem(cfg.problem, cfg.n, cfg.p, cfg.samples_per_agent,
                                  cfg.dataset_seed, regularizer=cfg.regularizer,
                                  l1_weight=cfg.l1_weight, alpha=cfg.alpha,
                                  noniid=cfg.noniid)
-
-
-def _final_metrics(trace: MetricsTrace) -> dict:
-    last = trace.last_row()
-    return {name: last[name] for name in SUMMARY_COLUMNS}
 
 
 def _replica_summary(trace: MetricsTrace, seed: int) -> dict:
@@ -83,7 +80,8 @@ def _replica_summary(trace: MetricsTrace, seed: int) -> dict:
         slope, intercept = None, None
     return {
         "seed": seed,
-        "final": _final_metrics(trace) if trace.rows else None,
+        "final": ({name: trace.last_row()[name] for name in SUMMARY_COLUMNS}
+                  if trace.rows else None),
         "ledger": {
             "vector_messages": trace.meta.get("vector_messages", 0),
             "scalars_transmitted": trace.meta.get("scalars_transmitted", 0),
@@ -256,8 +254,6 @@ def cmd_sweep(args) -> int:
         if repeated:
             raise ConfigInvalid(f"{option} names {', '.join(repeated)} more than once")
     out = Path(args.out if args.out else base.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
     jobs = []
     for topo in topologies:
         for algo in algos:
@@ -267,6 +263,9 @@ def cmd_sweep(args) -> int:
                                       out_dir=str(out / cell))
             cfg.validate()
             jobs.append((cell, dataclasses.asdict(cfg), str(out / cell)))
+        build_graph(cfg)  # refused here, before any output exists
+    build_problem(base)
+    out.mkdir(parents=True, exist_ok=True)
 
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:

@@ -131,10 +131,11 @@ def step_duals(state: NetworkState, graph: Graph, rho: float) -> None:
 
 
 def hsm_admm_round(state: NetworkState, prob: CompositeProblem, graph: Graph,
-                   sched: Schedules, k: int, rngs, *, degrees,
-                   batch_size: int = 1, ledger=None) -> None:
+                   sched: Schedules, k: int, rows, *, degrees,
+                   ledger=None) -> None:
     """Execute round k in place: y, x against the round-k state, exchange,
-    duals, momentum refresh.
+    duals, momentum refresh over the round's batch ``rows`` (see
+    ``baselines.batch_rows``; None for exact gradients).
 
     ``degrees`` sets the step sizes (``step_degrees``). Exactly one x vector
     crosses each directed neighbor pair per round; the ledger records the
@@ -148,8 +149,7 @@ def hsm_admm_round(state: NetworkState, prob: CompositeProblem, graph: Graph,
     if ledger is not None:
         ledger.record(2 * graph.m, prob.p)
     step_duals(state, graph, rho)
-    state.v = update_momentum(state.v, x_prev, prob, state.x, sched.a(k),
-                              rngs, batch_size)
+    state.v = update_momentum(state.v, x_prev, prob, state.x, sched.a(k), rows)
 
 
 def dense_round_reference(graph: Graph, prob: CompositeProblem,

@@ -1,11 +1,11 @@
 """Deterministic synchronous round engine with a message ledger.
 
-Each agent owns an independent RNG stream seeded from (master seed, agent
-id), so the trajectory is a pure function of the run configuration. A run
-is one process working on stacked (n, p) arrays; parallel work happens
-across runs (``hsmadmm sweep --jobs``), whose outputs are byte-identical
-for any job count apart from wall times. The engine creates each run's
-message ledger and passes it to the rounds, which record into it.
+Each agent owns an RNG stream seeded from (master seed, agent id), so the
+trajectory is a pure function of the run configuration. One drawer for
+every algorithm, ``baselines.batch_rows``, turns the streams into batch
+rows; each round takes its rows and the run's message ledger. A run is one
+process on stacked (n, p) arrays; parallel runs (``hsmadmm sweep --jobs``)
+give byte-identical outputs for any job count apart from wall times.
 
 A fixed divergence guard, ``DIVERGENCE_GUARD``, converts numerical blow-up
 into a structured error carrying the trace logged so far.
@@ -169,13 +169,14 @@ def run(config: RunConfig, prob: CompositeProblem, graph: Graph,
         c_beta = make_lyapunov_constants(s_norm, prob.smoothness, sched.c_rho)
         trace.meta["feasibility"] = asdict(constants_feasibility(
             graph, sched, prob.smoothness, S, c_beta))
-        rows = (None if config.batch_size == 0
-                else next(batch_rows(prob, rngs, config.m0, 1)))
-        state = init_network_state(prob, graph, x0, rows)
+        # the start's m0 rows first (none at batch 0), then the rounds' drawer
+        state = init_network_state(prob, graph, x0, next(batch_rows(
+            prob, rngs, config.m0 if config.batch_size else 0, 1)))
+        batches = batch_rows(prob, rngs, config.batch_size, config.K)
 
         def round_fn(k):
-            hsm_admm_round(state, prob, graph, sched, k, rngs, degrees=degrees,
-                           batch_size=config.batch_size, ledger=ledger)
+            hsm_admm_round(state, prob, graph, sched, k, next(batches),
+                           degrees=degrees, ledger=ledger)
     elif config.algorithm == "prox_dsgd":
         W = metropolis_weights(graph)
         state = init_dsgd_state(graph, x0)

@@ -73,10 +73,12 @@ def test_uniform_message_count_matches_hsm(quad_problem, ring4):
     state_u = init_network_state(quad_problem, ring4, np.zeros(2),
                                  next(batch_rows(quad_problem, rngs_u, 2, 1)))
     uniform = step_degrees(ring4, uniform=True)
+    rows_h = batch_rows(quad_problem, rngs, 1, 10)
+    rows_u = batch_rows(quad_problem, rngs_u, 1, 10)
     for k in range(10):
-        hsm_admm_round(state_h, quad_problem, ring4, Schedules(), k, rngs,
+        hsm_admm_round(state_h, quad_problem, ring4, Schedules(), k, next(rows_h),
                        degrees=step_degrees(ring4), ledger=led_h)
-        hsm_admm_round(state_u, quad_problem, ring4, Schedules(), k, rngs_u,
+        hsm_admm_round(state_u, quad_problem, ring4, Schedules(), k, next(rows_u),
                        degrees=uniform, ledger=led_u)
     assert led_h.vector_messages == led_u.vector_messages
 

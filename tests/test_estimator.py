@@ -26,7 +26,7 @@ def scalar_problem():
 def test_update_hand_values():
     prob = scalar_problem()
     v = update_momentum(np.array([[3.0]]), np.array([[2.0]]), prob,
-                        np.array([[1.0]]), 0.5, None, batch_size=0)
+                        np.array([[1.0]]), 0.5, None)
     assert v[0, 0] == pytest.approx(1.0 + 0.5 * (3.0 - 2.0))
 
 
@@ -35,14 +35,15 @@ def test_momentum_one_is_plain_gradient():
     v_old = np.full((2, 3), 9.0)
     x_old = np.zeros((2, 3))
     x_new = np.array([[0.2, -0.4, 1.0], [0.5, 0.0, -1.0]])
-    got = update_momentum(v_old, x_old, prob, x_new, 1.0, None, batch_size=0)
+    got = update_momentum(v_old, x_old, prob, x_new, 1.0, None)
     for i in range(2):
         assert np.array_equal(got[i], full_gradient(prob, i, x_new[i]))
 
-    # sampled path: replaying each agent's stream must reproduce its draw
-    got_s = update_momentum(v_old, x_old, prob, x_new, 1.0,
-                            [np.random.default_rng([5, i]) for i in range(2)],
-                            batch_size=1)
+    # sampled path: agent i evaluates its own stacked rows, shifted to local
+    # indices
+    rows = next(batch_rows(prob, [np.random.default_rng([5, i]) for i in range(2)],
+                           1, 1))
+    got_s = update_momentum(v_old, x_old, prob, x_new, 1.0, rows)
     for i in range(2):
         batch = draw_batch(prob, i, np.random.default_rng([5, i]), 1)
         assert np.array_equal(got_s[i], stochastic_gradient(prob, i, x_new[i], batch))
@@ -56,7 +57,7 @@ def test_exact_refresh_and_init_equal_the_per_agent_formula(ragged, ragged_probl
     prob = (ragged_problem() if ragged
             else make_problem("nonconvex_robust", 4, 3, 10, 1, alpha=0.3))
     v, x_old, x_new = np.random.default_rng(6).standard_normal((3, prob.n, prob.p))
-    got = update_momentum(v, x_old, prob, x_new, 0.3, None, batch_size=0)
+    got = update_momentum(v, x_old, prob, x_new, 0.3, None)
     init = init_momentum(prob, x_old, None)
     rngs = [np.random.default_rng([9, i]) for i in range(prob.n)]
     sampled = init_momentum(prob, x_old, start_rows(prob, rngs, 3))
@@ -76,7 +77,7 @@ def test_stationary_iterate_full_batch():
     x = np.array([[0.5, -0.5], [1.0, 0.0]])
     g = np.array([full_gradient(prob, i, x[i]) for i in range(2)])
     v_old = np.array([[2.0, -1.0], [0.0, 3.0]])
-    new = update_momentum(v_old, x.copy(), prob, x, 0.25, None, batch_size=0)
+    new = update_momentum(v_old, x.copy(), prob, x, 0.25, None)
     assert np.allclose(new, g + 0.75 * (v_old - g), atol=1e-15)
 
 
@@ -85,7 +86,7 @@ def test_momentum_parameter_range():
     for bad in (0.0, -0.5, 1.5):
         with pytest.raises(MomentumOutOfRange):
             update_momentum(np.zeros((1, 1)), np.zeros((1, 1)), prob,
-                            np.ones((1, 1)), bad, None, batch_size=0)
+                            np.ones((1, 1)), bad, None)
 
 
 def test_init_single_draw_matches_oracle():
@@ -149,6 +150,8 @@ def test_deterministic_under_stream():
     v1 = init_momentum(prob, x0, start_rows(prob, streams(7), 5))
     v2 = init_momentum(prob, x0, start_rows(prob, streams(7), 5))
     assert np.array_equal(v1, v2)
-    n1 = update_momentum(v1, x0, prob, np.ones((2, 3)), 0.3, streams(1))
-    n2 = update_momentum(v2, x0, prob, np.ones((2, 3)), 0.3, streams(1))
+    n1 = update_momentum(v1, x0, prob, np.ones((2, 3)), 0.3,
+                         next(batch_rows(prob, streams(1), 1, 1)))
+    n2 = update_momentum(v2, x0, prob, np.ones((2, 3)), 0.3,
+                         next(batch_rows(prob, streams(1), 1, 1)))
     assert np.array_equal(n1, n2)

@@ -182,18 +182,28 @@ def test_negative_seed_exits_2(tmp_path, capsys, lines):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("lines, message", [
+UNSATISFIABLE = [
     (["topology = random_connected", "n = 40", "edge_prob = 0.01"],
      "config error: topology random_connected: no connected sample in 1000 "
      "attempts (n=40, prob=0.01)"),
     (["m0 = 0"], "config error: m0 must be >= 1"),
-], ids=["random_connected", "m0"])
-def test_unsatisfiable_config_exits_2(tmp_path, capsys, lines, message):
+]
+
+
+@pytest.mark.parametrize("command, lines, message", [
+    (command, *case) for command in ("run", "sweep") for case in UNSATISFIABLE
+], ids=["random_connected", "m0", "sweep-random_connected", "sweep-m0"])
+def test_unsatisfiable_config_exits_2(tmp_path, capsys, command, lines, message):
+    # a sweep refuses too before it creates its output directory
     keys = {line.split(" = ")[0] for line in lines}
     kept = [ln for ln in BASE_CFG.splitlines() if ln.split(" = ")[0] not in keys]
     path = write_cfg(tmp_path, "\n".join(kept + lines + [""]))
     out = tmp_path / "out"
-    assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+    args = [command, "--config", str(path), "--out", str(out)]
+    if command == "sweep":
+        topology = dict(line.split(" = ") for line in lines).get("topology", "ring")
+        args += ["--topologies", topology, "--algos", "hsm_admm"]
+    assert main(args) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
 
@@ -275,6 +285,20 @@ def test_dataset_dimension_mismatch_exits_2(tmp_path, capsys):
     assert (f"config error: dataset {csv} has p=6, config has p=2"
             in capsys.readouterr().err)
     assert not (out / "config.cfg").exists()
+
+
+def test_dataset_agent_count_mismatch_exits_2(tmp_path, capsys):
+    # refused while the problem is built, before any output exists
+    prob = make_problem("least_squares", 6, 2, 4, 0)
+    csv, manifest = tmp_path / "data.csv", tmp_path / "manifest.json"
+    save_dataset(prob, csv, manifest)
+    path = write_cfg(tmp_path, f"n = 8\np = 2\nK = 5\ntrack_lyapunov = false\n"
+                               f"dataset_csv = {csv}\ndataset_manifest = {manifest}\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+    assert (f"config error: dataset {csv} has n=6, config has n=8"
+            in capsys.readouterr().err)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("edges, n, message", [

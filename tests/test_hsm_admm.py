@@ -113,13 +113,14 @@ def test_round_matches_dense_reference(composite_problem):
     rngs = agent_streams(5, 4)
     state = init_network_state(composite_problem, g, np.zeros(3),
                                next(batch_rows(composite_problem, rngs, 4, 1)))
+    batches = batch_rows(composite_problem, rngs, 1, 40)
     worst = 0.0
     for k in range(40):
         x, y = state.xs().ravel(), state.ys().ravel()
         lam, v = state.duals_vector(), state.vs().ravel()
         y_ref, x_ref, lam_ref = dense_round_reference(
             g, composite_problem, sched, k, x, y, lam, v, degrees=step_degrees(g))
-        hsm_admm_round(state, composite_problem, g, sched, k, rngs,
+        hsm_admm_round(state, composite_problem, g, sched, k, next(batches),
                        degrees=step_degrees(g))
         worst = max(worst,
                     float(np.max(np.abs(state.ys().ravel() - y_ref))),
@@ -143,13 +144,11 @@ def test_exact_stationary_point_is_fixed(quad_problem, ring4):
     M = incidence_matrix(g)
     alpha, *_ = np.linalg.lstsq(np.kron(M.T, np.eye(2)), grads, rcond=None)
 
-    rngs = agent_streams(1, 4)
     state = init_network_state(prob, g, xstar, None)
     state.alpha = alpha.reshape(g.m, 2)
     before_x = state.xs()
     before_lam = state.duals_vector()
-    hsm_admm_round(state, prob, g, Schedules(), 5, rngs, degrees=step_degrees(g),
-                   batch_size=0)
+    hsm_admm_round(state, prob, g, Schedules(), 5, None, degrees=step_degrees(g))
     assert np.max(np.abs(state.xs() - before_x)) <= 1e-12
     assert np.max(np.abs(state.ys() - before_x)) <= 1e-12
     assert np.max(np.abs(state.duals_vector() - before_lam)) <= 1e-12
@@ -161,8 +160,8 @@ def test_round_message_count(quad_problem):
     state = init_network_state(quad_problem, g, np.zeros(2),
                                next(batch_rows(quad_problem, rngs, 2, 1)))
     ledger = MessageLedger()
-    for k in range(20):
-        hsm_admm_round(state, quad_problem, g, Schedules(), k, rngs,
+    for k, rows in enumerate(batch_rows(quad_problem, rngs, 1, 20)):
+        hsm_admm_round(state, quad_problem, g, Schedules(), k, rows,
                        degrees=step_degrees(g), ledger=ledger)
     assert ledger.vector_messages == 20 * 2 * g.m
     assert ledger.scalars_transmitted == 20 * 2 * g.m * 2
@@ -172,7 +171,6 @@ def test_single_node_degenerates_to_centralized():
     g = Graph(1, ())
     prob = make_problem("least_squares", 1, 2, 10, 3, regularizer="l1",
                         l1_weight=0.05)
-    rngs = agent_streams(4, 1)
     state = init_network_state(prob, g, np.array([1.0, -1.0]), None)
     sched = Schedules()
     # manual centralized prediction for round 0
@@ -181,8 +179,8 @@ def test_single_node_degenerates_to_centralized():
     y_pred = prox_h(prob, x - beta / rho, 1.0 / rho)
     x_pred = x - (v - beta + rho * (x - y_pred)) / sched.eta(0, 0)
     ledger = MessageLedger()
-    hsm_admm_round(state, prob, g, sched, 0, rngs, degrees=step_degrees(g),
-                   batch_size=0, ledger=ledger)
+    hsm_admm_round(state, prob, g, sched, 0, None, degrees=step_degrees(g),
+                   ledger=ledger)
     assert np.allclose(state.y[0], y_pred, atol=1e-15)
     assert np.allclose(state.x[0], x_pred, atol=1e-15)
     assert ledger.vector_messages == 0
@@ -193,12 +191,11 @@ def test_topology_independence_no_divergence(quad_problem):
     sched = Schedules()
     for kind in ("ring", "star", "hub_leaf"):
         g = build_topology(kind, 4)
-        rngs = agent_streams(8, 4)
         state = init_network_state(quad_problem, g, np.ones(2), None)
         first = None
         for k in range(400):
-            hsm_admm_round(state, quad_problem, g, sched, k, rngs,
-                           degrees=step_degrees(g), batch_size=0)
+            hsm_admm_round(state, quad_problem, g, sched, k, None,
+                           degrees=step_degrees(g))
             if k == 20:
                 first = np.max(np.abs(state.xs()))
         xs = state.xs()

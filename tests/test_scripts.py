@@ -61,6 +61,9 @@ def test_benchmark_worker(tmp_path, workload, mode):
     if workload == "analysis_n32p64":
         # the checker runs from state 2 to K = 100
         assert result["layers"]["metrics.dual_check_calls"] == 99
+        # the refresh makes two oracle calls per agent per round (n = 32),
+        # each one seen by the tracer
+        assert result["layers"]["problems.grad_calls"] == 2 * 32 * 100
 
 
 

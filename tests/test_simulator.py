@@ -5,15 +5,19 @@ import numpy as np
 import pytest
 
 from hsmadmm import metrics, simulator
+from hsmadmm.baselines import batch_rows
 from hsmadmm.checks import determinism
 from hsmadmm.config import ConfigInvalid, RunConfig
 from hsmadmm.harness import build_graph, build_problem
-from hsmadmm.hsm_admm import Schedules, step_degrees
+from hsmadmm.hsm_admm import (Schedules, hsm_admm_round, init_network_state,
+                              step_degrees)
 from hsmadmm.metrics import (constants_feasibility, gradient_error,
                              make_lyapunov_constants, step_matrix_base)
+from hsmadmm.problems import draw_batch
 from hsmadmm.simulator import (TRACE_HEADER, MessageLedger, MetricsTrace,
-                               NumericalDivergence, metric_rounds,
-                               read_trace_csv, run)
+                               NumericalDivergence, agent_streams,
+                               initial_point, metric_rounds, read_trace_csv,
+                               run)
 
 
 def small_cfg(**kw):
@@ -139,6 +143,29 @@ def test_rounds_never_write_into_state_arrays(algorithm, batch_size):
 
     trace = run(cfg, build_problem(cfg), build_graph(cfg), metrics_sink=freeze)
     assert trace.column("k").tolist() == list(range(1, 13))
+
+
+def test_admm_rounds_take_each_agents_stream_in_round_order():
+    # the run's block drawer must hand round k the rows that one draw per
+    # agent per round gives on the same streams, after the start's m0 draw;
+    # both sides do the same arithmetic, so this holds on any numpy or BLAS
+    cfg = small_cfg(K=30, batch_size=2, m0=5, regularizer="l1", l1_weight=0.01)
+    prob, graph = build_problem(cfg), build_graph(cfg)
+    final = {}
+    run(cfg, prob, graph, metrics_sink=lambda s, row, state: final.update(
+        x=state.xs(), v=state.vs()))
+
+    rngs = agent_streams(cfg.seed, cfg.n)
+    state = init_network_state(prob, graph, initial_point(cfg.seed, cfg.p),
+                               next(batch_rows(prob, rngs, cfg.m0, 1)))
+    sched = Schedules(cfg.c_rho, cfg.c_a, cfg.c_eta)
+    for k in range(cfg.K):
+        rows = np.stack([draw_batch(prob, i, rngs[i], cfg.batch_size)
+                         + prob.offsets[i] for i in range(cfg.n)])
+        hsm_admm_round(state, prob, graph, sched, k, rows,
+                       degrees=step_degrees(graph))
+    assert state.x.tobytes() == final["x"].tobytes()
+    assert state.v.tobytes() == final["v"].tobytes()
 
 
 def counted_run(cfg, monkeypatch):
