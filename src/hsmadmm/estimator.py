@@ -8,10 +8,11 @@ Row i of the estimate after a step to ``x_new`` with momentum parameter
 where both gradients are evaluated on the *same* batch, row i of the
 round's fresh batch rows; reusing the batch is what cancels the variance of
 the correction term. ``a = 1`` discards the history and falls back to a
-plain stochastic gradient. Nothing here draws: the start and the refresh
-take rows drawn by the caller (``baselines.batch_rows``). The sampled
-refresh evaluates agent by agent; the batch-0 refresh and ``init_momentum``
-are stacked ``batch_gradients`` calls.
+plain stochastic gradient. Nothing here draws: the refresh takes rows
+drawn by the caller (``baselines.batch_rows``). The sampled refresh
+evaluates agent by agent; the batch-0 refresh is two stacked
+``batch_gradients`` calls. The start estimate is one such call, made by
+``hsm_admm.init_network_state``.
 """
 from __future__ import annotations
 
@@ -28,15 +29,6 @@ class EstimatorError(Exception):
 
 class MomentumOutOfRange(EstimatorError):
     """Momentum parameter outside (0, 1]."""
-
-
-def init_momentum(prob: CompositeProblem, x0, rows) -> np.ndarray:
-    """Row i is the average of the gradients at ``x0[i]`` over agent i's
-    batch rows ``rows[i]`` (stacked sample rows, see
-    ``baselines.batch_rows``), all rows in one ``batch_gradients`` call;
-    ``rows=None`` gives the exact local gradients (the deterministic mode).
-    """
-    return batch_gradients(prob, x0, rows)
 
 
 def update_momentum(v, last_x, prob: CompositeProblem, x_new, a: float,

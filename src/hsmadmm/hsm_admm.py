@@ -33,9 +33,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimator import init_momentum, update_momentum
+from .estimator import update_momentum
 from .graph import Graph, InvalidParam, apply_M, apply_Mt, dense_A, dense_B
-from .problems import CompositeProblem, prox_h
+from .problems import CompositeProblem, batch_gradients, prox_h
 
 
 @dataclass(frozen=True)
@@ -104,7 +104,7 @@ def init_network_state(prob: CompositeProblem, graph: Graph, x0,
     the batch ``rows`` (None for the exact gradient in deterministic mode)."""
     x = np.tile(np.asarray(x0, dtype=float), (graph.n, 1))
     return NetworkState(x=x, y=x.copy(), beta=np.zeros_like(x),
-                        v=init_momentum(prob, x, rows),
+                        v=batch_gradients(prob, x, rows),
                         alpha=np.zeros((graph.m, x.shape[1])))
 
 

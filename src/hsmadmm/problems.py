@@ -47,26 +47,26 @@ class NonPositiveScale(ProblemError):
 class CompositeProblem:
     """n-agent composite objective: smooth stochastic loss plus l1 or nothing.
 
-    All samples are stored stacked: ``stacked_features`` is one contiguous
-    (N, p) float array and ``stacked_labels`` the (N,) targets, with agent i
-    owning rows ``offsets[i]:offsets[i + 1]``. ``features[i]``, the (N_i, p)
-    local design matrix of agent i, and ``labels[i]`` are views of those
-    rows; construction concatenates whatever per-agent arrays it is given
-    (so ``dataclasses.replace`` rebuilds the stacked arrays, and the cached
-    ``size_groups`` and ``smoothness``, too).
-    ``row_divisors`` holds n * N_i for each of agent i's stacked rows. Every
-    agent needs at least one sample. Immutable after construction; all oracle
-    calls are pure functions of their arguments.
+    Built from the samples in the layout it stores: ``stacked_features``, one
+    C-contiguous (N, p) float array, ``stacked_labels``, the (N,) targets,
+    and ``sizes``, the per-agent sample counts N_i (each at least one,
+    summing to N). Agent i owns rows ``offsets[i]:offsets[i + 1]``;
+    ``features[i]``, its (N_i, p) local design matrix, and ``labels[i]`` are
+    views of those rows, and ``row_divisors`` holds n * N_i for each of them.
+    ``dataclasses.replace`` reuses the sample arrays and recomputes the
+    cached ``size_groups`` and ``smoothness``. Immutable after construction;
+    all oracle calls are pure functions of their arguments.
     """
 
     kind: str
-    features: list
-    labels: list
+    stacked_features: np.ndarray
+    stacked_labels: np.ndarray
+    sizes: list
     regularizer: str = "none"
     l1_weight: float = 0.0
     alpha: float = 0.0
-    stacked_features: np.ndarray = field(init=False, repr=False, compare=False)
-    stacked_labels: np.ndarray = field(init=False, repr=False, compare=False)
+    features: list = field(init=False, repr=False, compare=False)
+    labels: list = field(init=False, repr=False, compare=False)
     offsets: np.ndarray = field(init=False, repr=False, compare=False)
     row_divisors: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -77,22 +77,20 @@ class CompositeProblem:
             raise ProblemError(f"unknown regularizer {self.regularizer!r}")
         if self.l1_weight < 0 or self.alpha < 0:
             raise ProblemError("l1_weight and alpha must be nonnegative")
-        if len(self.features) != len(self.labels) or not self.features:
-            raise ProblemError("need one (features, labels) pair per agent")
-        p = self.features[0].shape[1]
-        for i, (A, b) in enumerate(zip(self.features, self.labels)):
-            if A.ndim != 2 or A.shape[1] != p or b.shape != (A.shape[0],):
-                raise ProblemError("inconsistent dataset shapes")
-            if A.shape[0] == 0:
-                raise ProblemError(f"agent {i} has no samples")
-        sizes = np.array([A.shape[0] for A in self.features])
-        self.offsets = np.cumsum(np.concatenate([[0], sizes]))
+        X = self.stacked_features = np.ascontiguousarray(self.stacked_features, float)
+        y = self.stacked_labels = np.ascontiguousarray(self.stacked_labels, float)
+        if X.ndim != 2 or y.shape != X.shape[:1]:
+            raise ProblemError("need (N, p) features and (N,) labels")
+        sizes = np.asarray(self.sizes, dtype=int)
+        if sizes.ndim != 1 or not sizes.size or sizes.sum() != X.shape[0]:
+            raise ProblemError(f"need per-agent sizes summing to N={X.shape[0]}")
+        if (sizes < 1).any():
+            raise ProblemError(f"agent {np.argmin(sizes)} has no samples")
+        self.offsets = np.cumsum([0, *sizes.tolist()])
         self.row_divisors = np.repeat(len(sizes) * sizes, sizes).astype(float)
-        self.stacked_features = np.concatenate(self.features, dtype=float)
-        self.stacked_labels = np.concatenate(self.labels, dtype=float)
         bounds = list(zip(self.offsets[:-1], self.offsets[1:]))
-        self.features = [self.stacked_features[s:e] for s, e in bounds]
-        self.labels = [self.stacked_labels[s:e] for s, e in bounds]
+        self.features = [X[s:e] for s, e in bounds]
+        self.labels = [y[s:e] for s, e in bounds]
 
     @property
     def n(self) -> int:
@@ -100,7 +98,7 @@ class CompositeProblem:
 
     @property
     def p(self) -> int:
-        return int(self.features[0].shape[1])
+        return self.stacked_features.shape[1]
 
     def local_size(self, i: int) -> int:
         return int(self.features[i].shape[0])
@@ -372,9 +370,10 @@ def make_problem(kind: str, n: int, p: int, samples_per_agent: int, seed: int, *
     whose margins carry Gaussian noise of standard deviation ``NOISE_STD``.
 
     Features are Gaussian scaled by 1/sqrt(p) so per-sample curvature stays
-    O(1). With ``noniid=True`` samples are sorted by label before being
-    split into contiguous per-agent chunks (label partitioning); otherwise a
-    seeded permutation spreads them evenly.
+    O(1). With ``noniid=True`` samples are sorted by label before agent i
+    takes the i-th block of ``samples_per_agent`` rows (label
+    partitioning); otherwise a seeded permutation spreads them evenly. The
+    reordering gathers the samples once, into the arrays the problem keeps.
     """
     if n < 1 or p < 1 or samples_per_agent < 1:
         raise ProblemError("n, p and samples_per_agent must be positive")
@@ -385,16 +384,16 @@ def make_problem(kind: str, n: int, p: int, samples_per_agent: int, seed: int, *
     x_true[support] = rng.normal(0.0, 1.0, size=nnz)
 
     N = n * samples_per_agent
-    A = rng.standard_normal((N, p)) / np.sqrt(p)
-    margins = A @ x_true + NOISE_STD * rng.standard_normal(N)
+    A = rng.standard_normal((N, p))
+    A /= np.sqrt(p)
+    b = A @ x_true  # noisy margins: the labels, or (logistic) their signs
+    b += NOISE_STD * rng.standard_normal(N)
     if kind == "logistic":
-        b = np.where(margins >= 0.0, 1.0, -1.0)
-    else:
-        b = margins
+        b = np.where(b >= 0.0, 1.0, -1.0)
 
     order = np.argsort(b, kind="stable") if noniid else rng.permutation(N)
-    A, b = A[order], b[order]
-    return CompositeProblem(kind, np.split(A, n), np.split(b, n),
+    A = np.take(A, order, axis=0)  # rebound, so the unordered samples go now
+    return CompositeProblem(kind, A, np.take(b, order), [samples_per_agent] * n,
                             regularizer=regularizer, l1_weight=l1_weight,
                             alpha=alpha)
 
@@ -416,7 +415,9 @@ def load_dataset(csv_path, manifest_path, *, kind: str,
                  alpha: float = 0.0) -> CompositeProblem:
     """Rebuild a problem from the CSV + manifest pair written by
     ``save_dataset``; loss configuration is supplied by the caller. Every
-    value must be finite, and logistic labels must be -1 or +1."""
+    value must be finite, and logistic labels must be -1 or +1. The
+    manifest's row ranges are gathered, in agent order, straight into the
+    problem's stacked arrays."""
     with open(manifest_path, "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
     if not isinstance(manifest, dict):
@@ -444,7 +445,7 @@ def load_dataset(csv_path, manifest_path, *, kind: str,
     ranges = manifest["ranges"]
     if not (isinstance(ranges, list) and len(ranges) == n):
         raise ProblemError(f"manifest ranges must be a list of n={n} pairs")
-    feats, labs = [], []
+    spans = []
     for entry in ranges:
         if not (isinstance(entry, list) and len(entry) == 2
                 and all(type(v) is int for v in entry)):
@@ -453,7 +454,8 @@ def load_dataset(csv_path, manifest_path, *, kind: str,
         start, stop = entry
         if not (0 <= start < stop <= rows.shape[0]):
             raise ProblemError(f"manifest range [{start}, {stop}) out of bounds")
-        feats.append(rows[start:stop, :p])
-        labs.append(rows[start:stop, p])
-    return CompositeProblem(kind, feats, labs, regularizer=regularizer,
+        spans.append(np.arange(start, stop))
+    gather = np.concatenate(spans)
+    return CompositeProblem(kind, rows[gather, :p], rows[gather, p],
+                            [len(s) for s in spans], regularizer=regularizer,
                             l1_weight=l1_weight, alpha=alpha)

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from hsmadmm.baselines import batch_rows
-from hsmadmm.estimator import MomentumOutOfRange, init_momentum, update_momentum
+from hsmadmm.estimator import MomentumOutOfRange, update_momentum
 from hsmadmm.metrics import momentum_recursion_mc_check
-from hsmadmm.problems import (CompositeProblem, draw_batch, full_gradient,
-                              make_problem, per_sample_gradients,
-                              stochastic_gradient)
+from hsmadmm.problems import (CompositeProblem, batch_gradients, draw_batch,
+                              full_gradient, make_problem,
+                              per_sample_gradients, stochastic_gradient)
 from hsmadmm.simulator import run
 from hsmadmm.config import RunConfig
 from hsmadmm.harness import build_graph, build_problem
@@ -20,7 +20,7 @@ def start_rows(prob, rngs, m0):
 
 def scalar_problem():
     # p = 1, single sample a=1, b=0: the per-sample gradient at x is x itself
-    return CompositeProblem("least_squares", [np.array([[1.0]])], [np.zeros(1)])
+    return CompositeProblem("least_squares", np.ones((1, 1)), np.zeros(1), [1])
 
 
 def test_update_hand_values():
@@ -58,9 +58,9 @@ def test_exact_refresh_and_init_equal_the_per_agent_formula(ragged, ragged_probl
             else make_problem("nonconvex_robust", 4, 3, 10, 1, alpha=0.3))
     v, x_old, x_new = np.random.default_rng(6).standard_normal((3, prob.n, prob.p))
     got = update_momentum(v, x_old, prob, x_new, 0.3, None)
-    init = init_momentum(prob, x_old, None)
+    init = batch_gradients(prob, x_old, None)
     rngs = [np.random.default_rng([9, i]) for i in range(prob.n)]
-    sampled = init_momentum(prob, x_old, start_rows(prob, rngs, 3))
+    sampled = batch_gradients(prob, x_old, start_rows(prob, rngs, 3))
     for i in range(prob.n):
         g_old = full_gradient(prob, i, x_old[i])
         want = full_gradient(prob, i, x_new[i]) + 0.7 * (v[i] - g_old)
@@ -92,7 +92,7 @@ def test_momentum_parameter_range():
 def test_init_single_draw_matches_oracle():
     prob = make_problem("least_squares", 2, 3, 9, 4)
     x0 = np.array([[1.0, 0.0, -1.0], [0.0, 2.0, 0.5]])
-    v = init_momentum(prob, x0, start_rows(
+    v = batch_gradients(prob, x0, start_rows(
         prob, [np.random.default_rng([8, i]) for i in range(2)], 1))
     for i in range(2):
         batch = draw_batch(prob, i, np.random.default_rng([8, i]), 1)
@@ -100,9 +100,9 @@ def test_init_single_draw_matches_oracle():
 
 
 def test_init_zero_gradient_problem():
-    prob = CompositeProblem("least_squares", [np.zeros((5, 2))], [np.zeros(5)])
-    v = init_momentum(prob, np.ones((1, 2)),
-                      start_rows(prob, [np.random.default_rng(1)], 7))
+    prob = CompositeProblem("least_squares", np.zeros((5, 2)), np.zeros(5), [5])
+    v = batch_gradients(prob, np.ones((1, 2)),
+                        start_rows(prob, [np.random.default_rng(1)], 7))
     assert np.array_equal(v, np.zeros((1, 2)))
 
 
@@ -112,7 +112,7 @@ def test_init_concentration():
     m0 = 10 * prob.local_size(0)
     G = per_sample_gradients(prob, 0, x0)
     sigma = np.sqrt(np.mean(np.sum((G - G.mean(axis=0)) ** 2, axis=1)))
-    v = init_momentum(prob, np.tile(x0, (2, 1)), start_rows(
+    v = batch_gradients(prob, np.tile(x0, (2, 1)), start_rows(
         prob, [np.random.default_rng(3), np.random.default_rng(4)], m0))
     gap = np.linalg.norm(v[0] - full_gradient(prob, 0, x0))
     assert gap <= 3.0 * sigma / np.sqrt(m0)
@@ -147,8 +147,8 @@ def test_deterministic_under_stream():
     def streams(seed):
         return [np.random.default_rng([seed, i]) for i in range(2)]
 
-    v1 = init_momentum(prob, x0, start_rows(prob, streams(7), 5))
-    v2 = init_momentum(prob, x0, start_rows(prob, streams(7), 5))
+    v1 = batch_gradients(prob, x0, start_rows(prob, streams(7), 5))
+    v2 = batch_gradients(prob, x0, start_rows(prob, streams(7), 5))
     assert np.array_equal(v1, v2)
     n1 = update_momentum(v1, x0, prob, np.ones((2, 3)), 0.3,
                          next(batch_rows(prob, streams(1), 1, 1)))

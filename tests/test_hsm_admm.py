@@ -46,14 +46,14 @@ def _state(x, beta, v, alpha=None):
 
 
 def test_step_y_identity_regularizer():
-    prob = CompositeProblem("least_squares", [np.zeros((1, 2))], [np.zeros(1)])
+    prob = CompositeProblem("least_squares", np.zeros((1, 2)), np.zeros(1), [1])
     state = _state([3.0, -1.0], [1.0, 2.0], [0.0, 0.0])
     y = step_y(state, prob, rho=2.0)
     assert np.array_equal(y, state.x - state.beta / 2.0)
 
 
 def test_step_y_hand_case():
-    prob = CompositeProblem("least_squares", [np.zeros((1, 1))], [np.zeros(1)],
+    prob = CompositeProblem("least_squares", np.zeros((1, 1)), np.zeros(1), [1],
                             regularizer="l1", l1_weight=1.0)
     y = step_y(_state([3.0], [1.0], [0.0]), prob, rho=2.0)
     # prox input 2.5 at scale 0.5 shrinks by 0.5
@@ -61,7 +61,7 @@ def test_step_y_hand_case():
 
 
 def test_step_y_large_rho_limit():
-    prob = CompositeProblem("least_squares", [np.zeros((1, 3))], [np.zeros(1)],
+    prob = CompositeProblem("least_squares", np.zeros((1, 3)), np.zeros(1), [1],
                             regularizer="l1", l1_weight=1.0)
     state = _state([1.0, -2.0, 0.5], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0])
     y = step_y(state, prob, rho=1e8)
@@ -98,8 +98,8 @@ def test_step_x_edge_dual_signs():
 
 def test_step_duals_zero_residuals():
     g = Graph(2, ((0, 1),))
-    prob = CompositeProblem("least_squares", [np.zeros((1, 2))] * 2,
-                            [np.zeros(1)] * 2)
+    prob = CompositeProblem("least_squares", np.zeros((2, 2)), np.zeros(2),
+                            [1, 1])
     state = init_network_state(prob, g, np.array([1.0, -1.0]), None)
     # consensus and splitting both hold at the start
     before = state.duals_vector()

@@ -26,8 +26,8 @@ def step_analysis(g, sched, L, uniform=False):
 
 def quad_two_agents(b1, b2):
     # scalar least squares: grad_i(x) = x - b_i
-    return CompositeProblem("least_squares", [np.array([[1.0]]), np.array([[1.0]])],
-                            [np.array([b1]), np.array([b2])])
+    return CompositeProblem("least_squares", np.ones((2, 1)), np.array([b1, b2]),
+                            [1, 1])
 
 
 def test_stationarity_zero_at_minimizer():

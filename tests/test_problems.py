@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from hsmadmm.problems import (SMOOTH_KINDS, CompositeProblem, IndexOutOfRange,
 
 def single_sample_problem(a, b, **kw):
     a = np.asarray(a, dtype=float)
-    return CompositeProblem("least_squares", [a[None, :]], [np.array([float(b)])], **kw)
+    return CompositeProblem("least_squares", a[None, :], np.array([float(b)]), [1], **kw)
 
 
 def test_least_squares_single_sample_gradient():
@@ -117,7 +118,8 @@ def test_prox_optimality_condition_random():
         lam = float(rng.uniform(0.0, 2.0))
         c = float(rng.uniform(0.05, 3.0))
         v = rng.uniform(-3, 3, size=4)
-        trial = CompositeProblem("least_squares", prob.features, prob.labels,
+        trial = CompositeProblem("least_squares", prob.stacked_features,
+                                 prob.stacked_labels, prob.sizes,
                                  regularizer="l1", l1_weight=lam)
         u = prox_h(trial, v, c)
         assert _prox_optimality_residual(u, v, c, lam) <= 1e-10
@@ -128,20 +130,20 @@ def test_replace_rebuilds_the_smoothness():
     # dataclasses.replace must estimate its own
     prob = make_problem("least_squares", 2, 3, 10, 4)
     before = prob.smoothness
-    scaled = dataclasses.replace(prob, features=[3.0 * A for A in prob.features])
+    scaled = dataclasses.replace(prob, stacked_features=3.0 * prob.stacked_features)
     assert scaled.smoothness == estimate_smoothness(scaled)
     assert scaled.smoothness == pytest.approx(9.0 * before, rel=1e-12)
 
 
 def test_estimate_smoothness_formulas():
-    ls = CompositeProblem("least_squares", [np.array([[2.0, 0.0], [1.0, 0.0]])],
-                          [np.zeros(2)])
+    ls = CompositeProblem("least_squares", np.array([[2.0, 0.0], [1.0, 0.0]]),
+                          np.zeros(2), [2])
     assert estimate_smoothness(ls) == 4.0
 
-    logi = CompositeProblem("logistic", [np.array([[2.0, 0.0]])], [np.ones(1)])
+    logi = CompositeProblem("logistic", np.array([[2.0, 0.0]]), np.ones(1), [1])
     assert estimate_smoothness(logi) == 1.0
 
-    zero = CompositeProblem("least_squares", [np.zeros((3, 2))], [np.zeros(3)],
+    zero = CompositeProblem("least_squares", np.zeros((3, 2)), np.zeros(3), [3],
                             alpha=0.5)
     assert estimate_smoothness(zero) == 1.0  # 2 * alpha
 
@@ -173,7 +175,8 @@ def test_mean_squared_smoothness_bound():
 def test_global_mean_gradient_identical_agents():
     A = np.random.default_rng(3).standard_normal((6, 3))
     b = np.zeros(6)
-    prob = CompositeProblem("least_squares", [A.copy(), A.copy()], [b.copy(), b.copy()])
+    prob = CompositeProblem("least_squares", np.vstack([A, A]), np.concatenate([b, b]),
+                            [6, 6])
     x = np.array([1.0, -1.0, 0.5])
     assert np.allclose(global_mean_gradient(prob, x), full_gradient(prob, 0, x),
                        atol=1e-15)
@@ -195,7 +198,8 @@ def test_global_mean_gradient_matches_per_agent_mean_unequal_sizes(kind):
     sizes = (3, 7, 1)
     feats = [rng.standard_normal((N, 4)) for N in sizes]
     labs = [np.sign(rng.standard_normal(N)) for N in sizes]
-    prob = CompositeProblem(kind, feats, labs, alpha=0.3)
+    prob = CompositeProblem(kind, np.vstack(feats), np.concatenate(labs), sizes,
+                            alpha=0.3)
     for _ in range(3):
         x = rng.standard_normal(4)
         want = sum(full_gradient(prob, i, x) for i in range(3)) / 3
@@ -210,8 +214,8 @@ def test_batch_gradients_equal_per_agent_oracle(kind, b):
     sizes = (3, 7, 1)
     feats = [rng.standard_normal((N, 4)) for N in sizes]
     labs = [np.sign(rng.standard_normal(N)) for N in sizes]
-    prob = CompositeProblem(kind, feats, labs, regularizer="l1", l1_weight=0.05,
-                            alpha=0.3)
+    prob = CompositeProblem(kind, np.vstack(feats), np.concatenate(labs), sizes,
+                            regularizer="l1", l1_weight=0.05, alpha=0.3)
     for _ in range(3):
         X = rng.standard_normal((3, 4))
         local = [rng.integers(0, N, size=b) for N in sizes]
@@ -265,7 +269,8 @@ def test_in_place_kernel_equals_per_sample_mean(kind, alpha, b, p):
     feats[1][:, 0] = 0.0
     labs = [np.sign(rng.standard_normal(N)) if kind == "logistic"
             else rng.standard_normal(N) for N in sizes]
-    prob = CompositeProblem(kind, feats, labs, alpha=alpha)
+    prob = CompositeProblem(kind, np.vstack(feats), np.concatenate(labs), sizes,
+                            alpha=alpha)
     F, L = prob.stacked_features.copy(), prob.stacked_labels.copy()
     for _ in range(3):
         X = 3.0 * rng.standard_normal((4, p))
@@ -305,6 +310,7 @@ def _assert_stacked_views(prob, sizes):
     assert prob.offsets[0] == 0 and prob.offsets[-1] == prob.stacked_features.shape[0]
     assert prob.stacked_features.shape == (sum(sizes), prob.p)
     assert prob.stacked_labels.shape == (sum(sizes),)
+    assert prob.stacked_features.flags.c_contiguous
     for i in range(prob.n):
         s, e = prob.offsets[i], prob.offsets[i + 1]
         assert np.shares_memory(prob.features[i], prob.stacked_features)
@@ -316,27 +322,54 @@ def _assert_stacked_views(prob, sizes):
 def test_samples_are_stacked_views(tmp_path):
     prob = make_problem("logistic", 3, 4, 6, 9, noniid=True)
     _assert_stacked_views(prob, (6, 6, 6))
+    # replace keeps the very sample arrays and rebuilds only the derived ones
     rebuilt = dataclasses.replace(prob, l1_weight=0.5, regularizer="l1")
     _assert_stacked_views(rebuilt, (6, 6, 6))
-    assert not np.shares_memory(rebuilt.stacked_features, prob.stacked_features)
-    assert np.array_equal(rebuilt.stacked_features, prob.stacked_features)
+    assert rebuilt.stacked_features is prob.stacked_features
+    assert rebuilt.stacked_labels is prob.stacked_labels
 
     rng = np.random.default_rng(4)
     sizes = (3, 7, 1)
-    odd = CompositeProblem("least_squares", [rng.standard_normal((N, 2)) for N in sizes],
-                           [rng.standard_normal(N) for N in sizes])
+    odd = CompositeProblem("least_squares", rng.standard_normal((11, 2)),
+                           rng.standard_normal(11), sizes)
     _assert_stacked_views(odd, sizes)
-    save_dataset(odd, tmp_path / "data.csv", tmp_path / "manifest.json")
-    loaded = load_dataset(tmp_path / "data.csv", tmp_path / "manifest.json",
-                          kind="least_squares")
+    csv, manifest = tmp_path / "data.csv", tmp_path / "manifest.json"
+    save_dataset(odd, csv, manifest)
+    loaded = load_dataset(csv, manifest, kind="least_squares")
     _assert_stacked_views(loaded, sizes)
     assert np.array_equal(loaded.stacked_features, odd.stacked_features)
+    assert np.array_equal(loaded.stacked_labels, odd.stacked_labels)
+    assert np.array_equal(loaded.offsets, odd.offsets)
+
+    # ranges listed out of row order are gathered in agent order
+    manifest.write_text(json.dumps({"n": 3, "p": 2, "ranges": [[10, 11], [0, 3], [3, 10]]}))
+    swapped = load_dataset(csv, manifest, kind="least_squares")
+    _assert_stacked_views(swapped, (1, 3, 7))
+    for i, j in enumerate((2, 0, 1)):
+        assert np.array_equal(swapped.features[i], odd.features[j])
+        assert np.array_equal(swapped.labels[i], odd.labels[j])
+
+
+SHAPES = r"\(N, p\) features and \(N,\) labels"
+
+
+@pytest.mark.parametrize("features,labels,sizes,message", [
+    (np.ones((5, 3)), np.ones(5), [2, 2], "sizes summing to N=5"),
+    (np.ones((5, 3)), np.ones(5), [], "sizes summing to N=5"),
+    (np.ones((5, 3)), np.ones(4), [2, 3], SHAPES),
+    (np.ones((5, 3)), np.ones((5, 1)), [2, 3], SHAPES),
+    (np.ones(5), np.ones(5), [2, 3], SHAPES),
+    (np.ones((5, 1, 3)), np.ones(5), [2, 3], SHAPES),
+], ids=["sizes-short", "no-agents", "labels-short", "labels-2d", "features-1d",
+        "features-3d"])
+def test_inconsistent_samples_are_refused(features, labels, sizes, message):
+    with pytest.raises(ProblemError, match=message):
+        CompositeProblem("least_squares", features, labels, sizes)
 
 
 def test_agent_without_samples_is_refused():
-    A = np.ones((2, 3))
     with pytest.raises(ProblemError, match="agent 1 has no samples"):
-        CompositeProblem("least_squares", [A, np.zeros((0, 3))], [np.ones(2), np.zeros(0)])
+        CompositeProblem("least_squares", np.ones((2, 3)), np.ones(2), [2, 0])
 
 
 def test_noniid_partition_is_heterogeneous():
@@ -391,7 +424,7 @@ def test_batch_validation_errors():
 def test_empirical_sigma_zero_for_identical_samples():
     A = np.tile(np.array([[1.0, 2.0]]), (4, 1))
     b = np.full(4, 3.0)
-    prob = CompositeProblem("least_squares", [A], [b])
+    prob = CompositeProblem("least_squares", A, b, [4])
     assert empirical_sigma_sq(prob, np.zeros((1, 2))) == 0.0
 
 

@@ -44,6 +44,7 @@ def test_topology_comparison(tmp_path):
 
 
 @pytest.mark.parametrize("workload,mode", [("oracle_gt16", "traced"),
+                                           ("oracle_gt16", "setup"),
                                            ("rate_ring8", "setup"),
                                            ("analysis_n32p64", "traced")])
 def test_benchmark_worker(tmp_path, workload, mode):
