@@ -30,6 +30,12 @@ _CURVATURE = {"least_squares": 1.0, "logistic": 0.25, "nonconvex_robust": 1.0}
 # Standard deviation of the Gaussian noise ``make_problem`` adds to the margins.
 NOISE_STD = 0.1
 
+# Values per temporary in the passes over every sample: 64 KiB of float64,
+# below glibc's initial mmap threshold (128 KiB). While that threshold stays
+# low, as it does when a build frees no sample-sized block, larger
+# temporaries are mapped and faulted afresh on every call.
+SLICE_VALUES = 8192
+
 
 class ProblemError(Exception):
     """Base class for objective/oracle failures."""
@@ -117,6 +123,13 @@ class CompositeProblem:
     @cached_property
     def smoothness(self) -> float:
         return estimate_smoothness(self)
+
+
+def _row_slices(N: int, width: int = 1):
+    """Slices of consecutive rows covering rows 0 to N, each short enough
+    that a (rows, width) temporary holds at most ``SLICE_VALUES`` values."""
+    step = max(1, SLICE_VALUES // width)
+    return (slice(s, s + step) for s in range(0, N, step))
 
 
 def _check_agent(prob: CompositeProblem, i: int) -> None:
@@ -275,11 +288,15 @@ def full_gradient(prob: CompositeProblem, i: int, x) -> np.ndarray:
 def global_mean_gradient(prob: CompositeProblem, xbar) -> np.ndarray:
     """(1/n) sum_i of the local full gradients, all evaluated at the same
     point, in one pass over the stacked samples: each row of agent i enters
-    the weighted row sum with weight 1 / (n N_i)."""
+    the weighted row sum with weight 1 / (n N_i). The (N,) margins are
+    overwritten with the weights ``SLICE_VALUES`` rows at a time and summed
+    in a single ``w @ X``, with the bits of the unsliced formula."""
     xbar = np.asarray(xbar, dtype=float)
-    X = prob.stacked_features
-    w = _loss_weights(prob.kind, X @ xbar, prob.stacked_labels)
-    w /= prob.row_divisors
+    X, y = prob.stacked_features, prob.stacked_labels
+    w = X @ xbar
+    for rows in _row_slices(len(w)):
+        np.divide(_loss_weights(prob.kind, w[rows], y[rows]),
+                  prob.row_divisors[rows], out=w[rows])
     return w @ X + _penalty_gradient(prob, xbar)
 
 
@@ -333,10 +350,13 @@ def estimate_smoothness(prob: CompositeProblem) -> float:
     The data term contributes ``curvature(kind) * max_samples ||a||^2``
     (curvature 1 for least_squares and nonconvex_robust, 1/4 for logistic);
     the bounded penalty contributes ``2 * alpha``. Bounding each sample's
-    curvature bounds the mean-squared version as well.
+    curvature bounds the mean-squared version as well. The squared row
+    norms are taken in slices of ``SLICE_VALUES // p`` rows, with the bits
+    of the unsliced formula.
     """
     X = prob.stacked_features
-    worst = float(np.max(np.sum(X * X, axis=1)))
+    worst = max(float(np.max(np.sum(X[rows] * X[rows], axis=1)))
+                for rows in _row_slices(*X.shape))
     return _CURVATURE[prob.kind] * worst + 2.0 * prob.alpha
 
 
@@ -372,8 +392,11 @@ def make_problem(kind: str, n: int, p: int, samples_per_agent: int, seed: int, *
     Features are Gaussian scaled by 1/sqrt(p) so per-sample curvature stays
     O(1). With ``noniid=True`` samples are sorted by label before agent i
     takes the i-th block of ``samples_per_agent`` rows (label
-    partitioning); otherwise a seeded permutation spreads them evenly. The
-    reordering gathers the samples once, into the arrays the problem keeps.
+    partitioning), a gather into one new copy of the samples that the
+    problem keeps. Otherwise a seeded permutation spreads them evenly: the
+    rows and labels are shuffled in place, with the same result as
+    gathering them by ``rng.permutation(N)``, so the generated arrays are
+    the only sample-sized buffers the build holds.
     """
     if n < 1 or p < 1 or samples_per_agent < 1:
         raise ProblemError("n, p and samples_per_agent must be positive")
@@ -391,9 +414,19 @@ def make_problem(kind: str, n: int, p: int, samples_per_agent: int, seed: int, *
     if kind == "logistic":
         b = np.where(b >= 0.0, 1.0, -1.0)
 
-    order = np.argsort(b, kind="stable") if noniid else rng.permutation(N)
-    A = np.take(A, order, axis=0)  # rebound, so the unordered samples go now
-    return CompositeProblem(kind, A, np.take(b, order), [samples_per_agent] * n,
+    if noniid:
+        order = np.argsort(b, kind="stable")
+        A = np.take(A, order, axis=0)  # rebound, so the unordered samples go now
+        b = np.take(b, order)
+    else:
+        # rng.permutation(N) is arange(N) shuffled: replaying the generator
+        # state over the rows (one void item each) and then over the labels
+        # makes the same swaps in place and leaves the same final state
+        state = rng.bit_generator.state
+        rng.shuffle(A.view(np.dtype((np.void, A.strides[0]))).reshape(N))
+        rng.bit_generator.state = state
+        rng.shuffle(b)
+    return CompositeProblem(kind, A, b, [samples_per_agent] * n,
                             regularizer=regularizer, l1_weight=l1_weight,
                             alpha=alpha)
 

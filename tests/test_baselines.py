@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hsmadmm import simulator
-from hsmadmm.baselines import (baseline_step, batch_rows, init_dsgd_state,
-                               init_gt_state, metropolis_weights,
+from hsmadmm.baselines import (BLOCK_INDICES, baseline_step, batch_rows,
+                               init_dsgd_state, init_gt_state, metropolis_weights,
                                prox_dsgd_round, prox_gt_round)
 from hsmadmm.config import RunConfig
 from hsmadmm.graph import Graph, build_topology
@@ -176,17 +176,27 @@ def test_block_draw_equals_per_round_draws(N, b, B):
     assert block.bit_generator.state == single.bit_generator.state
 
 
+def _assert_batch_rows_match_per_round_draws(prob, batch_size, rounds):
+    rows = list(batch_rows(prob, agent_streams(6, prob.n), batch_size, rounds))
+    assert len(rows) == rounds
+    ref = agent_streams(6, prob.n)
+    for got in rows:
+        want = [draw_batch(prob, i, ref[i], batch_size) + prob.offsets[i]
+                for i in range(prob.n)]
+        assert np.array_equal(got, want)
+
+
 def test_batch_rows_match_per_round_draws_across_blocks():
     prob = make_problem("logistic", 16, 3, 10, 5)
-    rounds = 301                      # crosses the 256-round block boundary
-    rows = list(batch_rows(prob, agent_streams(6, 16), 32, rounds))
-    assert len(rows) == rounds
-    ref = agent_streams(6, 16)
-    for got in rows:
-        want = [draw_batch(prob, i, ref[i], 32) + prob.offsets[i]
-                for i in range(16)]
-        assert np.array_equal(got, want)
+    # crosses the 256-round block boundary
+    _assert_batch_rows_match_per_round_draws(prob, 32, 301)
     assert list(batch_rows(prob, agent_streams(6, 16), 0, 3)) == [None] * 3
+
+
+def test_batch_rows_match_per_round_draws_over_four_blocks():
+    prob = make_problem("least_squares", 4, 3, 10, 5)
+    assert BLOCK_INDICES // (4 * 4096) == 8      # rounds per block
+    _assert_batch_rows_match_per_round_draws(prob, 4096, 27)
 
 
 @pytest.mark.parametrize("algorithm, K", [("prox_gt", 300), ("prox_gt", 0),

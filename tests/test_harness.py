@@ -524,6 +524,15 @@ def test_verify_command_fails_on_a_failing_or_raising_check(capsys, monkeypatch)
         "[PASS] warns: fine; 2 warning(s), first: UserWarning: loose"]
 
 
+def _run_python(code):
+    """Run ``code`` in a fresh interpreter that imports hsmadmm from src."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src")] + ([os.environ["PYTHONPATH"]]
+                               if os.environ.get("PYTHONPATH") else [])))
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
 def test_run_single_does_not_import_numpy_ma(tmp_path):
     # np.unique (numpy 2.4) imports numpy.ma on first use; a run with its
     # rate fit and plots must not pay for that import
@@ -535,14 +544,19 @@ def test_run_single_does_not_import_numpy_ma(tmp_path):
             f"summary = run_single(cfg, {str(tmp_path)!r})\n"
             "assert 'slope_of_mean_min_prefix' in summary['aggregate']\n"
             "print('numpy.ma' in sys.modules)\n")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(ROOT / "src")] + ([os.environ["PYTHONPATH"]]
-                               if os.environ.get("PYTHONPATH") else [])))
-    done = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120)
+    done = _run_python(code)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["False"]
     assert (tmp_path / "stationarity_vs_k.svg").exists()
+
+
+def test_importing_the_cli_does_not_import_multiprocessing():
+    # only a sweep with --jobs > 1 needs the process pool
+    code = ("import sys, hsmadmm.harness, hsmadmm.checks\n"
+            "print(sorted(m for m in sys.modules if 'multiprocessing' in m))\n")
+    done = _run_python(code)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["[]"]
 
 
 def test_diverged_replica_keeps_earlier_summaries(tmp_path, monkeypatch):

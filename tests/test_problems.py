@@ -1,13 +1,15 @@
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hsmadmm.problems import (SMOOTH_KINDS, CompositeProblem, IndexOutOfRange,
-                              NonPositiveScale, ProblemError,
+from hsmadmm.problems import (NOISE_STD, SMOOTH_KINDS, CompositeProblem,
+                              IndexOutOfRange, NonPositiveScale, ProblemError,
+                              _CURVATURE, _loss_weights, _penalty_gradient,
                               batch_gradients, draw_batch, empirical_sigma_sq,
                               estimate_smoothness,
                               full_gradient, global_mean_gradient,
@@ -370,6 +372,80 @@ def test_inconsistent_samples_are_refused(features, labels, sizes, message):
 def test_agent_without_samples_is_refused():
     with pytest.raises(ProblemError, match="agent 1 has no samples"):
         CompositeProblem("least_squares", np.ones((2, 3)), np.ones(2), [2, 0])
+
+
+def _traced_peak(build):
+    """(result, peak bytes traced by tracemalloc while ``build()`` ran)."""
+    tracemalloc.start()
+    try:
+        return build(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _gathered_build(kind, n, p, samples_per_agent, seed):
+    """make_problem's iid build as the gather by rng.permutation it replays
+    in place: the reference the shuffled build must equal bit for bit."""
+    rng = np.random.default_rng(seed)
+    x_true = np.zeros(p)
+    nnz = max(1, p // 4)
+    support = rng.choice(p, size=nnz, replace=False)
+    x_true[support] = rng.normal(0.0, 1.0, size=nnz)
+    N = n * samples_per_agent
+    A = rng.standard_normal((N, p)) / np.sqrt(p)
+    b = A @ x_true + NOISE_STD * rng.standard_normal(N)
+    if kind == "logistic":
+        b = np.where(b >= 0.0, 1.0, -1.0)
+    order = rng.permutation(N)
+    return np.take(A, order, axis=0), np.take(b, order)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7919])
+@pytest.mark.parametrize("p", [1, 20])
+@pytest.mark.parametrize("kind", ["logistic", "least_squares"])
+def test_iid_build_equals_the_permutation_gather(kind, p, seed):
+    # the in-place shuffle relies on Generator.permutation(N) being
+    # arange(N) shuffled: a numpy release that changes this fails here
+    prob = make_problem(kind, 5, p, 40, seed)
+    A, b = _gathered_build(kind, 5, p, 40, seed)
+    assert np.array_equal(prob.stacked_features, A)
+    assert np.array_equal(prob.stacked_labels, b)
+
+
+def test_iid_build_holds_one_copy_of_the_samples():
+    prob, peak = _traced_peak(lambda: make_problem("logistic", 8, 20, 5000, 1))
+    assert peak <= 1.3 * prob.stacked_features.nbytes
+
+
+def _one_shot_passes(prob, x):
+    """Smoothness and global mean gradient as unsliced formulas."""
+    X = prob.stacked_features
+    w = _loss_weights(prob.kind, X @ x, prob.stacked_labels)
+    w /= prob.row_divisors
+    worst = float(np.max(np.sum(X * X, axis=1)))
+    return (_CURVATURE[prob.kind] * worst + 2.0 * prob.alpha,
+            w @ X + _penalty_gradient(prob, x))
+
+
+@pytest.mark.parametrize("sizes", [[5000] * 16, [30000, 3, 20001, 29996]],
+                         ids=["equal", "ragged"])
+@pytest.mark.parametrize("kind", SMOOTH_KINDS)
+def test_sliced_full_data_passes_equal_the_one_shot_formulas(kind, sizes):
+    big = make_problem(kind, 1, 20, 80000, 3)
+    prob = CompositeProblem(kind, big.stacked_features, big.stacked_labels,
+                            sizes, alpha=0.2)
+    x = np.random.default_rng(5).standard_normal(20)
+    L, g = _one_shot_passes(prob, x)
+    assert estimate_smoothness(prob) == L
+    assert np.array_equal(global_mean_gradient(prob, x), g)
+
+
+def test_full_data_passes_hold_no_sample_sized_temporary():
+    prob = make_problem("logistic", 16, 20, 5000, 1)
+    budget = 0.1 * prob.stacked_features.nbytes
+    assert _traced_peak(lambda: estimate_smoothness(prob))[1] <= budget
+    x = np.full(20, 0.1)
+    assert _traced_peak(lambda: global_mean_gradient(prob, x))[1] <= budget
 
 
 def test_noniid_partition_is_heterogeneous():
