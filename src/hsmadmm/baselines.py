@@ -56,26 +56,25 @@ def batch_rows(prob: CompositeProblem, rngs, batch_size: int, rounds: int):
 
     Each agent draws a block of B = BLOCK_INDICES // (n * batch_size) rounds
     (at least one) with one ``draw_batch`` call of size B * batch_size,
-    which yields the same indices as B draws of ``batch_size`` and leaves
-    its generator in the same state, so the per-agent sample sequences are
+    which yields the same rows as B draws of ``batch_size`` and leaves its
+    generator in the same state, so the per-agent sample sequences are
     those of per-round draws. The draws fill one (B, n, batch_size) int64
-    block, agent by agent, and the agents' row offsets are added to it in
-    place; the block is released before the next one is drawn. Nothing is
-    drawn past the last round. ``batch_size = 0`` (exact gradients) yields
-    None every round and draws nothing.
+    block as they come, agent by agent; the block is released before the
+    next one is drawn. A block must span many logged intervals: a smaller
+    one maps less memory but puts a draw into more of the timed intervals.
+    Nothing is drawn past the last round. ``batch_size = 0`` (exact
+    gradients) yields None every round and draws nothing.
     """
     if batch_size == 0:
         yield from repeat(None, rounds)
         return
     per_block = max(1, BLOCK_INDICES // (prob.n * batch_size))
-    starts = prob.offsets[:-1, None]
     for first in range(0, rounds, per_block):
         B = min(per_block, rounds - first)
         block = np.empty((B, prob.n, batch_size), dtype=np.int64)
         for i in range(prob.n):
             block[:, i] = draw_batch(prob, i, rngs[i], B * batch_size).reshape(
                 B, batch_size)
-        block += starts
         yield from block
         del block
 

@@ -117,28 +117,30 @@ def prox_oracle():
 
 def gradient_oracle():
     """Criterion 4: sampled gradients match central finite differences, and
-    full batches, per agent and stacked, give the exact gradient bit for bit."""
+    full batches, per agent and stacked, give the exact gradient bit for bit,
+    on every agent, so that a local index taken for a stacked row shows."""
     rng = np.random.default_rng(57)
     worst = 0.0
     exact = True
     for kind in ("least_squares", "logistic", "nonconvex_robust"):
         prob = make_problem(kind, 2, 5, 10, 4, alpha=0.25)
-        for _ in range(50):
+        for i in [0, 1] * 25:
             x = rng.standard_normal(5)
-            batch = draw_batch(prob, 0, rng, int(rng.integers(1, 6)))
-            grad = stochastic_gradient(prob, 0, x, batch)
+            batch = draw_batch(prob, i, rng, int(rng.integers(1, 6)))
+            grad = stochastic_gradient(prob, i, x, batch)
             fd = np.zeros(5)
             for j in range(5):
                 e = np.zeros(5)
                 e[j] = 1e-6
-                fd[j] = (sampled_loss(prob, 0, x + e, batch)
-                         - sampled_loss(prob, 0, x - e, batch)) / 2e-6
+                fd[j] = (sampled_loss(prob, i, x + e, batch)
+                         - sampled_loss(prob, i, x - e, batch)) / 2e-6
             worst = max(worst, float(np.linalg.norm(fd - grad)
                                      / max(1.0, np.linalg.norm(fd))))
         for _ in range(5):
             x = rng.standard_normal(5)
-            full = stochastic_gradient(prob, 0, x, np.arange(prob.local_size(0)))
-            exact = exact and np.array_equal(full, full_gradient(prob, 0, x))
+            exact = exact and all(np.array_equal(stochastic_gradient(
+                prob, i, x, prob.offsets[i] + np.arange(prob.local_size(i))),
+                full_gradient(prob, i, x)) for i in range(prob.n))
             X = np.stack([x, -x])
             exact = exact and all(np.array_equal(g, full_gradient(prob, i, X[i]))
                                   for i, g in enumerate(batch_gradients(prob, X, None)))

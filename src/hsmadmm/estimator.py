@@ -8,11 +8,11 @@ Row i of the estimate after a step to ``x_new`` with momentum parameter
 where both gradients are evaluated on the *same* batch, row i of the
 round's fresh batch rows; reusing the batch is what cancels the variance of
 the correction term. ``a = 1`` discards the history and falls back to a
-plain stochastic gradient. Nothing here draws: the refresh takes rows
-drawn by the caller (``baselines.batch_rows``). The sampled refresh
-evaluates agent by agent; the batch-0 refresh is two stacked
-``batch_gradients`` calls. The start estimate is one such call, made by
-``hsm_admm.init_network_state``.
+plain stochastic gradient. Nothing here draws: the refresh passes the
+stacked sample rows the caller drew (``baselines.batch_rows``) to the
+oracles as they are. The sampled refresh evaluates agent by agent; the
+batch-0 refresh is two stacked ``batch_gradients`` calls. The start
+estimate is one such call, made by ``hsm_admm.init_network_state``.
 """
 from __future__ import annotations
 
@@ -49,7 +49,6 @@ def update_momentum(v, last_x, prob: CompositeProblem, x_new, a: float,
         g_new = np.empty_like(v)
         g_old = np.empty_like(v)
         for i in range(prob.n):
-            batch = rows[i] - prob.offsets[i]
-            g_new[i] = stochastic_gradient(prob, i, x_new[i], batch)
-            g_old[i] = stochastic_gradient(prob, i, last_x[i], batch)
+            g_new[i] = stochastic_gradient(prob, i, x_new[i], rows[i])
+            g_old[i] = stochastic_gradient(prob, i, last_x[i], rows[i])
     return g_new + (1.0 - a) * (v - g_old)

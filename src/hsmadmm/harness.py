@@ -289,8 +289,10 @@ def cmd_sweep(args) -> int:
 
 def cmd_plot(args) -> int:
     paths = args.traces
-    labels = ([s.strip() for s in args.labels.split(",")] if args.labels
+    labels = ([s.strip() for s in args.labels.split(",")] if args.labels is not None
               else [Path(path).stem for path in paths])
+    if not all(labels):
+        raise ConfigInvalid(f"--labels {args.labels!r} holds an empty label")
     if len(labels) != len(paths):
         raise ConfigInvalid("need exactly one label per trace")
     for j, label in enumerate(labels):
@@ -359,7 +361,7 @@ def main(argv=None) -> int:
 
     p_plot = sub.add_parser("plot", help="render charts from trace files")
     p_plot.add_argument("--traces", nargs="+", required=True)
-    p_plot.add_argument("--labels", default="")
+    p_plot.add_argument("--labels")
     p_plot.add_argument("--out", required=True)
     p_plot.set_defaults(fn=cmd_plot)
 

@@ -56,9 +56,9 @@ class CompositeProblem:
     Built from the samples in the layout it stores: ``stacked_features``, one
     C-contiguous (N, p) float array, ``stacked_labels``, the (N,) targets,
     and ``sizes``, the per-agent sample counts N_i (each at least one,
-    summing to N). Agent i owns rows ``offsets[i]:offsets[i + 1]``;
-    ``features[i]``, its (N_i, p) local design matrix, and ``labels[i]`` are
-    views of those rows, and ``row_divisors`` holds n * N_i for each of them.
+    summing to N). Agent i owns rows ``offsets[i]:offsets[i + 1]``, and
+    ``row_divisors`` holds n * N_i for each of them. A sample's one address
+    is its stacked row, which ``draw_batch`` returns and every oracle takes.
     ``dataclasses.replace`` reuses the sample arrays and recomputes the
     cached ``size_groups`` and ``smoothness``. Immutable after construction;
     all oracle calls are pure functions of their arguments.
@@ -71,8 +71,6 @@ class CompositeProblem:
     regularizer: str = "none"
     l1_weight: float = 0.0
     alpha: float = 0.0
-    features: list = field(init=False, repr=False, compare=False)
-    labels: list = field(init=False, repr=False, compare=False)
     offsets: np.ndarray = field(init=False, repr=False, compare=False)
     row_divisors: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -94,20 +92,17 @@ class CompositeProblem:
             raise ProblemError(f"agent {np.argmin(sizes)} has no samples")
         self.offsets = np.cumsum([0, *sizes.tolist()])
         self.row_divisors = np.repeat(len(sizes) * sizes, sizes).astype(float)
-        bounds = list(zip(self.offsets[:-1], self.offsets[1:]))
-        self.features = [X[s:e] for s, e in bounds]
-        self.labels = [y[s:e] for s, e in bounds]
 
     @property
     def n(self) -> int:
-        return len(self.features)
+        return len(self.offsets) - 1
 
     @property
     def p(self) -> int:
         return self.stacked_features.shape[1]
 
     def local_size(self, i: int) -> int:
-        return int(self.features[i].shape[0])
+        return int(self.offsets[i + 1] - self.offsets[i])
 
     @cached_property
     def size_groups(self) -> list:
@@ -135,6 +130,14 @@ def _row_slices(N: int, width: int = 1):
 def _check_agent(prob: CompositeProblem, i: int) -> None:
     if not (0 <= i < prob.n):
         raise IndexOutOfRange(f"agent {i} out of range (n={prob.n})")
+
+
+def _local_samples(prob: CompositeProblem, i: int):
+    """Agent i's (N_i, p) rows and (N_i,) labels, views of the stacked
+    arrays; the agent is checked."""
+    _check_agent(prob, i)
+    rows = slice(prob.offsets[i], prob.offsets[i + 1])
+    return prob.stacked_features[rows], prob.stacked_labels[rows]
 
 
 def _penalty_value(prob: CompositeProblem, x: np.ndarray):
@@ -166,13 +169,6 @@ def _sample_losses(prob: CompositeProblem, A: np.ndarray, b: np.ndarray,
     return data + _penalty_value(prob, x)
 
 
-def per_sample_losses(prob: CompositeProblem, i: int, x) -> np.ndarray:
-    """Per-sample loss values at x, penalty included, shape (N_i,)."""
-    _check_agent(prob, i)
-    return _sample_losses(prob, prob.features[i], prob.labels[i],
-                          np.asarray(x, dtype=float))
-
-
 def _loss_weights(kind: str, margins: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Derivative of each per-sample data loss with respect to its margin
     a.x, so that the data gradient of sample (a, b) is ``weight * a``."""
@@ -198,18 +194,17 @@ def _sample_gradients(prob: CompositeProblem, A: np.ndarray, b: np.ndarray,
 
 def per_sample_gradients(prob: CompositeProblem, i: int, x) -> np.ndarray:
     """Per-sample gradients at x, penalty included, shape (N_i, p)."""
+    return _sample_gradients(prob, *_local_samples(prob, i), np.asarray(x, dtype=float))
+
+
+def sampled_loss(prob: CompositeProblem, i: int, x, rows: np.ndarray) -> float:
+    """Mean loss at x over agent i's stacked sample rows ``rows`` (the
+    quantity whose gradient the stochastic oracle returns; used by the
+    finite-difference check). The agent is checked; ``rows`` comes from
+    ``draw_batch(prob, i, ...)`` and is not re-checked."""
     _check_agent(prob, i)
-    return _sample_gradients(prob, prob.features[i], prob.labels[i],
-                             np.asarray(x, dtype=float))
-
-
-def sampled_loss(prob: CompositeProblem, i: int, x, idx: np.ndarray) -> float:
-    """Mean loss over the sample indices ``idx`` of agent i (the quantity
-    whose gradient the stochastic oracle returns; used by the
-    finite-difference check). ``idx`` comes from ``draw_batch(prob, i, ...)``
-    and is not re-checked; another agent's indices give an undefined
-    result."""
-    return float(np.mean(per_sample_losses(prob, i, x)[idx]))
+    A, b = prob.stacked_features[rows], prob.stacked_labels[rows]
+    return float(np.mean(_sample_losses(prob, A, b, np.asarray(x, dtype=float))))
 
 
 def _mean_gradient(prob: CompositeProblem, A: np.ndarray, b: np.ndarray,
@@ -232,15 +227,15 @@ def _mean_gradient(prob: CompositeProblem, A: np.ndarray, b: np.ndarray,
     return g
 
 
-def stochastic_gradient(prob: CompositeProblem, i: int, x, idx: np.ndarray) -> np.ndarray:
-    """Mean of agent i's per-sample gradients at x over the sample indices
-    ``idx``. The agent is checked; ``idx`` comes from
-    ``draw_batch(prob, i, ...)`` and is not re-checked, so another agent's
-    indices give an undefined result. With every index of agent i in order
-    this reproduces ``full_gradient`` bit for bit."""
+def stochastic_gradient(prob: CompositeProblem, i: int, x, rows: np.ndarray) -> np.ndarray:
+    """Mean of agent i's per-sample gradients at x over its stacked sample
+    rows ``rows``. The agent is checked; ``rows`` comes from
+    ``draw_batch(prob, i, ...)`` and is not re-checked. On all of agent i's
+    rows in order, ``offsets[i] + np.arange(N_i)``, this reproduces
+    ``full_gradient`` bit for bit."""
     _check_agent(prob, i)
-    return _mean_gradient(prob, prob.features[i][idx], prob.labels[i][idx],
-                          np.asarray(x, dtype=float))
+    return _mean_gradient(prob, prob.stacked_features[rows],
+                          prob.stacked_labels[rows], np.asarray(x, dtype=float))
 
 
 def _every_agent(prob: CompositeProblem, X, evaluate, *shape) -> np.ndarray:
@@ -257,7 +252,7 @@ def batch_gradients(prob: CompositeProblem, X, rows) -> np.ndarray:
     """Row i: agent i's mean per-sample gradient at X[i] over the stacked
     sample rows ``rows[i]`` (indices into ``stacked_features``), for an
     (n, p) ``X`` and an (n, b) ``rows``. Row i equals ``stochastic_gradient``
-    of agent i on the indices ``rows[i] - offsets[i]`` bit for bit. With
+    of agent i on the same rows ``rows[i]`` bit for bit. With
     ``rows=None`` every sample is a row: row i is agent i's exact local
     gradient, equal to ``full_gradient`` bit for bit."""
     if rows is None:
@@ -280,9 +275,8 @@ def full_gradient(prob: CompositeProblem, i: int, x) -> np.ndarray:
     """Exact local gradient, the reference oracle for the stacked exact pass
     ``batch_gradients(prob, X, None)`` that runs use: the kernel on a copy of
     agent i's rows (the values and C layout an in-order gather gives)."""
-    _check_agent(prob, i)
-    return _mean_gradient(prob, prob.features[i].copy(), prob.labels[i],
-                          np.asarray(x, dtype=float))
+    A, b = _local_samples(prob, i)
+    return _mean_gradient(prob, A.copy(), b, np.asarray(x, dtype=float))
 
 
 def global_mean_gradient(prob: CompositeProblem, xbar) -> np.ndarray:
@@ -302,7 +296,8 @@ def global_mean_gradient(prob: CompositeProblem, xbar) -> np.ndarray:
 
 def smooth_value(prob: CompositeProblem, i: int, x) -> float:
     """Local smooth objective f_i(x): mean per-sample loss plus penalty."""
-    return float(np.mean(per_sample_losses(prob, i, x)))
+    return float(np.mean(_sample_losses(prob, *_local_samples(prob, i),
+                                        np.asarray(x, dtype=float))))
 
 
 def smooth_values(prob: CompositeProblem, X) -> np.ndarray:
@@ -375,12 +370,13 @@ def empirical_sigma_sq(prob: CompositeProblem, xs) -> float:
 
 def draw_batch(prob: CompositeProblem, i: int, rng, size: int) -> np.ndarray:
     """Uniform-with-replacement batch from agent i's local dataset: an int64
-    array of ``size`` sample indices in [0, N_i). The agent and the size are
-    checked here, once; the oracles take the array as it is."""
+    array of ``size`` stacked sample rows in [offsets[i], offsets[i + 1]).
+    The agent and the size are checked here, once; the oracles take the
+    array as it is."""
     _check_agent(prob, i)
     if size < 1:
         raise IndexOutOfRange(f"batch size must be >= 1, got {size}")
-    return rng.integers(0, prob.local_size(i), size=size)
+    return prob.offsets[i] + rng.integers(0, prob.local_size(i), size=size)
 
 
 def make_problem(kind: str, n: int, p: int, samples_per_agent: int, seed: int, *,

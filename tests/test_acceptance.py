@@ -17,7 +17,7 @@ from hsmadmm.harness import build_graph, build_problem
 from hsmadmm.hsm_admm import Schedules
 from hsmadmm.metrics import (descent_drift, momentum_recursion_mc_check,
                              rate_fit_averaged, rounds_to_tolerance)
-from hsmadmm.problems import empirical_sigma_sq
+from hsmadmm.problems import _local_samples, empirical_sigma_sq
 from hsmadmm.simulator import run
 
 
@@ -106,7 +106,7 @@ def quadratic_run():
     H = np.zeros((3, 3))
     c = np.zeros(3)
     for i in range(4):
-        A, b = prob.features[i], prob.labels[i]
+        A, b = _local_samples(prob, i)
         H += A.T @ A / A.shape[0]
         c += A.T @ b / A.shape[0]
     xstar = np.linalg.solve(H, c)

@@ -181,8 +181,7 @@ def _assert_batch_rows_match_per_round_draws(prob, batch_size, rounds):
     assert len(rows) == rounds
     ref = agent_streams(6, prob.n)
     for got in rows:
-        want = [draw_batch(prob, i, ref[i], batch_size) + prob.offsets[i]
-                for i in range(prob.n)]
+        want = [draw_batch(prob, i, ref[i], batch_size) for i in range(prob.n)]
         assert np.array_equal(got, want)
 
 

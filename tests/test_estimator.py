@@ -39,8 +39,7 @@ def test_momentum_one_is_plain_gradient():
     for i in range(2):
         assert np.array_equal(got[i], full_gradient(prob, i, x_new[i]))
 
-    # sampled path: agent i evaluates its own stacked rows, shifted to local
-    # indices
+    # sampled path: agent i evaluates its own stacked rows
     rows = next(batch_rows(prob, [np.random.default_rng([5, i]) for i in range(2)],
                            1, 1))
     got_s = update_momentum(v_old, x_old, prob, x_new, 1.0, rows)

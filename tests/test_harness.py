@@ -415,6 +415,19 @@ def test_plot_refuses_two_traces_under_one_label(tmp_path, capsys, labels):
     assert "first" in svg and "second" in svg
 
 
+@pytest.mark.parametrize("labels,traces", [("", 1), (" ", 1), (" , second", 2),
+                                           ("first,", 2)])
+def test_plot_refuses_an_empty_label(tmp_path, capsys, labels, traces):
+    # a blank label would draw an unnamed legend entry
+    cfg_path = write_cfg(tmp_path, BASE_CFG.replace("K = 40", "K = 5"))
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 0
+    paths = [str(tmp_path / "o" / "trace.csv")] * traces
+    assert main(["plot", "--traces", *paths, "--labels", labels,
+                 "--out", str(tmp_path / "charts")]) == 2
+    assert f"--labels {labels!r} holds an empty label" in capsys.readouterr().err
+    assert not (tmp_path / "charts").exists()
+
+
 def test_plot_command_and_determinism(tmp_path):
     cfg_path = write_cfg(tmp_path)
     out = tmp_path / "run_out"

@@ -8,8 +8,8 @@ from hsmadmm.graph import Graph, build_topology, incidence_matrix
 from hsmadmm.hsm_admm import (NetworkState, Schedules, dense_round_reference,
                               hsm_admm_round, init_network_state, step_degrees,
                               step_duals, step_x, step_y)
-from hsmadmm.problems import (CompositeProblem, full_gradient, make_problem,
-                              prox_h)
+from hsmadmm.problems import (CompositeProblem, _local_samples, full_gradient,
+                              make_problem, prox_h)
 from hsmadmm.simulator import MessageLedger, agent_streams
 
 
@@ -136,7 +136,7 @@ def test_exact_stationary_point_is_fixed(quad_problem, ring4):
     H = np.zeros((2, 2))
     c = np.zeros(2)
     for i in range(4):
-        A, b = prob.features[i], prob.labels[i]
+        A, b = _local_samples(prob, i)
         H += A.T @ A / A.shape[0]
         c += A.T @ b / A.shape[0]
     xstar = np.linalg.solve(H, c)

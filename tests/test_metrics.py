@@ -12,7 +12,7 @@ from hsmadmm.metrics import (C_ERR, C_GAMMA, THETA, DualBoundChecker,
                              gradient_error, lyapunov, make_lyapunov_constants,
                              min_prefix, rate_fit, rate_fit_averaged, residuals,
                              stationarity_measure, step_matrix_base)
-from hsmadmm.problems import (CompositeProblem, full_gradient,
+from hsmadmm.problems import (CompositeProblem, _local_samples, full_gradient,
                               global_mean_gradient, make_problem,
                               smooth_value, soft_threshold)
 
@@ -171,7 +171,7 @@ def test_lyapunov_collapses_at_stationary_state(quad_problem, ring4):
     H = np.zeros((2, 2))
     c = np.zeros(2)
     for i in range(4):
-        A, b = prob.features[i], prob.labels[i]
+        A, b = _local_samples(prob, i)
         H += A.T @ A / A.shape[0]
         c += A.T @ b / A.shape[0]
     xstar = np.linalg.solve(H, c)

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from hsmadmm.problems import (NOISE_STD, SMOOTH_KINDS, CompositeProblem,
                               IndexOutOfRange, NonPositiveScale, ProblemError,
-                              _CURVATURE, _loss_weights, _penalty_gradient,
+                              _CURVATURE, _local_samples, _loss_weights,
+                              _penalty_gradient,
                               batch_gradients, draw_batch, empirical_sigma_sq,
                               estimate_smoothness,
                               full_gradient, global_mean_gradient,
@@ -37,7 +38,8 @@ def test_full_batch_equals_full_gradient_exactly():
         prob = make_problem(kind, 3, 4, 12, 5, alpha=0.2)
         x = np.random.default_rng(1).standard_normal(4)
         for i in range(3):
-            got = stochastic_gradient(prob, i, x, np.arange(prob.local_size(i)))
+            rows = prob.offsets[i] + np.arange(prob.local_size(i))
+            got = stochastic_gradient(prob, i, x, rows)
             assert np.array_equal(got, full_gradient(prob, i, x))
 
 
@@ -55,11 +57,12 @@ def _fd_gradient(prob, i, x, batch, h=1e-6):
 def test_gradient_matches_finite_differences(kind):
     prob = make_problem(kind, 2, 5, 10, 3, alpha=0.3)
     rng = np.random.default_rng(7)
-    for _ in range(5):
+    # both agents: agent 1's rows start at offsets[1] = 10, not at 0
+    for i in [0, 1] * 3:
         x = rng.standard_normal(5)
-        batch = draw_batch(prob, 0, rng, 4)
-        g = stochastic_gradient(prob, 0, x, batch)
-        fd = _fd_gradient(prob, 0, x, batch)
+        batch = draw_batch(prob, i, rng, 4)
+        g = stochastic_gradient(prob, i, x, batch)
+        fd = _fd_gradient(prob, i, x, batch)
         assert np.linalg.norm(fd - g) <= 1e-5 * max(1.0, np.linalg.norm(fd))
 
 
@@ -71,7 +74,8 @@ def test_batch_gradient_is_indexed_per_sample_mean(kind):
         x = 2.0 * rng.standard_normal(6)
         batch = draw_batch(prob, 1, rng, int(rng.integers(1, 33)))
         got = stochastic_gradient(prob, 1, x, batch)
-        want = per_sample_gradients(prob, 1, x)[batch].mean(axis=0)
+        want = _sample_gradients(prob, prob.stacked_features, prob.stacked_labels,
+                                 x)[batch].mean(axis=0)
         assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
 
 
@@ -220,9 +224,8 @@ def test_batch_gradients_equal_per_agent_oracle(kind, b):
                             regularizer="l1", l1_weight=0.05, alpha=0.3)
     for _ in range(3):
         X = rng.standard_normal((3, 4))
-        local = [rng.integers(0, N, size=b) for N in sizes]
-        rows = np.array(local) + prob.offsets[:-1, None]
-        want = np.array([stochastic_gradient(prob, i, X[i], local[i])
+        rows = np.array([draw_batch(prob, i, rng, b) for i in range(3)])
+        want = np.array([stochastic_gradient(prob, i, X[i], rows[i])
                          for i in range(3)])
         assert np.array_equal(batch_gradients(prob, X, rows), want)
 
@@ -276,14 +279,13 @@ def test_in_place_kernel_equals_per_sample_mean(kind, alpha, b, p):
     F, L = prob.stacked_features.copy(), prob.stacked_labels.copy()
     for _ in range(3):
         X = 3.0 * rng.standard_normal((4, p))
-        rows = np.array([rng.integers(0, N, size=b) for N in sizes]) + prob.offsets[:-1, None]
+        rows = np.array([draw_batch(prob, i, rng, b) for i in range(4)])
         want = _sample_gradients(prob, F[rows], L[rows], X).mean(axis=-2)
         got = batch_gradients(prob, X, rows)
         assert np.array_equal(got, want) and _same_bits(got, want)
         for i in range(4):
-            local = rows[i] - prob.offsets[i]
             want_i = _sample_gradients(prob, F[rows[i]], L[rows[i]], X[i]).mean(axis=-2)
-            got_i = stochastic_gradient(prob, i, X[i], local)
+            got_i = stochastic_gradient(prob, i, X[i], rows[i])
             assert np.array_equal(got_i, want_i) and _same_bits(got_i, want_i)
             assert _same_bits(got_i, got[i])
             full = per_sample_gradients(prob, i, X[i]).mean(axis=0)
@@ -313,12 +315,6 @@ def _assert_stacked_views(prob, sizes):
     assert prob.stacked_features.shape == (sum(sizes), prob.p)
     assert prob.stacked_labels.shape == (sum(sizes),)
     assert prob.stacked_features.flags.c_contiguous
-    for i in range(prob.n):
-        s, e = prob.offsets[i], prob.offsets[i + 1]
-        assert np.shares_memory(prob.features[i], prob.stacked_features)
-        assert np.shares_memory(prob.labels[i], prob.stacked_labels)
-        assert np.array_equal(prob.features[i], prob.stacked_features[s:e])
-        assert np.array_equal(prob.labels[i], prob.stacked_labels[s:e])
 
 
 def test_samples_are_stacked_views(tmp_path):
@@ -348,8 +344,8 @@ def test_samples_are_stacked_views(tmp_path):
     swapped = load_dataset(csv, manifest, kind="least_squares")
     _assert_stacked_views(swapped, (1, 3, 7))
     for i, j in enumerate((2, 0, 1)):
-        assert np.array_equal(swapped.features[i], odd.features[j])
-        assert np.array_equal(swapped.labels[i], odd.labels[j])
+        for got, want in zip(_local_samples(swapped, i), _local_samples(odd, j)):
+            assert np.array_equal(got, want)
 
 
 SHAPES = r"\(N, p\) features and \(N,\) labels"
@@ -463,7 +459,7 @@ def test_smooth_and_h_values():
     Y = np.array([[1.0, -2.0, 0.0], [0.0, 0.5, -0.25]])
     assert h_values(prob, Y).tolist() == pytest.approx([1.5, 0.375])
     x = np.zeros(3)
-    want = float(np.mean(0.5 * prob.labels[0] ** 2))
+    want = float(np.mean(0.5 * _local_samples(prob, 0)[1] ** 2))
     assert smooth_value(prob, 0, x) == pytest.approx(want)
 
 
@@ -476,7 +472,7 @@ def test_dataset_round_trip(tmp_path):
                           alpha=0.3)
     x = np.random.default_rng(0).standard_normal(4)
     for i in range(3):
-        assert np.array_equal(loaded.features[i], prob.features[i])
+        assert np.array_equal(_local_samples(loaded, i)[0], _local_samples(prob, i)[0])
         assert np.array_equal(full_gradient(loaded, i, x), full_gradient(prob, i, x))
 
 
@@ -494,7 +490,7 @@ def test_batch_validation_errors():
             stochastic_gradient(prob, agent, np.zeros(2), np.array([0]))
     idx = draw_batch(prob, 1, rng, 7)
     assert idx.dtype == np.int64 and idx.shape == (7,)
-    assert idx.min() >= 0 and idx.max() < prob.local_size(1)
+    assert idx.min() >= prob.offsets[1] and idx.max() < prob.offsets[2]
 
 
 def test_empirical_sigma_zero_for_identical_samples():

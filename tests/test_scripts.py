@@ -46,6 +46,7 @@ def test_topology_comparison(tmp_path):
 @pytest.mark.parametrize("workload,mode", [("oracle_gt16", "traced"),
                                            ("oracle_gt16", "setup"),
                                            ("rate_ring8", "setup"),
+                                           ("rate_ring8", "plain"),
                                            ("analysis_n32p64", "traced")])
 def test_benchmark_worker(tmp_path, workload, mode):
     # the traced mode wraps every function the benchmark patches by name, so
@@ -59,6 +60,10 @@ def test_benchmark_worker(tmp_path, workload, mode):
     assert "setup_s" in result
     if mode == "traced":
         assert "layers" in result
+    if mode == "plain":
+        # rate_ring8 logs every round: one timed protocol round per row
+        assert len(result["round_ms"]) == sum(len(rep["wall_ms"])
+                                              for rep in result["replicas"])
     if workload == "analysis_n32p64":
         # the checker runs from state 2 to K = 100
         assert result["layers"]["metrics.dual_check_calls"] == 99

@@ -161,7 +161,7 @@ def test_admm_rounds_take_each_agents_stream_in_round_order():
     sched = Schedules(cfg.c_rho, cfg.c_a, cfg.c_eta)
     for k in range(cfg.K):
         rows = np.stack([draw_batch(prob, i, rngs[i], cfg.batch_size)
-                         + prob.offsets[i] for i in range(cfg.n)])
+                         for i in range(cfg.n)])
         hsm_admm_round(state, prob, graph, sched, k, rows,
                        degrees=step_degrees(graph))
     assert state.x.tobytes() == final["x"].tobytes()
