@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from hsmadmm.config import RunConfig
+from hsmadmm.config import ConfigInvalid, RunConfig
 from hsmadmm.harness import run_single
 from hsmadmm.metrics import min_prefix
 from hsmadmm.simulator import read_trace_csv
@@ -34,8 +34,12 @@ def main(argv=None):
                      batch_size=1, m0=32, K=args.rounds, dataset_seed=7,
                      track_lyapunov=False)
     out = Path(args.out)
-    summary = run_single(dataclasses.replace(
-        base, replicas=args.seeds, plots=True, out_dir=str(out)))
+    try:
+        summary = run_single(dataclasses.replace(
+            base, replicas=args.seeds, plots=True, out_dir=str(out)))
+    except ConfigInvalid as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     for rep in summary["replicas"]:
         print(f"seed {rep['seed']}: final stationarity "
               f"{rep['final']['stat_total']:.3e}")

@@ -86,7 +86,6 @@ def digests(K: int = K, seeds=SEEDS) -> list:
             for seed in seeds:
                 cfg = RunConfig(**values, K=K, seed=seed, dataset_seed=seed,
                                 graph_seed=seed, plots=True)
-                cfg.validate()
                 out = Path(tmp) / f"{name}_{seed}"
                 run_single(cfg, out)
                 files = run_outputs(out)

@@ -17,9 +17,8 @@ import numpy as np
 
 from .baselines import batch_rows, init_gt_state, metropolis_weights, prox_gt_round
 from .config import RunConfig, write_config
-from .graph import (Graph, apply_M, apply_Mt, build_topology, dense_A, dense_AtA,
-                    dense_B, incidence_matrix, laplacian, residual,
-                    smallest_singular_sq_A)
+from .graph import (Graph, apply_Mt, build_topology, dense_A, dense_AtA, dense_B,
+                    incidence_matrix, laplacian, residual, smallest_singular_sq_A)
 from .harness import build_graph, build_problem, emit_plots, main, run_outputs
 from .hsm_admm import (Schedules, dense_round_reference, hsm_admm_round,
                        init_network_state, step_degrees)
@@ -48,10 +47,11 @@ def block_vs_dense(g: Graph, p: int, rng) -> float:
     X, Y = rng.standard_normal((2, g.n, p))
     U = rng.standard_normal((m, p))
     A, B = dense_A(g, p), dense_B(g, p)
-    pairs = ((apply_M(g, X).ravel(), A[: m * p] @ X.ravel()),
+    r = residual(g, X, 0)  # A x
+    pairs = ((r.ravel(), A @ X.ravel()),
              (apply_Mt(g, U).ravel(), A[: m * p].T @ U.ravel()),
-             (residual(g, X, Y), A @ X.ravel() + B @ Y.ravel()),
-             ((apply_Mt(g, apply_M(g, X)) + X).ravel(), dense_AtA(g, p) @ X.ravel()))
+             (residual(g, X, Y).ravel(), A @ X.ravel() + B @ Y.ravel()),
+             ((apply_Mt(g, r[:m]) + r[m:]).ravel(), dense_AtA(g, p) @ X.ravel()))
     return max(float(np.linalg.norm(got - want) / max(1.0, np.linalg.norm(want)))
                for got, want in pairs)
 

@@ -4,7 +4,8 @@ Unknown keys are rejected; every field has a typed default. Booleans accept
 true/false/1/0/yes/no. A ``#`` starts a comment anywhere on a line and
 values are stripped, so no string value may hold a ``#`` or a line break,
 or start or end with white space: the text could not record it. Numbers
-must be finite, and seeds nonnegative.
+must be finite, and seeds nonnegative. A ``RunConfig`` is validated when
+it is constructed, by ``dataclasses.replace`` too.
 """
 from __future__ import annotations
 
@@ -65,7 +66,7 @@ class RunConfig:
     record_accumulation: bool = False
     plots: bool = False
 
-    def validate(self) -> None:
+    def __post_init__(self):
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):
@@ -157,9 +158,7 @@ def parse_config_text(text: str) -> RunConfig:
         if key in values:
             raise ConfigInvalid(f"line {ln}: duplicate key {key!r}")
         values[key] = _coerce(key, val)
-    cfg = RunConfig(**values)
-    cfg.validate()
-    return cfg
+    return RunConfig(**values)
 
 
 def load_config(path) -> RunConfig:

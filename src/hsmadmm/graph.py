@@ -7,8 +7,9 @@ below; B is zeros on top and the negated identity below. A^T A is the graph
 Laplacian action plus the identity, so the smallest squared singular value
 of A is exactly 1 on every connected graph.
 
-``apply_M`` and ``apply_Mt`` apply the edge differences and their transpose
-by neighbor sums on block arrays; the block size p is read from the arrays.
+``residual`` applies A x + B y on block arrays as one (m+n, p) array, rows
+in that order, and ``apply_Mt`` applies the transpose of its edge block by
+neighbor sums; the block size p is read from the arrays.
 Dense matrices are materialized only as verification oracles on small
 networks (guarded by ``DENSE_LIMIT``). Spectral checks work on the n x n
 Laplacian at any size.
@@ -223,15 +224,9 @@ def save_edge_list(g: Graph, path) -> None:
             fh.write(f"{i} {j}\n")
 
 
-def apply_M(g: Graph, X) -> np.ndarray:
-    """Edge differences of an (n, p) block array: row k is
-    X[low_k] - X[high_k], the incidence matrix times X."""
-    return X[g.low] - X[g.high]
-
-
 def apply_Mt(g: Graph, U) -> np.ndarray:
-    """Transpose of ``apply_M`` for an (m, p) edge array: each edge row is
-    added at its low endpoint and subtracted at its high endpoint."""
+    """Transpose of A's edge block for an (m, p) edge array: each edge row
+    is added at its low endpoint and subtracted at its high endpoint."""
     out = np.zeros((g.n, U.shape[1]))
     np.add.at(out, g.low, U)
     np.subtract.at(out, g.high, U)
@@ -239,9 +234,10 @@ def apply_Mt(g: Graph, U) -> np.ndarray:
 
 
 def residual(g: Graph, X, Y) -> np.ndarray:
-    """A x + B y for (n, p) blocks X and Y, as the stacked (m+n)p vector:
-    the edge differences of X, then X - Y."""
-    return np.concatenate([apply_M(g, X).ravel(), (X - Y).ravel()])
+    """A x + B y for (n, p) blocks X and Y, as the (m+n, p) block array:
+    row k < m is the edge difference X[low_k] - X[high_k], row m + i is
+    X[i] - Y[i]. Its ravel is the stacked vector of the dense operators."""
+    return np.concatenate([X[g.low] - X[g.high], X - Y])
 
 
 def _guard_dense(g: Graph, p: int) -> None:

@@ -123,8 +123,7 @@ def emit_plots(traces: dict, out_dir) -> dict:
     """
     if not traces:
         raise EmptyTrace("no traces supplied")
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    charts = {}
     meta = {}
 
     specs = (
@@ -145,10 +144,14 @@ def emit_plots(traces: dict, out_dir) -> dict:
             if keep.any():
                 series.append(Series(label, x[keep], y[keep]))
                 ranges[label] = (float(x[keep].min()), float(x[keep].max()))
-        svg = line_chart(series, xlabel, ylabel)
+        charts[fname] = line_chart(series, xlabel, ylabel)
+        meta[fname] = ranges
+    # all three are rendered first, so a refused chart leaves no output
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for fname, svg in charts.items():
         with open(out_dir / fname, "w", encoding="utf-8") as fh:
             fh.write(svg)
-        meta[fname] = ranges
     return meta
 
 
@@ -214,7 +217,6 @@ def cmd_run(args) -> int:
         cfg = dataclasses.replace(cfg, out_dir=args.out)
     if args.plots:
         cfg = dataclasses.replace(cfg, plots=True)
-    cfg.validate()
     try:
         run_single(cfg)
     except NumericalDivergence as exc:
@@ -260,7 +262,6 @@ def cmd_sweep(args) -> int:
             cfg = dataclasses.replace(base, topology=topo, algorithm=algo,
                                       replicas=args.seeds,
                                       out_dir=str(out / cell))
-            cfg.validate()
             jobs.append((cell, dataclasses.asdict(cfg), str(out / cell)))
         build_graph(cfg)  # refused here, before any output exists
     build_problem(base)

@@ -1,22 +1,25 @@
 """Degree-scaled stochastic momentum ADMM: one synchronous round on stacked
 arrays.
 
-Agent i holds row i of the (n, p) arrays x, y, beta (splitting dual) and v
-(gradient estimate); the consensus duals are one (m, p) array, row e for
-edge e = (i, j) of ``graph.edges`` (i < j). With penalty rho, momentum
-parameter a and steps eta = diag(Q), one round is
+The state is the stacked formula's (x, y, lam, v): agent i holds row i of
+the (n, p) arrays x, y and v (gradient estimate), and the multiplier lam
+is one (m + n, p) array in the row order of ``graph.residual``, the edge
+duals in ``graph.edges`` order (edge e = (i, j), i < j) and then the
+per-agent splitting duals. With penalty rho, momentum parameter a and
+steps eta = diag(Q), one round is
 
-    y      <- prox of the regularizer at (x - beta / rho), scale 1/rho
+    y      <- prox of the regularizer at (x - lam[m:] / rho), scale 1/rho
     x      <- x - Q^{-1} (v - A^T lam + rho A^T (A x + B y))
     exchange the new x with the neighbors (one vector per directed pair)
-    lam    <- lam - rho (A x + B y),  lam = (alpha, beta)
+    lam    <- lam - rho (A x + B y)
     v      <- momentum refresh at the new x
 
 where A stacks the edge differences x_i - x_j over the identity and B is
-the negated identity below zeros (``graph.apply_M``, ``graph.apply_Mt``).
-Agent i's row of the x step reads only its own row and its neighbors'
-previous-round rows (synchronous Jacobi), and the edge row of alpha enters
-its low endpoint with a minus sign and its high endpoint with a plus sign.
+the negated identity below zeros: ``graph.residual`` is A x + B y and
+``graph.apply_Mt`` the transpose of A's edge block. Agent i's row of the x
+step reads only its own row and its neighbors' previous-round rows
+(synchronous Jacobi), and an edge dual enters its low endpoint with a minus
+sign and its high endpoint with a plus sign.
 
 Step sizes scale with the local degree, eta_i = c_eta * (d_i + 1) * t^{1/3},
 so no agent waits on the global maximum degree. ``step_degrees`` picks the
@@ -34,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimator import update_momentum
-from .graph import Graph, InvalidParam, apply_M, apply_Mt, dense_A, dense_B
+from .graph import Graph, InvalidParam, apply_Mt, dense_A, dense_B, residual
 from .problems import CompositeProblem, batch_gradients, prox_h
 
 
@@ -73,15 +76,14 @@ def step_degrees(graph: Graph, uniform: bool = False) -> np.ndarray:
 
 @dataclass
 class NetworkState:
-    """Stacked round state: (n, p) arrays x, y, beta and v (refreshed at the
-    current x), and the (m, p) consensus duals alpha in ``graph.edges``
-    order."""
+    """Stacked round state: (n, p) arrays x, y and v (refreshed at the
+    current x), and the (m + n, p) multiplier lam in ``graph.residual``'s
+    row order."""
 
     x: np.ndarray
     y: np.ndarray
-    beta: np.ndarray
+    lam: np.ndarray
     v: np.ndarray
-    alpha: np.ndarray
 
     def xs(self) -> np.ndarray:
         return self.x.copy()
@@ -93,9 +95,9 @@ class NetworkState:
         return self.v.copy()
 
     def duals_vector(self) -> np.ndarray:
-        """Stacked multipliers: edge duals in edge-list order, then the
-        per-agent splitting duals."""
-        return np.concatenate([self.alpha.ravel(), self.beta.ravel()])
+        """The multiplier as the dense formula's vector: a view of lam, the
+        edge duals in edge-list order, then the per-agent splitting duals."""
+        return self.lam.ravel()
 
 
 def init_network_state(prob: CompositeProblem, graph: Graph, x0,
@@ -103,31 +105,30 @@ def init_network_state(prob: CompositeProblem, graph: Graph, x0,
     """Identical primal start across agents, y = x, zero duals, momentum from
     the batch ``rows`` (None for the exact gradient in deterministic mode)."""
     x = np.tile(np.asarray(x0, dtype=float), (graph.n, 1))
-    return NetworkState(x=x, y=x.copy(), beta=np.zeros_like(x),
-                        v=batch_gradients(prob, x, rows),
-                        alpha=np.zeros((graph.m, x.shape[1])))
+    lam = np.zeros((graph.m + graph.n, x.shape[1]))
+    return NetworkState(x=x, y=x.copy(), lam=lam, v=batch_gradients(prob, x, rows))
 
 
-def step_y(state: NetworkState, prob: CompositeProblem, rho: float) -> np.ndarray:
-    """Local-only auxiliary update: prox at x - beta / rho with scale 1/rho."""
-    return prox_h(prob, state.x - state.beta / rho, 1.0 / rho)
+def step_y(state: NetworkState, prob: CompositeProblem, graph: Graph,
+           rho: float) -> np.ndarray:
+    """Local-only auxiliary update: prox at x - lam[m:] / rho (the splitting
+    duals) with scale 1/rho."""
+    return prox_h(prob, state.x - state.lam[graph.m:] / rho, 1.0 / rho)
 
 
 def step_x(state: NetworkState, graph: Graph, y_new, rho: float,
            eta) -> np.ndarray:
     """Linearized primal step x - Q^{-1} (v - A^T lam + rho A^T (A x + B y))
     with the per-agent steps ``eta``, shape (n,)."""
-    x = state.x
-    edge = rho * apply_M(graph, x) - state.alpha
-    grad = state.v - state.beta + rho * (x - y_new) + apply_Mt(graph, edge)
-    return x - grad / eta[:, None]
+    m, lam = graph.m, state.lam
+    r = rho * residual(graph, state.x, y_new)
+    grad = state.v - lam[m:] + r[m:] + apply_Mt(graph, r[:m] - lam[:m])
+    return state.x - grad / eta[:, None]
 
 
 def step_duals(state: NetworkState, graph: Graph, rho: float) -> None:
-    """Dual ascent on the committed round state: one update per edge and
-    one splitting update per agent."""
-    state.alpha = state.alpha - rho * apply_M(graph, state.x)
-    state.beta = state.beta - rho * (state.x - state.y)
+    """Dual ascent on the committed round state, lam - rho (A x + B y)."""
+    state.lam = state.lam - rho * residual(graph, state.x, state.y)
 
 
 def hsm_admm_round(state: NetworkState, prob: CompositeProblem, graph: Graph,
@@ -144,7 +145,7 @@ def hsm_admm_round(state: NetworkState, prob: CompositeProblem, graph: Graph,
     rho = sched.rho(k)
     eta = sched.eta(k, degrees)
     x_prev = state.x
-    y_new = step_y(state, prob, rho)
+    y_new = step_y(state, prob, graph, rho)
     state.x, state.y = step_x(state, graph, y_new, rho, eta), y_new
     if ledger is not None:
         ledger.record(2 * graph.m, prob.p)

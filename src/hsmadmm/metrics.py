@@ -85,9 +85,8 @@ def residuals(graph: Graph, xs, ys) -> Residuals:
     (n, p) arrays; the stacked one satisfies combined^2 = consensus^2 +
     splitting^2 by the block structure."""
     r = residual(graph, xs, ys)
-    split = graph.m * xs.shape[1]
-    return Residuals(float(np.linalg.norm(r[:split])),
-                     float(np.linalg.norm(r[split:])), float(np.linalg.norm(r)))
+    return Residuals(float(np.linalg.norm(r[:graph.m])),
+                     float(np.linalg.norm(r[graph.m:])), float(np.linalg.norm(r)))
 
 
 def gradient_error(prob: CompositeProblem, xs, vs) -> float:
@@ -190,7 +189,7 @@ def augmented_lagrangian(prob: CompositeProblem, graph: Graph,
     ys = np.asarray(ys, dtype=float)
     F = sum(smooth_values(prob, xs).tolist())
     H = sum(h_values(prob, ys).tolist())
-    r = residual(graph, xs, ys)
+    r = residual(graph, xs, ys).ravel()
     return float(F + H - lam @ r + 0.5 * rho * float(r @ r))
 
 

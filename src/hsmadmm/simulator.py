@@ -149,7 +149,6 @@ def run(config: RunConfig, prob: CompositeProblem, graph: Graph,
     into them, and the next round rebinds them, so the sink keeps what it
     needs as copies (``state.xs()``), not as the ``state`` object.
     """
-    config.validate()
     if prob.n != graph.n:
         raise ConfigInvalid(f"problem has {prob.n} agents, graph has {graph.n}")
     p = prob.p
@@ -200,7 +199,6 @@ def run(config: RunConfig, prob: CompositeProblem, graph: Graph,
         checker = DualBoundChecker(S, s_norm, prob.smoothness)
     if config.record_accumulation and admm:
         accum = {key: np.zeros(config.K + 1) for key in ("err_sq", "dx_sq", "r_sq")}
-    need_lam = track_phi or checker is not None
 
     # States whose estimation error is read: all of them for the checker and
     # the accumulation records, else the logged ones and, for the merit, the
@@ -216,7 +214,7 @@ def run(config: RunConfig, prob: CompositeProblem, graph: Graph,
     nan = float("nan")
     err_sq = gradient_error(prob, state.x, state.v) if 0 in err_states else nan
     # (x, lam, err_sq) at states s-1 and s-2, by reference
-    prev = (state.x, state.duals_vector() if need_lam else None, err_sq)
+    prev = (state.x, state.duals_vector() if admm else None, err_sq)
     prev2 = None
     if accum is not None:
         accum["err_sq"][0] = err_sq
@@ -236,7 +234,7 @@ def run(config: RunConfig, prob: CompositeProblem, graph: Graph,
                 trace=trace, round_index=s)
 
         err_sq = gradient_error(prob, xs, state.v) if s in err_states else nan
-        cur = (xs, state.duals_vector() if need_lam else None, err_sq)
+        cur = (xs, state.duals_vector() if admm else None, err_sq)
 
         if checker is not None and s >= 2:
             rec = checker.check(s, xs, prev[0], prev2[0], cur[1], prev[1],

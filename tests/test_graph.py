@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from hsmadmm.checks import block_vs_dense
 from hsmadmm.graph import (DENSE_LIMIT, DenseRequired, Graph, InvalidParam,
-                           NotConnected, apply_M, apply_Mt, build_topology,
+                           NotConnected, apply_Mt, build_topology,
                            dense_A, incidence_matrix, laplacian, load_edge_list,
                            residual, save_edge_list, singular_sq_extremes,
                            smallest_singular_sq_A)
@@ -103,14 +103,15 @@ def test_apply_A_consensus_point_kills_edge_block():
     g = build_topology("ring", 5)
     X = np.tile(np.array([1.0, -2.0, 0.5]), (5, 1))
     out = residual(g, X, np.zeros_like(X))  # A x
-    assert np.array_equal(out[: g.m * 3], np.zeros(g.m * 3))
-    assert np.array_equal(out[g.m * 3:], X.ravel())
+    assert out.shape == (g.m + g.n, 3)
+    assert np.array_equal(out[: g.m], np.zeros((g.m, 3)))
+    assert np.array_equal(out[g.m:], X)
 
 
 def test_apply_A_path_by_hand():
     g = Graph(2, ((0, 1),))
     X = np.array([[3.0], [1.0]])
-    assert np.array_equal(residual(g, X, np.zeros_like(X)), [2.0, 3.0, 1.0])
+    assert np.array_equal(residual(g, X, np.zeros_like(X)), [[2.0], [3.0], [1.0]])
 
 
 @settings(max_examples=30, deadline=None)
@@ -125,8 +126,8 @@ def test_AtA_is_laplacian_action_plus_identity():
     X = np.random.default_rng(0).standard_normal((7, 2))
     want = (np.kron(laplacian(g), np.eye(2)) + np.eye(14)) @ X.ravel()
     Ax = residual(g, X, np.zeros_like(X))
-    assert np.allclose(dense_A(g, 2).T @ Ax, want, atol=1e-12)
-    assert np.allclose((apply_Mt(g, apply_M(g, X)) + X).ravel(), want, atol=1e-12)
+    assert np.allclose(dense_A(g, 2).T @ Ax.ravel(), want, atol=1e-12)
+    assert np.allclose((apply_Mt(g, Ax[:g.m]) + Ax[g.m:]).ravel(), want, atol=1e-12)
 
 
 @pytest.mark.parametrize("kind,n", [("ring", 8), ("star", 8), ("ring", 2),

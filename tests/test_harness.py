@@ -73,15 +73,15 @@ def test_parse_rejects_duplicates_and_bad_values():
 
 def test_validation_catches_inconsistencies():
     with pytest.raises(ConfigInvalid):
-        RunConfig(l1_weight=0.5, regularizer="none").validate()
+        RunConfig(l1_weight=0.5, regularizer="none")
     with pytest.raises(ConfigInvalid):
-        RunConfig(n=1).validate()
+        RunConfig(n=1)
     with pytest.raises(ConfigInvalid):
-        RunConfig(c_eta=0.0).validate()
+        RunConfig(c_eta=0.0)
     with pytest.raises(ConfigInvalid):
-        RunConfig(algorithm="magic").validate()
+        RunConfig(algorithm="magic")
     with pytest.raises(ConfigInvalid):
-        RunConfig(dataset_csv="x.csv").validate()
+        RunConfig(dataset_csv="x.csv")
 
 
 def test_config_text_round_trip():
@@ -102,7 +102,7 @@ def test_string_values_config_text_cannot_hold_are_refused(values):
     # value is stripped, so the text would read back another value
     name = next(iter(values))
     with pytest.raises(ConfigInvalid, match=f"{name} must hold no '#'"):
-        RunConfig(**values).validate()
+        RunConfig(**values)
 
 
 def test_run_command_outputs(tmp_path):
@@ -479,6 +479,19 @@ def test_plot_unreadable_trace_exits_2(tmp_path, capsys, content, message):
     assert main(["plot", "--traces", str(path), "--out", str(tmp_path / "plots")]) == 2
     err = capsys.readouterr().err
     assert f"config error: trace {path}" in err and message in err
+
+
+def test_plot_of_an_empty_trace_leaves_no_directory(tmp_path, capsys):
+    # a K = 0 run logs no row, so there is nothing to plot and no chart
+    # directory may be left behind
+    cfg_path = write_cfg(tmp_path, BASE_CFG.replace("K = 40", "K = 0"))
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 0
+    trace = tmp_path / "o" / "trace.csv"
+    assert len(trace.read_text().splitlines()) == 1
+    charts = tmp_path / "charts"
+    assert main(["plot", "--traces", str(trace), "--out", str(charts)]) == 2
+    assert "plot failed: nothing to plot" in capsys.readouterr().err
+    assert not charts.exists()
 
 
 def test_emit_plots_legend_and_meta(tmp_path):

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hsmadmm.baselines import batch_rows
-from hsmadmm.graph import Graph, build_topology, incidence_matrix
+from hsmadmm.graph import Graph, build_topology, incidence_matrix, residual
 from hsmadmm.hsm_admm import (NetworkState, Schedules, dense_round_reference,
                               hsm_admm_round, init_network_state, step_degrees,
                               step_duals, step_x, step_y)
@@ -36,26 +36,30 @@ def test_schedule_ranges(k, c, d):
 
 
 def _state(x, beta, v, alpha=None):
-    """Stacked state from per-agent rows, y = 0 and zero edge duals by
-    default."""
+    """Stacked state from per-agent rows, y = 0, the multiplier stacking the
+    edge duals ``alpha`` (none by default) over the splitting duals
+    ``beta``."""
     x = np.atleast_2d(np.asarray(x, float))
     alpha = np.zeros((0, x.shape[1])) if alpha is None else np.asarray(alpha, float)
-    return NetworkState(x=x, y=np.zeros_like(x),
-                        beta=np.atleast_2d(np.asarray(beta, float)),
-                        v=np.atleast_2d(np.asarray(v, float)), alpha=alpha)
+    lam = np.vstack([alpha, np.atleast_2d(np.asarray(beta, float))])
+    return NetworkState(x=x, y=np.zeros_like(x), lam=lam,
+                        v=np.atleast_2d(np.asarray(v, float)))
+
+
+SINGLE = Graph(1, ())
 
 
 def test_step_y_identity_regularizer():
     prob = CompositeProblem("least_squares", np.zeros((1, 2)), np.zeros(1), [1])
     state = _state([3.0, -1.0], [1.0, 2.0], [0.0, 0.0])
-    y = step_y(state, prob, rho=2.0)
-    assert np.array_equal(y, state.x - state.beta / 2.0)
+    y = step_y(state, prob, SINGLE, rho=2.0)
+    assert np.array_equal(y, state.x - state.lam[SINGLE.m:] / 2.0)
 
 
 def test_step_y_hand_case():
     prob = CompositeProblem("least_squares", np.zeros((1, 1)), np.zeros(1), [1],
                             regularizer="l1", l1_weight=1.0)
-    y = step_y(_state([3.0], [1.0], [0.0]), prob, rho=2.0)
+    y = step_y(_state([3.0], [1.0], [0.0]), prob, SINGLE, rho=2.0)
     # prox input 2.5 at scale 0.5 shrinks by 0.5
     assert y[0, 0] == pytest.approx(2.0)
 
@@ -64,7 +68,7 @@ def test_step_y_large_rho_limit():
     prob = CompositeProblem("least_squares", np.zeros((1, 3)), np.zeros(1), [1],
                             regularizer="l1", l1_weight=1.0)
     state = _state([1.0, -2.0, 0.5], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0])
-    y = step_y(state, prob, rho=1e8)
+    y = step_y(state, prob, SINGLE, rho=1e8)
     assert np.allclose(y, state.x, atol=1e-7)
 
 
@@ -107,6 +111,27 @@ def test_step_duals_zero_residuals():
     assert np.array_equal(state.duals_vector(), before)
 
 
+def test_step_duals_is_one_residual_step():
+    g = build_topology("random_connected", 5, seed=2, prob=0.5)
+    rng = np.random.default_rng(4)
+    x, y, v = rng.standard_normal((3, 5, 2))
+    lam = rng.standard_normal((g.m + g.n, 2))
+    state = NetworkState(x=x, y=y, lam=lam, v=v)
+    step_duals(state, g, rho=1.7)
+    assert state.lam.shape == (g.m + g.n, 2)
+    assert np.array_equal(state.lam, lam - 1.7 * residual(g, x, y))
+
+
+def test_duals_vector_is_a_view_of_lam(quad_problem, ring4):
+    state = init_network_state(quad_problem, ring4, np.ones(2), None)
+    assert state.lam.shape == (ring4.m + ring4.n, 2)
+    assert np.shares_memory(state.duals_vector(), state.lam)
+    hsm_admm_round(state, quad_problem, ring4, Schedules(), 0, None,
+                   degrees=step_degrees(ring4))
+    assert np.shares_memory(state.duals_vector(), state.lam)
+    assert np.array_equal(state.duals_vector(), state.lam.ravel())
+
+
 def test_round_matches_dense_reference(composite_problem):
     g = build_topology("random_connected", 4, seed=3, prob=0.6)
     sched = Schedules()
@@ -145,7 +170,7 @@ def test_exact_stationary_point_is_fixed(quad_problem, ring4):
     alpha, *_ = np.linalg.lstsq(np.kron(M.T, np.eye(2)), grads, rcond=None)
 
     state = init_network_state(prob, g, xstar, None)
-    state.alpha = alpha.reshape(g.m, 2)
+    state.lam[:g.m] = alpha.reshape(g.m, 2)
     before_x = state.xs()
     before_lam = state.duals_vector()
     hsm_admm_round(state, prob, g, Schedules(), 5, None, degrees=step_degrees(g))
@@ -174,7 +199,7 @@ def test_single_node_degenerates_to_centralized():
     state = init_network_state(prob, g, np.array([1.0, -1.0]), None)
     sched = Schedules()
     # manual centralized prediction for round 0
-    x, beta, v = state.x[0], state.beta[0], state.v[0]
+    x, beta, v = state.x[0], state.lam[g.m], state.v[0]
     rho = sched.rho(0)
     y_pred = prox_h(prob, x - beta / rho, 1.0 / rho)
     x_pred = x - (v - beta + rho * (x - y_pred)) / sched.eta(0, 0)

@@ -207,7 +207,7 @@ def test_augmented_lagrangian_penalty_term(quad_problem, ring4):
     lam = rng.standard_normal((ring4.m + ring4.n) * 2)
     a1 = augmented_lagrangian(quad_problem, ring4, xs, ys, lam, 1.0)
     a2 = augmented_lagrangian(quad_problem, ring4, xs, ys, lam, 3.0)
-    r = residual(ring4, xs, ys)
+    r = residual(ring4, xs, ys).ravel()
     assert a2 - a1 == pytest.approx(float(r @ r), rel=1e-12)
 
 
@@ -226,7 +226,7 @@ def test_augmented_lagrangian_is_the_per_agent_sum(ragged, ragged_problem):
         F = sum(smooth_value(prob, i, xs[i]) for i in range(prob.n))
         H = sum(float(prob.l1_weight * np.sum(np.abs(ys[i]))) for i in range(prob.n))
         assert (H > 0) == bool(reg)
-        r = residual(g, xs, ys)
+        r = residual(g, xs, ys).ravel()
         want = float(F + H - lam @ r + 0.5 * 2.0 * float(r @ r))
         assert augmented_lagrangian(prob, g, xs, ys, lam, 2.0) == want
 

@@ -34,6 +34,16 @@ def test_rate_experiment(tmp_path):
         assert (tmp_path / name).stat().st_size > 0
 
 
+def test_rate_experiment_refuses_zero_seeds(tmp_path):
+    # the config is refused before any output exists
+    out = tmp_path / "rate"
+    done = run_script("rate_experiment.py", "--seeds", "0", "--rounds", "10",
+                      "--out", str(out))
+    assert done.returncode != 0
+    assert "replicas" in done.stderr
+    assert not out.exists()
+
+
 def test_topology_comparison(tmp_path):
     done = run_script("topology_comparison.py", "--n", "6", "--rounds", "300",
                       "--out", str(tmp_path))
@@ -88,7 +98,7 @@ def test_benchmark_workload_configs_are_valid(name):
     # every key the benchmark passes must still be a valid RunConfig field
     workloads = load_workloads()
     assert len(workloads.WORKLOADS) == 4
-    RunConfig(**workloads.run_config(workloads.WORKLOADS[name], 1)).validate()
+    RunConfig(**workloads.run_config(workloads.WORKLOADS[name], 1))
 
 
 def load_trace_digests():
