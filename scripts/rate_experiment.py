@@ -15,6 +15,9 @@ from pathlib import Path
 
 import numpy as np
 
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))  # the checkout's package, not an installed one
+
 from hsmadmm.config import ConfigInvalid, RunConfig
 from hsmadmm.harness import run_single
 from hsmadmm.metrics import min_prefix

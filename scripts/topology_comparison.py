@@ -12,6 +12,9 @@ import dataclasses
 import sys
 from pathlib import Path
 
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))  # the checkout's package, not an installed one
+
 from hsmadmm.config import RunConfig
 from hsmadmm.harness import build_graph, build_problem, emit_plots
 from hsmadmm.metrics import rounds_to_tolerance

@@ -21,10 +21,12 @@ import sys
 import tempfile
 from pathlib import Path
 
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))  # the checkout's package, not an installed one
+
 from hsmadmm.config import RunConfig
 from hsmadmm.harness import run_outputs, run_single
 
-ROOT = Path(__file__).resolve().parents[1]
 K = 150
 SEEDS = (1, 7919)
 

@@ -56,12 +56,14 @@ class CompositeProblem:
     Built from the samples in the layout it stores: ``stacked_features``, one
     C-contiguous (N, p) float array, ``stacked_labels``, the (N,) targets,
     and ``sizes``, the per-agent sample counts N_i (each at least one,
-    summing to N). Agent i owns rows ``offsets[i]:offsets[i + 1]``, and
-    ``row_divisors`` holds n * N_i for each of them. A sample's one address
-    is its stacked row, which ``draw_batch`` returns and every oracle takes.
-    ``dataclasses.replace`` reuses the sample arrays and recomputes the
-    cached ``size_groups`` and ``smoothness``. Immutable after construction;
-    all oracle calls are pure functions of their arguments.
+    summing to N). Agent i owns rows ``offsets[i]:offsets[i + 1]``; the
+    (n + 1,) ``offsets`` is the only array the constructor adds to the two
+    sample arrays, which it keeps as given when they are already C-ordered
+    float64. A sample's one address is its stacked row, which
+    ``draw_batch`` returns and every oracle takes. ``dataclasses.replace``
+    reuses the sample arrays and recomputes the cached ``size_groups`` and
+    ``smoothness``. Immutable after construction; all oracle calls are pure
+    functions of their arguments.
     """
 
     kind: str
@@ -72,7 +74,6 @@ class CompositeProblem:
     l1_weight: float = 0.0
     alpha: float = 0.0
     offsets: np.ndarray = field(init=False, repr=False, compare=False)
-    row_divisors: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in SMOOTH_KINDS:
@@ -91,7 +92,6 @@ class CompositeProblem:
         if (sizes < 1).any():
             raise ProblemError(f"agent {np.argmin(sizes)} has no samples")
         self.offsets = np.cumsum([0, *sizes.tolist()])
-        self.row_divisors = np.repeat(len(sizes) * sizes, sizes).astype(float)
 
     @property
     def n(self) -> int:
@@ -120,11 +120,12 @@ class CompositeProblem:
         return estimate_smoothness(self)
 
 
-def _row_slices(N: int, width: int = 1):
-    """Slices of consecutive rows covering rows 0 to N, each short enough
-    that a (rows, width) temporary holds at most ``SLICE_VALUES`` values."""
+def _row_slices(start: int, stop: int, width: int):
+    """Slices of consecutive rows covering rows start to stop, each short
+    enough that a (rows, width) temporary holds at most ``SLICE_VALUES``
+    values."""
     step = max(1, SLICE_VALUES // width)
-    return (slice(s, s + step) for s in range(0, N, step))
+    return (slice(s, min(s + step, stop)) for s in range(start, stop, step))
 
 
 def _check_agent(prob: CompositeProblem, i: int) -> None:
@@ -279,18 +280,33 @@ def full_gradient(prob: CompositeProblem, i: int, x) -> np.ndarray:
     return _mean_gradient(prob, A.copy(), b, np.asarray(x, dtype=float))
 
 
+def _equal_size_runs(offsets: list) -> list:
+    """(first row, stop row, N) per run of consecutive agents that share the
+    local size N, from the agents' row bounds ``offsets``."""
+    runs = []
+    for lo, hi in zip(offsets[:-1], offsets[1:]):
+        if runs and runs[-1][2] == hi - lo:
+            runs[-1][1] = hi
+        else:
+            runs.append([lo, hi, hi - lo])
+    return runs
+
+
 def global_mean_gradient(prob: CompositeProblem, xbar) -> np.ndarray:
     """(1/n) sum_i of the local full gradients, all evaluated at the same
     point, in one pass over the stacked samples: each row of agent i enters
     the weighted row sum with weight 1 / (n N_i). The (N,) margins are
     overwritten with the weights ``SLICE_VALUES`` rows at a time and summed
-    in a single ``w @ X``, with the bits of the unsliced formula."""
+    in a single ``w @ X``, with the bits of the unsliced formula. The
+    divisor is taken per run of consecutive agents of one size, so equal
+    local sizes make one run whatever n is."""
     xbar = np.asarray(xbar, dtype=float)
     X, y = prob.stacked_features, prob.stacked_labels
     w = X @ xbar
-    for rows in _row_slices(len(w)):
-        np.divide(_loss_weights(prob.kind, w[rows], y[rows]),
-                  prob.row_divisors[rows], out=w[rows])
+    for lo, hi, N in _equal_size_runs(prob.offsets.tolist()):
+        for rows in _row_slices(lo, hi, 1):
+            np.divide(_loss_weights(prob.kind, w[rows], y[rows]), prob.n * N,
+                      out=w[rows])
     return w @ X + _penalty_gradient(prob, xbar)
 
 
@@ -351,7 +367,7 @@ def estimate_smoothness(prob: CompositeProblem) -> float:
     """
     X = prob.stacked_features
     worst = max(float(np.max(np.sum(X[rows] * X[rows], axis=1)))
-                for rows in _row_slices(*X.shape))
+                for rows in _row_slices(0, *X.shape))
     return _CURVATURE[prob.kind] * worst + 2.0 * prob.alpha
 
 
@@ -386,13 +402,16 @@ def make_problem(kind: str, n: int, p: int, samples_per_agent: int, seed: int, *
     whose margins carry Gaussian noise of standard deviation ``NOISE_STD``.
 
     Features are Gaussian scaled by 1/sqrt(p) so per-sample curvature stays
-    O(1). With ``noniid=True`` samples are sorted by label before agent i
-    takes the i-th block of ``samples_per_agent`` rows (label
-    partitioning), a gather into one new copy of the samples that the
-    problem keeps. Otherwise a seeded permutation spreads them evenly: the
-    rows and labels are shuffled in place, with the same result as
-    gathering them by ``rng.permutation(N)``, so the generated arrays are
-    the only sample-sized buffers the build holds.
+    O(1). The labels are built in the margins' array: the noise is added to
+    it, and for logistic each entry is then overwritten with its sign (+1
+    at zero), so the build holds the features, the labels and one label-sized
+    draw of noise at most. With ``noniid=True`` samples are sorted by label
+    before agent i takes the i-th block of ``samples_per_agent`` rows
+    (label partitioning), a gather into one new copy of the samples that
+    the problem keeps. Otherwise a seeded permutation spreads them evenly:
+    the rows and labels are shuffled in place, with the same result as
+    gathering them by ``rng.permutation(N)``, and the problem keeps the
+    generated arrays themselves.
     """
     if n < 1 or p < 1 or samples_per_agent < 1:
         raise ProblemError("n, p and samples_per_agent must be positive")
@@ -406,9 +425,15 @@ def make_problem(kind: str, n: int, p: int, samples_per_agent: int, seed: int, *
     A = rng.standard_normal((N, p))
     A /= np.sqrt(p)
     b = A @ x_true  # noisy margins: the labels, or (logistic) their signs
-    b += NOISE_STD * rng.standard_normal(N)
+    noise = rng.standard_normal(N)
+    noise *= NOISE_STD
+    b += noise
+    del noise
     if kind == "logistic":
-        b = np.where(b >= 0.0, 1.0, -1.0)
+        neg = b < 0.0  # -0.0 is not below zero, so it maps to +1
+        b.fill(1.0)
+        b[neg] = -1.0
+        del neg
 
     if noniid:
         order = np.argsort(b, kind="stable")

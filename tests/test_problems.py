@@ -413,11 +413,31 @@ def test_iid_build_holds_one_copy_of_the_samples():
     assert peak <= 1.3 * prob.stacked_features.nbytes
 
 
+@pytest.mark.parametrize("kind", ["logistic", "least_squares"])
+def test_iid_build_makes_the_labels_in_place(kind):
+    # the margins' array becomes the labels: besides the features, the
+    # build holds the labels and one noise draw, not a third label array
+    make_problem(kind, 1, 1, 1, 0)  # lazy imports are not the build's
+    prob, peak = _traced_peak(lambda: make_problem(kind, 16, 20, 5000, 1))
+    labels = prob.stacked_labels.nbytes
+    assert peak <= prob.stacked_features.nbytes + 2.2 * labels
+
+
+def test_constructor_adds_no_per_row_array():
+    prob = make_problem("logistic", 16, 20, 5000, 1)
+    X, y = prob.stacked_features, prob.stacked_labels
+    built, peak = _traced_peak(lambda: CompositeProblem(
+        "logistic", X, y, [5000] * 16, regularizer="l1", l1_weight=1e-4))
+    assert built.stacked_features is X and built.stacked_labels is y
+    assert peak < 0.01 * (X.nbytes + y.nbytes)
+
+
 def _one_shot_passes(prob, x):
     """Smoothness and global mean gradient as unsliced formulas."""
     X = prob.stacked_features
+    sizes = np.diff(prob.offsets)
     w = _loss_weights(prob.kind, X @ x, prob.stacked_labels)
-    w /= prob.row_divisors
+    w /= np.repeat(prob.n * sizes, sizes).astype(float)
     worst = float(np.max(np.sum(X * X, axis=1)))
     return (_CURVATURE[prob.kind] * worst + 2.0 * prob.alpha,
             w @ X + _penalty_gradient(prob, x))

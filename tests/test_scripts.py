@@ -44,6 +44,18 @@ def test_rate_experiment_refuses_zero_seeds(tmp_path):
     assert not out.exists()
 
 
+def test_scripts_run_the_checkout_they_sit_in(tmp_path):
+    # no PYTHONPATH and another working directory: the script finds the
+    # package next to it
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    done = subprocess.run([sys.executable, str(ROOT / "scripts" / "rate_experiment.py"),
+                           "--seeds", "1", "--rounds", "10", "--out", "rate"],
+                          cwd=tmp_path, env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "rate" / "mean_min_prefix.csv").stat().st_size > 0
+
+
 def test_topology_comparison(tmp_path):
     done = run_script("topology_comparison.py", "--n", "6", "--rounds", "300",
                       "--out", str(tmp_path))
@@ -99,6 +111,44 @@ def test_benchmark_workload_configs_are_valid(name):
     workloads = load_workloads()
     assert len(workloads.WORKLOADS) == 4
     RunConfig(**workloads.run_config(workloads.WORKLOADS[name], 1))
+
+
+# Runs one workload config given as JSON and prints the SHA-256 of the
+# iterates x at every logged round.
+X_DIGEST = """
+import hashlib, json, sys
+from hsmadmm.config import RunConfig
+from hsmadmm.harness import build_graph, build_problem
+from hsmadmm.simulator import run
+
+cfg = RunConfig(**json.loads(sys.argv[1]))
+digest = hashlib.sha256()
+
+def sink(k, row, state):
+    digest.update(f"{k}:".encode())
+    digest.update(state.x.tobytes())
+
+run(cfg, build_problem(cfg), build_graph(cfg), metrics_sink=sink)
+print(digest.hexdigest())
+"""
+
+
+@pytest.mark.parametrize("name", ["oracle_gt16", "scale_hub256"])
+def test_iterates_do_not_depend_on_the_blas_thread_count(name):
+    # only the iterates: the logged stat_* and res_* columns come from
+    # products a threaded BLAS may sum in another order
+    workloads = load_workloads()
+    cfg = json.dumps(workloads.run_config(workloads.WORKLOADS[name], 1, K=150))
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads,
+                   PYTHONPATH=str(ROOT / "src"))
+        done = subprocess.run([sys.executable, "-c", X_DIGEST, cfg], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        digests.append(done.stdout.strip())
+    assert digests[0] == digests[1]
 
 
 def load_trace_digests():
