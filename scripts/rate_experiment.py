@@ -4,7 +4,8 @@
 Runs several seeds on a ring of 8 agents with label-partitioned data as the
 replicas of one ``harness.run_single`` call, which writes the replica
 traces, the summary with the rate fit of the mean running minimum, and the
-charts; adds the averaged running minimum as ``mean_min_prefix.csv``.
+charts; adds the averaged running minimum as ``mean_min_prefix.csv``, or
+names the diverged seeds and exits 3.
 
 Usage: python scripts/rate_experiment.py --seeds 5 --rounds 20000
 """
@@ -19,7 +20,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))  # the checkout's package, not an installed one
 
 from hsmadmm.config import ConfigInvalid, RunConfig
-from hsmadmm.harness import run_single
+from hsmadmm.harness import replica_dirs, run_single
 from hsmadmm.metrics import min_prefix
 from hsmadmm.simulator import read_trace_csv
 
@@ -43,6 +44,10 @@ def main(argv=None):
     except ConfigInvalid as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    diverged = [rep["seed"] for rep in summary["replicas"] if "diverged_at" in rep]
+    if diverged:
+        print(f"diverged seeds: {', '.join(map(str, diverged))}", file=sys.stderr)
+        return 3
     for rep in summary["replicas"]:
         print(f"seed {rep['seed']}: final stationarity "
               f"{rep['final']['stat_total']:.3e}")
@@ -54,9 +59,7 @@ def main(argv=None):
     else:
         print("no rate fit: it needs at least 100 logged rounds")
 
-    dirs = ([out] if args.seeds == 1
-            else [out / f"replica_{r:03d}" for r in range(args.seeds)])
-    traces = [read_trace_csv(d / "trace.csv") for d in dirs]
+    traces = [read_trace_csv(d / "trace.csv") for d in replica_dirs(out, args.seeds)]
     mean_prefix = np.mean([min_prefix(t["stat_total"]) for t in traces], axis=0)
     np.savetxt(out / "mean_min_prefix.csv",
                np.column_stack([traces[0]["k"], mean_prefix]), delimiter=",",

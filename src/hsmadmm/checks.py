@@ -173,16 +173,16 @@ def communication_accounting():
 
 def determinism(cfg: RunConfig, algos=("hsm_admm", "prox_gt")):
     """Three ``sweep`` runs of ``cfg`` over ring and star with 2 seeds
-    (``--jobs`` 1, 1 and 2) write identical outputs, one trace per cell and
-    seed."""
+    (``--jobs`` 1, 1 and 2) write identical outputs, sweep.csv included,
+    one trace per cell and seed."""
     with tempfile.TemporaryDirectory() as tmp:
         base = Path(tmp) / "base.cfg"
         write_config(cfg, base)
         outputs = []
         for tag, jobs in (("a", 1), ("b", 1), ("c", 2)):
             out = Path(tmp) / tag
-            rc = main(["sweep", "--config", str(base), "--topologies", "ring,star",
-                       "--algos", ",".join(algos), "--seeds", "2",
+            rc = main(["sweep", "--config", str(base), "--grid", "topology=ring,star",
+                       "--grid", "algorithm=" + ",".join(algos), "--seeds", "2",
                        "--jobs", str(jobs), "--out", str(out)])
             if rc != 0:
                 return False, f"sweep --jobs {jobs} exited {rc}"

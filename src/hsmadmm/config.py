@@ -170,14 +170,16 @@ def load_config(path) -> RunConfig:
     return parse_config_text(text)
 
 
+def value_text(val) -> str:
+    """A field value as the config text writes it."""
+    if isinstance(val, bool):
+        return "true" if val else "false"
+    return str(val)
+
+
 def config_to_text(cfg: RunConfig) -> str:
-    lines = []
-    for f in dataclasses.fields(RunConfig):
-        val = getattr(cfg, f.name)
-        if isinstance(val, bool):
-            val = "true" if val else "false"
-        lines.append(f"{f.name} = {val}")
-    return "\n".join(lines) + "\n"
+    return "".join(f"{f.name} = {value_text(getattr(cfg, f.name))}\n"
+                   for f in dataclasses.fields(RunConfig))
 
 
 def write_config(cfg: RunConfig, path) -> None:

@@ -4,18 +4,20 @@ Subcommands
 -----------
 run     execute one configuration; writes trace.csv, summary.json and
         optional SVG convergence plots into the output directory
-sweep   cross topologies x algorithms x seeds from a base configuration
+sweep   run each cell of the ``--grid field=v1,v2,...`` crosses as ``run``
+        does; writes sweep.csv, one row per cell and replica
 verify  the fast checks shared with the acceptance suite (hsmadmm.checks),
         one pass/fail line each, naming the warnings the check raised
 plot    render SVG charts from existing trace.csv files
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error,
-3 numerical divergence.
+3 numerical divergence (after every replica's outputs are written).
 """
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import sys
 import warnings
@@ -24,12 +26,20 @@ from pathlib import Path
 import numpy as np
 
 from . import graph as graphmod, metrics, problems
-from .config import ConfigInvalid, RunConfig, load_config, write_config
+from .config import (_FIELDS, ConfigInvalid, RunConfig, _coerce, load_config,
+                     value_text, write_config)
 from .simulator import (TRACE_HEADER, MetricsTrace, NumericalDivergence,
                         read_trace_csv, run)
 from .svgplot import EmptyTrace, Series, line_chart
 
 SUMMARY_COLUMNS = tuple(name for name in TRACE_HEADER if name != "wall_ms")
+
+# sweep.csv's columns after the grid fields; rounds_to_tol is the first
+# logged round with stat_total at or below TOLERANCE
+TOLERANCE = 1e-3
+SWEEP_COLUMNS = ("seed", "status", "diverged_at", "rounds_to_tol",
+                 "final_stat_total", "min_stat_total", "scalars_transmitted")
+FLAG_FIELDS = {"replicas": "--seeds", "out_dir": "--out"}  # not griddable
 
 
 def build_graph(cfg: RunConfig) -> graphmod.Graph:
@@ -94,8 +104,9 @@ def _replica_summary(trace: MetricsTrace, seed: int) -> dict:
 
 def run_outputs(out_dir) -> dict:
     """The deterministic part of a run's or a sweep's output directory: each
-    trace.csv without its wall_ms column and each JSON file, by relative
-    path. Reruns and any ``sweep --jobs`` count must reproduce it exactly."""
+    trace.csv without its wall_ms column, each JSON file and sweep.csv, by
+    relative path. Reruns and any ``sweep --jobs`` count must reproduce it
+    exactly."""
     out = Path(out_dir)
     files = {}
     for path in sorted(out.rglob("*")):
@@ -103,7 +114,7 @@ def run_outputs(out_dir) -> dict:
         if path.name == "trace.csv":
             files[rel] = [line.rsplit(",", 1)[0]
                           for line in path.read_text().splitlines()]
-        elif path.suffix == ".json":
+        elif path.suffix == ".json" or path.name == "sweep.csv":
             files[rel] = path.read_bytes()
     return files
 
@@ -155,11 +166,22 @@ def emit_plots(traces: dict, out_dir) -> dict:
     return meta
 
 
-def run_single(cfg: RunConfig, out_dir=None) -> dict:
-    """Run all replicas of one configuration and write the outputs.
+def replica_dirs(out_dir, replicas: int) -> list:
+    """Each replica's output directory: ``out_dir`` itself for a single
+    replica, else one ``replica_NNN`` directory per replica."""
+    out = Path(out_dir)
+    return [out] if replicas == 1 else [out / f"replica_{r:03d}"
+                                        for r in range(replicas)]
 
-    Raises ``NumericalDivergence`` after persisting the partial trace and a
-    divergence summary that keeps the completed replicas' entries.
+
+def run_single(cfg: RunConfig, out_dir=None) -> dict:
+    """Run all replicas of one configuration, write the outputs and return
+    the summary.
+
+    A replica that diverges writes its partial trace, and its summary entry
+    adds ``diverged_at``, the round of the guard's trip. The summary's status
+    is then "diverged"; the aggregate fit and the charts cover the replicas
+    that finished.
     """
     g = build_graph(cfg)
     prob = build_problem(cfg)
@@ -169,26 +191,24 @@ def run_single(cfg: RunConfig, out_dir=None) -> dict:
 
     replicas = []
     traces = {}
-    for r in range(cfg.replicas):
+    for r, rdir in enumerate(replica_dirs(out, cfg.replicas)):
         rcfg = dataclasses.replace(cfg, seed=cfg.seed + r)
-        rdir = out if cfg.replicas == 1 else out / f"replica_{r:03d}"
         rdir.mkdir(parents=True, exist_ok=True)
+        divergence = {}
         try:
             trace = run(rcfg, prob, g)
         except NumericalDivergence as exc:
-            if exc.trace is not None:
-                exc.trace.write_csv(rdir / "trace.csv")
-            _write_json({"status": "diverged", "round": exc.round_index,
-                         "seed": rcfg.seed, "message": str(exc),
-                         "replicas": replicas}, out / "summary.json")
-            raise
+            trace = exc.trace or MetricsTrace()
+            divergence["diverged_at"] = exc.round_index
+        else:
+            traces[f"seed {rcfg.seed}"] = {name: trace.column(name)
+                                           for name in trace.header}
         trace.write_csv(rdir / "trace.csv")
-        replicas.append(_replica_summary(trace, rcfg.seed))
-        traces[f"seed {rcfg.seed}"] = {name: trace.column(name)
-                                       for name in trace.header}
+        replicas.append({**_replica_summary(trace, rcfg.seed), **divergence})
 
     aggregate = {}
-    finals = [rep["final"]["stat_total"] for rep in replicas if rep["final"]]
+    finals = [rep["final"]["stat_total"] for rep in replicas
+              if rep["final"] and "diverged_at" not in rep]
     if finals:
         aggregate["final_stat_total_mean"] = float(np.mean(finals))
     curves = [(t["k"], t["stat_total"]) for t in traces.values()]
@@ -199,9 +219,10 @@ def run_single(cfg: RunConfig, out_dir=None) -> dict:
     except metrics.InsufficientTrace:
         pass
 
-    summary = {"status": "ok", "algorithm": cfg.algorithm,
-               "topology": cfg.topology, "replicas": replicas,
-               "aggregate": aggregate}
+    diverged = any("diverged_at" in rep for rep in replicas)
+    summary = {"status": "diverged" if diverged else "ok",
+               "algorithm": cfg.algorithm, "topology": cfg.topology,
+               "replicas": replicas, "aggregate": aggregate}
     _write_json(summary, out / "summary.json")
     if cfg.plots and traces:
         try:
@@ -211,34 +232,68 @@ def run_single(cfg: RunConfig, out_dir=None) -> dict:
     return summary
 
 
+def _report_divergence(label: str, summary: dict) -> bool:
+    """Print each diverged replica of a summary; True if there was one."""
+    diverged = [rep for rep in summary["replicas"] if "diverged_at" in rep]
+    for rep in diverged:
+        print(f"diverged: {label}seed {rep['seed']} at round {rep['diverged_at']}",
+              file=sys.stderr)
+    return bool(diverged)
+
+
 def cmd_run(args) -> int:
     cfg = load_config(args.config)
     if args.out:
         cfg = dataclasses.replace(cfg, out_dir=args.out)
     if args.plots:
         cfg = dataclasses.replace(cfg, plots=True)
-    try:
-        run_single(cfg)
-    except NumericalDivergence as exc:
-        print(f"diverged: {exc}", file=sys.stderr)
-        return 3
-    return 0
+    return 3 if _report_divergence("", run_single(cfg)) else 0
 
 
-def _run_cell(payload) -> tuple:
-    """Run one sweep cell; return its name, its summary and the warnings
-    the run raised, as (category, message, filename, lineno), so that a
-    pool worker's warnings can be re-issued in the sweeping process."""
-    cell_name, cfg_values, cell_dir = payload
-    cfg = RunConfig(**cfg_values)
+def _run_cell(cfg: RunConfig) -> tuple:
+    """Run one sweep cell; return its summary and the warnings the run
+    raised, as (category, message, filename, lineno), so that a pool
+    worker's warnings can be re-issued in the sweeping process."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        try:
-            summary = run_single(cfg, cell_dir)
-        except NumericalDivergence as exc:
-            summary = {"status": "diverged", "round": exc.round_index}
-    return cell_name, summary, [(w.category, str(w.message), w.filename, w.lineno)
-                                for w in caught]
+        summary = run_single(cfg)
+    return summary, [(w.category, str(w.message), w.filename, w.lineno)
+                     for w in caught]
+
+
+def _parse_grid(specs) -> dict:
+    """Each ``--grid field=v1,v2,...`` as field -> its values, parsed as the
+    config text parses them, in flag order."""
+    grid = {}
+    for spec in specs:
+        name, _, values = spec.partition("=")
+        name = name.strip()
+        if name in FLAG_FIELDS:
+            raise ConfigInvalid(f"--grid {name}: set it with {FLAG_FIELDS[name]}")
+        if name not in _FIELDS:
+            raise ConfigInvalid(f"--grid: unknown field {name!r}")
+        if name in grid:
+            raise ConfigInvalid(f"--grid {name} is given twice")
+        items = values.split(",")
+        if not all(item.strip() for item in items):
+            raise ConfigInvalid(f"--grid {spec!r} holds an empty value")
+        grid[name] = [_coerce(name, item) for item in items]
+    return grid
+
+
+def _sweep_row(values: list, rep: dict, trace_path: Path) -> str:
+    """One replica's sweep.csv line: its cell's grid values, then
+    ``SWEEP_COLUMNS``, read back from its summary entry and trace."""
+    hit = final = low = None
+    if rep["final"] is not None:
+        cols = read_trace_csv(trace_path)
+        stats = cols["stat_total"]
+        hit = metrics.rounds_to_tolerance(cols["k"], stats, TOLERANCE)
+        final, low = repr(float(stats[-1])), repr(float(stats.min()))
+    status = "diverged" if "diverged_at" in rep else "ok"
+    row = (rep["seed"], status, rep.get("diverged_at"), hit, final, low,
+           rep["ledger"]["scalars_transmitted"])
+    return ",".join([*values, *("" if v is None else str(v) for v in row)])
 
 
 def cmd_sweep(args) -> int:
@@ -246,46 +301,41 @@ def cmd_sweep(args) -> int:
         if value < 1:
             raise ConfigInvalid(f"{option} must be >= 1, got {value}")
     base = load_config(args.config)
-    topologies = [t.strip() for t in args.topologies.split(",") if t.strip()]
-    algos = [a.strip() for a in args.algos.split(",") if a.strip()]
-    if not topologies or not algos:
-        raise ConfigInvalid("sweep needs at least one topology and one algorithm")
-    for option, names in (("--topologies", topologies), ("--algos", algos)):
-        repeated = sorted({name for name in names if names.count(name) > 1})
-        if repeated:
-            raise ConfigInvalid(f"{option} names {', '.join(repeated)} more than once")
+    grid = _parse_grid(args.grid)
     out = Path(args.out if args.out else base.out_dir)
-    jobs = []
-    for topo in topologies:
-        for algo in algos:
-            cell = f"{topo}__{algo}"
-            cfg = dataclasses.replace(base, topology=topo, algorithm=algo,
-                                      replicas=args.seeds,
-                                      out_dir=str(out / cell))
-            jobs.append((cell, dataclasses.asdict(cfg), str(out / cell)))
+    cells = {}
+    for values in itertools.product(*grid.values()):
+        texts = [value_text(v) for v in values]
+        name = "__".join(texts).replace("/", "_")
+        if name in cells:
+            raise ConfigInvalid(f"two sweep cells are named {name!r}")
+        cells[name] = (texts, dataclasses.replace(
+            base, **dict(zip(grid, values)), replicas=args.seeds,
+            out_dir=str(out / name)))
+    for _, cfg in cells.values():
         build_graph(cfg)  # refused here, before any output exists
-    build_problem(base)
+        build_problem(cfg)
     out.mkdir(parents=True, exist_ok=True)
 
+    jobs = [cfg for _, cfg in cells.values()]
     if args.jobs > 1:
         # imported here: only a pooled sweep loads multiprocessing
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             outcomes = list(pool.map(_run_cell, jobs))
     else:
-        outcomes = [_run_cell(payload) for payload in jobs]
-    results = {}
-    for cell, summary, caught in outcomes:
-        results[cell] = summary
+        outcomes = [_run_cell(cfg) for cfg in jobs]
+    lines = [",".join([*grid, *SWEEP_COLUMNS])]
+    diverged = False
+    for (name, (texts, cfg)), (summary, caught) in zip(cells.items(), outcomes):
         for category, message, filename, lineno in caught:
             warnings.warn_explicit(message, category, filename, lineno)
-
-    _write_json({"cells": results}, out / "sweep_summary.json")
-    bad = [c for c, s in results.items() if s.get("status") != "ok"]
-    if bad:
-        print(f"diverged cells: {', '.join(sorted(bad))}", file=sys.stderr)
-        return 3
-    return 0
+        diverged |= _report_divergence(f"{name} ", summary)
+        lines += [_sweep_row(texts, rep, rdir / "trace.csv") for rep, rdir in
+                  zip(summary["replicas"], replica_dirs(cfg.out_dir, args.seeds))]
+    with open(out / "sweep.csv", "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
+    return 3 if diverged else 0
 
 
 def cmd_plot(args) -> int:
@@ -348,10 +398,10 @@ def main(argv=None) -> int:
     p_run.add_argument("--plots", action="store_true")
     p_run.set_defaults(fn=cmd_run)
 
-    p_sweep = sub.add_parser("sweep", help="run a topology x algorithm grid")
+    p_sweep = sub.add_parser("sweep", help="run a grid over config fields")
     p_sweep.add_argument("--config", required=True)
-    p_sweep.add_argument("--topologies", required=True)
-    p_sweep.add_argument("--algos", required=True)
+    p_sweep.add_argument("--grid", action="append", required=True,
+                         metavar="FIELD=V1,V2,...")
     p_sweep.add_argument("--seeds", type=int, default=1)
     p_sweep.add_argument("--out", default="")
     p_sweep.add_argument("--jobs", type=int, default=1)

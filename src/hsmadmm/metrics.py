@@ -306,12 +306,10 @@ def momentum_recursion_mc_check(prob: CompositeProblem, xs_prev, xs_new, vs_prev
             "err_prev_sq": err_prev_sq, "sigma_sq": sigma_sq, "dx_sq": dx_sq}
 
 
-def rounds_to_tolerance(trace, tol: float) -> int | None:
-    """First logged round whose stationarity total is at most ``tol``, or
-    None if no logged round reaches it."""
-    ks = trace.column("k")
-    stat = trace.column("stat_total")
-    hit = np.where(stat <= tol)[0]
+def rounds_to_tolerance(ks, stats, tol: float) -> int | None:
+    """First logged round ``ks[j]`` whose stationarity total ``stats[j]`` is
+    at most ``tol``, or None if no logged round reaches it."""
+    hit = np.flatnonzero(np.asarray(stats) <= tol)
     return int(ks[hit[0]]) if hit.size else None
 
 

@@ -61,8 +61,8 @@ class CompositeProblem:
     sample arrays, which it keeps as given when they are already C-ordered
     float64. A sample's one address is its stacked row, which
     ``draw_batch`` returns and every oracle takes. ``dataclasses.replace``
-    reuses the sample arrays and recomputes the cached ``size_groups`` and
-    ``smoothness``. Immutable after construction; all oracle calls are pure
+    reuses the sample arrays and recomputes the cached ``smoothness``.
+    Immutable after construction; all oracle calls are pure
     functions of their arguments.
     """
 
@@ -103,17 +103,6 @@ class CompositeProblem:
 
     def local_size(self, i: int) -> int:
         return int(self.offsets[i + 1] - self.offsets[i])
-
-    @cached_property
-    def size_groups(self) -> list:
-        """One (agents, rows) pair per distinct local size N: row j of the
-        (len(agents), N) ``rows`` holds every stacked row of agent
-        ``agents[j]``. The one place that tells equal local sizes (one pair)
-        from a ragged dataset."""
-        sizes = np.diff(self.offsets)  # not np.unique: it imports numpy.ma
-        return [(agents, self.offsets[agents, None] + np.arange(N))
-                for N in sorted(set(sizes.tolist()))
-                for agents in [np.flatnonzero(sizes == N)]]
 
     @cached_property
     def smoothness(self) -> float:
@@ -241,11 +230,17 @@ def stochastic_gradient(prob: CompositeProblem, i: int, x, rows: np.ndarray) -> 
 
 def _every_agent(prob: CompositeProblem, X, evaluate, *shape) -> np.ndarray:
     """(n, *shape) array whose entry i is agent i's entry of ``evaluate(rows,
-    X[agents])``, called once per pair of ``prob.size_groups``."""
+    X[agents])``, called once per run of consecutive agents that share a
+    local size N: row j of the (agents, N) ``rows`` holds every stacked row
+    of the run's j-th agent. Equal local sizes make one call."""
     X = np.asarray(X, dtype=float)
     out = np.empty((prob.n, *shape))
-    for agents, rows in prob.size_groups:
+    first = 0
+    for lo, hi, N in _equal_size_runs(prob.offsets.tolist()):
+        rows = np.arange(lo, hi).reshape(-1, N)
+        agents = slice(first, first + len(rows))
         out[agents] = evaluate(rows, X[agents])
+        first = agents.stop
     return out
 
 

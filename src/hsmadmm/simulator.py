@@ -143,11 +143,12 @@ def run(config: RunConfig, prob: CompositeProblem, graph: Graph,
     """Drive ``config.K`` synchronous rounds of the configured algorithm.
 
     Returns the full metrics trace; raises ``NumericalDivergence`` (carrying
-    the partial trace) if any agent state exceeds the guard. The optional
-    ``metrics_sink(k, row, state)`` is invoked at every logged round with the
-    live state. The run still reads its arrays, so the sink must not write
-    into them, and the next round rebinds them, so the sink keeps what it
-    needs as copies (``state.xs()``), not as the ``state`` object.
+    the partial trace and its run metadata) if any agent state exceeds the
+    guard. The optional ``metrics_sink(k, row, state)`` is invoked at every
+    logged round with the live state. The run still reads its arrays, so the
+    sink must not write into them, and the next round rebinds them, so the
+    sink keeps what it needs as copies (``state.xs()``), not as the
+    ``state`` object.
     """
     if prob.n != graph.n:
         raise ConfigInvalid(f"problem has {prob.n} agents, graph has {graph.n}")
@@ -228,10 +229,7 @@ def run(config: RunConfig, prob: CompositeProblem, graph: Graph,
         peak = float(np.max(np.abs(xs))) if xs.size else 0.0
         if not np.isfinite(peak) or peak > DIVERGENCE_GUARD:
             trace.meta["diverged_at"] = s
-            raise NumericalDivergence(
-                f"state magnitude {peak:.3g} exceeded guard "
-                f"{DIVERGENCE_GUARD:.3g} at round {s}",
-                trace=trace, round_index=s)
+            break
 
         err_sq = gradient_error(prob, xs, state.v) if s in err_states else nan
         cur = (xs, state.duals_vector() if admm else None, err_sq)
@@ -278,4 +276,9 @@ def run(config: RunConfig, prob: CompositeProblem, graph: Graph,
     })
     if accum is not None:
         trace.meta["accumulation"] = accum
+    if "diverged_at" in trace.meta:
+        raise NumericalDivergence(
+            f"state magnitude {peak:.3g} exceeded guard "
+            f"{DIVERGENCE_GUARD:.3g} at round {s}",
+            trace=trace, round_index=s)
     return trace

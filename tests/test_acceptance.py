@@ -13,7 +13,7 @@ import pytest
 
 from hsmadmm import checks
 from hsmadmm.config import RunConfig
-from hsmadmm.harness import build_graph, build_problem
+from hsmadmm.harness import TOLERANCE, build_graph, build_problem
 from hsmadmm.hsm_admm import Schedules
 from hsmadmm.metrics import (descent_drift, momentum_recursion_mc_check,
                              rate_fit_averaged, rounds_to_tolerance)
@@ -208,8 +208,9 @@ def test_criterion_10_heterogeneity_benefit():
             cfg = dataclasses.replace(base, algorithm=algo, seed=seed,
                                       dataset_seed=20 + seed)
             trace = run(cfg, build_problem(cfg), build_graph(cfg))
-            hit = rounds_to_tolerance(trace, 1e-3)
-            assert hit is not None, f"{algo} seed {seed} never reached 1e-3"
+            hit = rounds_to_tolerance(trace.column("k"), trace.column("stat_total"),
+                                      TOLERANCE)
+            assert hit is not None, f"{algo} seed {seed} never reached {TOLERANCE}"
             rounds[algo].append(hit)
     hub_ok = all(h <= u for h, u in zip(rounds["hsm_admm"],
                                         rounds["uniform_admm"]))

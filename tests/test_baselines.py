@@ -114,7 +114,7 @@ def test_tracking_invariant(composite_problem):
 
 def test_exact_gt_rounds_on_ragged_data_equal_the_per_agent_formula(ragged_problem):
     # rows None: each round's exact gradients come from stacked passes, one
-    # size group at a time; iterates, trackers and gradients must be the
+    # run of equal local sizes at a time; iterates, trackers and gradients must be the
     # per-agent formula's bit for bit
     prob = ragged_problem(regularizer="l1", l1_weight=0.01)
     g = build_topology("star", prob.n)

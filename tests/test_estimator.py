@@ -51,7 +51,7 @@ def test_momentum_one_is_plain_gradient():
 @pytest.mark.parametrize("ragged", [False, True])
 def test_exact_refresh_and_init_equal_the_per_agent_formula(ragged, ragged_problem):
     # batch 0 evaluates every agent's exact gradient in stacked passes, one
-    # size group at a time on a ragged dataset; the sampled start draws per
+    # run of equal local sizes at a time on a ragged dataset; the sampled start draws per
     # agent, in agent order, and evaluates every draw in one stacked pass
     prob = (ragged_problem() if ragged
             else make_problem("nonconvex_robust", 4, 3, 10, 1, alpha=0.3))

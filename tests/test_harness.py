@@ -202,7 +202,7 @@ def test_unsatisfiable_config_exits_2(tmp_path, capsys, command, lines, message)
     args = [command, "--config", str(path), "--out", str(out)]
     if command == "sweep":
         topology = dict(line.split(" = ") for line in lines).get("topology", "ring")
-        args += ["--topologies", topology, "--algos", "hsm_admm"]
+        args += ["--grid", f"topology={topology}", "--grid", "algorithm=hsm_admm"]
     assert main(args) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
@@ -317,30 +317,99 @@ def test_bad_edge_list_exits_2(tmp_path, capsys, edges, n, message):
     assert "config error: edge list" in err and message in err
 
 
-def test_divergence_exits_3(tmp_path):
+def test_divergence_exits_3(tmp_path, capsys):
     text = BASE_CFG + "c_eta = 1e-9\nK = 300\n"
     path = write_cfg(tmp_path, text.replace("K = 40\n", ""))
     out = tmp_path / "div"
     assert main(["run", "--config", str(path), "--out", str(out)]) == 3
     summary = json.loads((out / "summary.json").read_text())
     assert summary["status"] == "diverged"
+    at = summary["replicas"][0]["diverged_at"]
+    assert f"diverged: seed 3 at round {at}" in capsys.readouterr().err
     assert (out / "trace.csv").exists()
+
+
+def read_sweep_csv(out):
+    lines = (out / "sweep.csv").read_text().splitlines()
+    return lines[0].split(","), [dict(zip(lines[0].split(","), line.split(",")))
+                                 for line in lines[1:]]
 
 
 def test_sweep_layout(tmp_path):
     cfg_path = write_cfg(tmp_path, BASE_CFG.replace("K = 40", "K = 15"))
     out = tmp_path / "sweep"
-    rc = main(["sweep", "--config", str(cfg_path), "--topologies", "ring,star",
-               "--algos", "hsm_admm,prox_gt", "--seeds", "2",
+    rc = main(["sweep", "--config", str(cfg_path), "--grid", "topology=ring,star",
+               "--grid", "algorithm=hsm_admm,prox_gt", "--seeds", "2",
                "--out", str(out)])
     assert rc == 0
-    summary = json.loads((out / "sweep_summary.json").read_text())
-    cells = {"ring__hsm_admm", "ring__prox_gt", "star__hsm_admm", "star__prox_gt"}
-    assert set(summary["cells"]) == cells
+    cells = ["ring__hsm_admm", "ring__prox_gt", "star__hsm_admm", "star__prox_gt"]
+    assert sorted(p.name for p in out.iterdir()) == cells + ["sweep.csv"]
     for cell in cells:
         assert (out / cell / "replica_000" / "trace.csv").exists()
         assert (out / cell / "replica_001" / "trace.csv").exists()
         assert (out / cell / "summary.json").exists()
+    # one row per cell and replica, in cell order, then replica order
+    header, rows = read_sweep_csv(out)
+    assert header == ["topology", "algorithm", *harness.SWEEP_COLUMNS]
+    assert [(r["topology"], r["algorithm"], r["seed"]) for r in rows] == [
+        (*cell.split("__"), seed) for cell in cells for seed in ("3", "4")]
+    for row, (cell, r) in zip(rows, [(c, r) for c in cells for r in (0, 1)]):
+        summary = json.loads((out / cell / "summary.json").read_text())
+        rep = summary["replicas"][r]
+        trace = read_trace_csv(out / cell / f"replica_{r:03d}" / "trace.csv")
+        assert row["status"] == "ok" and row["diverged_at"] == ""
+        assert float(row["final_stat_total"]) == rep["final"]["stat_total"]
+        assert float(row["min_stat_total"]) == trace["stat_total"].min()
+        assert int(row["scalars_transmitted"]) == rep["ledger"]["scalars_transmitted"]
+        below = trace["k"][trace["stat_total"] <= harness.TOLERANCE]
+        assert row["rounds_to_tol"] == (str(int(below[0])) if below.size else "")
+
+
+def test_sweep_grids_any_field_and_records_divergence(tmp_path, capsys):
+    # a problem field and a float field; the c_eta = 1e-9 cells diverge, and
+    # every cell still runs both replicas and writes their rows and traces
+    cfg_path = write_cfg(tmp_path, BASE_CFG.replace("K = 40", "K = 30"))
+    out = tmp_path / "sweep"
+    rc = main(["sweep", "--config", str(cfg_path),
+               "--grid", "samples_per_agent=5,8", "--grid", "c_eta=1e-9,2",
+               "--seeds", "2", "--out", str(out)])
+    assert rc == 3
+    cells = ["5__1e-09", "5__2.0", "8__1e-09", "8__2.0"]
+    assert sorted(p.name for p in out.iterdir()) == cells + ["sweep.csv"]
+    header, rows = read_sweep_csv(out)
+    assert header[:2] == ["samples_per_agent", "c_eta"]
+    assert [(r["samples_per_agent"], r["c_eta"]) for r in rows] == [
+        tuple(cell.split("__")) for cell in cells for _ in range(2)]
+    err = capsys.readouterr().err
+    for row in rows:
+        cell = f"{row['samples_per_agent']}__{row['c_eta']}"
+        diverged = row["c_eta"] == "1e-09"
+        assert row["status"] == ("diverged" if diverged else "ok")
+        assert (row["diverged_at"] != "") == diverged
+        if diverged:
+            assert f"diverged: {cell} seed {row['seed']} at round " \
+                f"{row['diverged_at']}" in err
+            # the ledger counts every round run: ring 4, two vectors per
+            # edge per round, p = 2
+            assert int(row["scalars_transmitted"]) == int(row["diverged_at"]) * 2 * 4 * 2
+        rdir = out / cell / f"replica_{int(row['seed']) - 3:03d}"
+        assert (rdir / "trace.csv").exists()
+        summary = json.loads((out / cell / "summary.json").read_text())
+        assert summary["status"] == ("diverged" if diverged else "ok")
+    assert load_config(out / "5__1e-09" / "config.cfg").c_eta == 1e-9
+
+
+def test_sweep_table_and_summaries_are_the_same_for_any_jobs_count(tmp_path):
+    cfg_path = write_cfg(tmp_path, BASE_CFG.replace("K = 40", "K = 10"))
+    outputs = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}"
+        assert main(["sweep", "--config", str(cfg_path), "--grid", "c_eta=1e-9,2",
+                     "--grid", "topology=ring,star", "--seeds", "2",
+                     "--jobs", jobs, "--out", str(out)]) == 3
+        outputs.append(harness.run_outputs(out))
+    assert "sweep.csv" in outputs[0]
+    assert outputs[0] == outputs[1]
 
 
 def test_sweep_jobs_2_reissues_the_workers_warnings(tmp_path, monkeypatch):
@@ -356,8 +425,9 @@ def test_sweep_jobs_2_reissues_the_workers_warnings(tmp_path, monkeypatch):
         out = tmp_path / f"jobs{jobs}"
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            assert main(["sweep", "--config", str(cfg_path), "--topologies",
-                         "ring,star", "--algos", "hsm_admm,uniform_admm",
+            assert main(["sweep", "--config", str(cfg_path), "--grid",
+                         "topology=ring,star", "--grid",
+                         "algorithm=hsm_admm,uniform_admm",
                          "--seeds", "2", "--jobs", jobs, "--out", str(out)]) == 0
         counts[jobs] = sum(str(w.message).endswith(" ran") for w in caught)
         summaries[jobs] = [(out / cell / "summary.json").read_bytes()
@@ -371,28 +441,98 @@ def test_sweep_jobs_2_reissues_the_workers_warnings(tmp_path, monkeypatch):
 def test_sweep_rejects_counts_below_one(tmp_path, capsys, option):
     cfg_path = write_cfg(tmp_path, BASE_CFG.replace("K = 40", "K = 0"))
     counts = {"--seeds": "1", "--jobs": "1", option: "0"}
-    rc = main(["sweep", "--config", str(cfg_path), "--topologies", "ring",
-               "--algos", "hsm_admm", "--out", str(tmp_path / "sweep"),
+    rc = main(["sweep", "--config", str(cfg_path), "--grid", "topology=ring",
+               "--out", str(tmp_path / "sweep"),
                *(word for pair in counts.items() for word in pair)])
     assert rc == 2
     assert f"{option} must be >= 1, got 0" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("option, names, repeated", [
-    ("--topologies", "ring,ring", "ring"),
-    ("--topologies", "star, ring,star,ring", "ring, star"),
-    ("--algos", "hsm_admm,prox_gt,hsm_admm", "hsm_admm"),
-])
-def test_sweep_rejects_a_repeated_entry(tmp_path, capsys, option, names, repeated):
+REPEATED = [
+    ("topology=ring,ring", "ring__hsm_admm"),
+    ("topology=star, ring,star,ring", "star__hsm_admm"),
+    ("algorithm=hsm_admm,prox_gt,hsm_admm", "ring__hsm_admm"),
+    ("c_eta=2,2.0", "ring__hsm_admm__2.0"),
+]
+
+
+@pytest.mark.parametrize("grid, repeated", REPEATED, ids=[g for g, _ in REPEATED])
+def test_sweep_rejects_a_repeated_entry(tmp_path, capsys, grid, repeated):
     # two cells of one name would share a directory (and, with --jobs 2,
-    # its files) and one entry of sweep_summary.json
+    # its files); a value is named as the config text writes it
     cfg_path = write_cfg(tmp_path, BASE_CFG.replace("K = 40", "K = 0"))
-    lists = {"--topologies": "ring,star", "--algos": "hsm_admm", option: names}
+    grids = {"topology": "topology=ring,star", "algorithm": "algorithm=hsm_admm"}
+    grids[grid.split("=")[0]] = grid
     rc = main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "sweep"),
-               "--jobs", "2", *(word for pair in lists.items() for word in pair)])
+               "--jobs", "2", *(word for spec in grids.values()
+                                for word in ("--grid", spec))])
     assert rc == 2
-    assert f"{option} names {repeated} more than once" in capsys.readouterr().err
+    assert f"two sweep cells are named {repeated!r}" in capsys.readouterr().err
     assert not (tmp_path / "sweep").exists()
+
+
+def test_sweep_names_a_path_value_with_underscores(tmp_path, capsys):
+    # "/" in a value is "_" in its cell's name, so a/b and a_b share one
+    edges = [tmp_path / "a" / "b", tmp_path / "a_b"]
+    edges[0].parent.mkdir()
+    for path in edges:
+        path.write_text("0 1\n1 2\n")
+    cfg_path = write_cfg(tmp_path, "topology = from_edge_list\nn = 3\np = 2\n"
+                                   f"K = 5\nedge_list = {edges[0]}\n")
+    out = tmp_path / "sweep"
+    args = ["sweep", "--config", str(cfg_path), "--out", str(out), "--grid"]
+    assert main(args + [f"edge_list={edges[0]},{edges[1]}"]) == 2
+    name = str(edges[1]).replace("/", "_")
+    assert f"two sweep cells are named {name!r}" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(args + [f"edge_list={edges[0]}"]) == 0
+    assert [p.name for p in out.iterdir() if p.is_dir()] == [name]
+
+
+@pytest.mark.parametrize("grids, message", [
+    (["topology=ring", "colour=red"], "--grid: unknown field 'colour'"),
+    (["topology=ring", "topology=star"], "--grid topology is given twice"),
+    (["replicas=1,2"], "--grid replicas: set it with --seeds"),
+    (["out_dir=a,b"], "--grid out_dir: set it with --out"),
+    (["topology="], "--grid 'topology=' holds an empty value"),
+    (["topology"], "--grid 'topology' holds an empty value"),
+    (["topology=ring,,star"], "--grid 'topology=ring,,star' holds an empty value"),
+    (["c_eta=2,fast"], "c_eta: cannot parse 'fast'"),
+    (["n=4,1"], "n must be >= 2, got 1"),
+    (["topology=ring,random_connected", "n=40", "edge_prob=0.01"],
+     "topology random_connected: no connected sample"),
+    (["edge_list=edges.txt", "topology=from_edge_list"], "edge list edges.txt"),
+    (["dataset_csv=data.csv", "dataset_manifest=manifest.json"],
+     "dataset data.csv"),
+])
+def test_sweep_refuses_before_any_output(tmp_path, capsys, grids, message):
+    # every cell's config, graph and problem are checked up front; a later
+    # cell's refusal leaves no output of the earlier ones
+    cfg_path = write_cfg(tmp_path, BASE_CFG.replace("K = 40", "K = 5"))
+    out = tmp_path / "sweep"
+    rc = main(["sweep", "--config", str(cfg_path), "--out", str(out), "--jobs", "2",
+               *(word for spec in grids for word in ("--grid", spec))])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--grid", "topology=ring", "--topologies", "ring"],
+     "unrecognized arguments: --topologies ring"),
+    (["--grid", "topology=ring", "--algos", "hsm_admm"],
+     "unrecognized arguments: --algos hsm_admm"),
+    ([], "the following arguments are required: --grid"),
+])
+def test_sweep_refuses_retired_flags_and_no_grid(tmp_path, capsys, args, message):
+    # argparse refuses these with exit 2, before any output exists
+    cfg_path = write_cfg(tmp_path)
+    out = tmp_path / "sweep"
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--config", str(cfg_path), "--out", str(out), *args])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("labels", [None, "same,same"])
@@ -599,7 +739,19 @@ def test_diverged_replica_keeps_earlier_summaries(tmp_path, monkeypatch):
     out = tmp_path / "out"
     assert main(["run", "--config", str(path), "--out", str(out)]) == 3
     summary = json.loads((out / "summary.json").read_text())
-    assert summary["status"] == "diverged" and summary["seed"] == 4
-    assert [rep["seed"] for rep in summary["replicas"]] == [3]
-    report = summary["replicas"][0]["feasibility"]
-    assert set(report) == {"feasible", "c_mu", "margin"}
+    assert summary["status"] == "diverged"
+    # every replica runs; the diverged one is an entry like the others
+    assert [rep["seed"] for rep in summary["replicas"]] == [3, 4, 5]
+    assert [rep.get("diverged_at") for rep in summary["replicas"]] == [None, 7, None]
+    for rep in summary["replicas"][::2]:
+        assert set(rep["feasibility"]) == {"feasible", "c_mu", "margin"}
+    for r in range(3):
+        assert (out / f"replica_{r:03d}" / "trace.csv").exists()
+    # the finished replicas' entries and aggregate are those of a run
+    # that never diverged
+    monkeypatch.setattr(harness, "run", simulator.run)
+    clean = harness.run_single(load_config(path), tmp_path / "clean")
+    assert clean["status"] == "ok"
+    assert summary["replicas"][::2] == json.loads(json.dumps(clean["replicas"][::2]))
+    finals = [rep["final"]["stat_total"] for rep in summary["replicas"][::2]]
+    assert summary["aggregate"] == {"final_stat_total_mean": float(np.mean(finals))}

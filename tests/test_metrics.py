@@ -213,7 +213,7 @@ def test_augmented_lagrangian_penalty_term(quad_problem, ring4):
 
 @pytest.mark.parametrize("ragged", [False, True])
 def test_augmented_lagrangian_is_the_per_agent_sum(ragged, ragged_problem):
-    # F is one stacked pass (per size group on a ragged dataset) and H one
+    # F is one stacked pass (per run of equal local sizes on a ragged dataset) and H one
     # stacked l1 pass; each must equal the per-agent sum bit for bit, with
     # and without a regularizer
     for reg in ({}, {"regularizer": "l1", "l1_weight": 0.07}):

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from hsmadmm.problems import (NOISE_STD, SMOOTH_KINDS, CompositeProblem,
                               IndexOutOfRange, NonPositiveScale, ProblemError,
-                              _CURVATURE, _local_samples, _loss_weights,
-                              _penalty_gradient,
+                              _CURVATURE, _equal_size_runs, _local_samples,
+                              _loss_weights, _penalty_gradient,
                               batch_gradients, draw_batch, empirical_sigma_sq,
                               estimate_smoothness,
                               full_gradient, global_mean_gradient,
@@ -238,13 +238,14 @@ def _same_bits(got, want):
 @pytest.mark.parametrize("alpha", [0.0, 0.3])
 def test_exact_passes_equal_the_per_agent_oracles(kind, alpha, ragged_problem):
     # the exact-data passes evaluate every agent at once when all local
-    # sizes are equal, and one size group at a time on a ragged dataset;
-    # either way each agent's entry must be its own oracle's
+    # sizes are equal, and one run of consecutive equal sizes at a time on a
+    # ragged dataset; either way each agent's entry must be its own oracle's
     probs = [make_problem(kind, n, p, N, 3, alpha=alpha)
              for n in (2, 8, 16) for p in (1, 2, 3, 5, 20)
              for N in (1, 7, 20, 40, 200)]
     probs += [ragged_problem(kind, p, alpha) for p in (1, 2, 3, 5, 20)]
-    assert [len(prob.size_groups) for prob in probs[-5:]] == [4] * 5
+    assert [len(_equal_size_runs(prob.offsets.tolist()))
+            for prob in probs[-5:]] == [5] * 5
     rng = np.random.default_rng(19)
     for prob in probs:
         X = 3.0 * rng.standard_normal((prob.n, prob.p))

@@ -1,5 +1,6 @@
-"""Smoke runs of the experiment scripts at small sizes, and of the
-benchmark's worker, in a subprocess as a user runs them."""
+"""Smoke runs of the experiment scripts and of the README's topology study
+at small sizes, and of the benchmark's worker, in a subprocess as a user
+runs them."""
 import importlib.util
 import json
 import os
@@ -9,16 +10,22 @@ from pathlib import Path
 
 import pytest
 
+from hsmadmm import harness, simulator
 from hsmadmm.config import RunConfig
+from hsmadmm.simulator import NumericalDivergence
 
 ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_script(name, *args, **env_vars):
+    return run_python(str(ROOT / "scripts" / name), *args, **env_vars)
+
+
+def run_python(*args, **env_vars):
     env = dict(os.environ, **env_vars)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
+    return subprocess.run([sys.executable, *args],
                           env=env, capture_output=True, text=True, timeout=300)
 
 
@@ -56,13 +63,72 @@ def test_scripts_run_the_checkout_they_sit_in(tmp_path):
     assert (tmp_path / "rate" / "mean_min_prefix.csv").stat().st_size > 0
 
 
+def load_rate_experiment():
+    spec = importlib.util.spec_from_file_location(
+        "rate_experiment", ROOT / "scripts" / "rate_experiment.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_rate_experiment_exits_3_on_a_diverged_seed(tmp_path, monkeypatch, capsys):
+    # the run's outputs are written, the diverged seed is named, and no
+    # average is taken over traces of unequal length
+    def run_then_diverge(cfg, prob, g):
+        if cfg.seed == 1:
+            raise NumericalDivergence("forced", trace=None, round_index=7)
+        return simulator.run(cfg, prob, g)
+
+    monkeypatch.setattr(harness, "run", run_then_diverge)
+    out = tmp_path / "rate"
+    assert load_rate_experiment().main(["--seeds", "3", "--rounds", "20",
+                                        "--out", str(out)]) == 3
+    assert "diverged seeds: 1" in capsys.readouterr().err
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["status"] == "diverged"
+    assert [rep.get("diverged_at") for rep in summary["replicas"]] == [None, 7, None]
+    assert all((out / f"replica_{r:03d}" / "trace.csv").exists() for r in range(3))
+    assert not (out / "mean_min_prefix.csv").exists()
+
+
+# The topology study of the README: degree-scaled and uniform steps on a
+# ring, a star and a hub-leaf network with the same schedule constants.
+TOPOLOGY_STUDY = """\
+p = 3
+problem = least_squares
+samples_per_agent = 20
+regularizer = none
+batch_size = 0
+m0 = 1
+dataset_seed = 20
+metric_every = 5
+track_lyapunov = false
+"""
+
+
 def test_topology_comparison(tmp_path):
-    done = run_script("topology_comparison.py", "--n", "6", "--rounds", "300",
-                      "--out", str(tmp_path))
+    cfg = tmp_path / "topologies.cfg"
+    cfg.write_text(TOPOLOGY_STUDY + "n = 6\nK = 300\n")
+    out = tmp_path / "topologies"
+    done = run_python("-m", "hsmadmm.harness", "sweep", "--config", str(cfg),
+                      "--grid", "topology=ring,star,hub_leaf",
+                      "--grid", "algorithm=hsm_admm,uniform_admm", "--out", str(out))
     assert done.returncode == 0, done.stderr
+    lines = (out / "sweep.csv").read_text().splitlines()
+    assert lines[0].startswith("topology,algorithm,seed,status,")
+    rows = [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
+    assert [(r["topology"], r["algorithm"], r["status"]) for r in rows] == [
+        (topo, algo, "ok") for topo in ("ring", "star", "hub_leaf")
+        for algo in ("hsm_admm", "uniform_admm")]
     for topo in ("ring", "star", "hub_leaf"):
+        done = run_python("-m", "hsmadmm.harness", "plot", "--traces",
+                          str(out / f"{topo}__hsm_admm" / "trace.csv"),
+                          str(out / f"{topo}__uniform_admm" / "trace.csv"),
+                          "--labels", "hsm_admm,uniform_admm",
+                          "--out", str(tmp_path / "charts" / topo))
+        assert done.returncode == 0, done.stderr
         for name in PLOTS:
-            assert (tmp_path / topo / name).stat().st_size > 0
+            assert (tmp_path / "charts" / topo / name).stat().st_size > 0
 
 
 @pytest.mark.parametrize("workload,mode", [("oracle_gt16", "traced"),

@@ -76,7 +76,7 @@ def test_determinism_across_runs_and_workers():
     assert np.array_equal(strip(t1), strip(t2), equal_nan=True)
 
     # parallel work is across runs: sweep worker processes change nothing;
-    # 13 files are 8 traces, 4 cell summaries and 1 sweep summary
+    # 13 files are 8 traces, 4 cell summaries and the sweep table
     ok, detail = determinism(cfg)
     assert ok and detail.startswith("13 files,"), detail
 
@@ -88,6 +88,21 @@ def test_divergence_guard_raises_with_trace():
     assert err.value.trace is not None
     assert err.value.round_index is not None
     assert err.value.trace.meta["diverged_at"] == err.value.round_index
+
+
+def test_diverged_trace_keeps_its_run_metadata():
+    # the ledger totals and the run's identity are written on both exits,
+    # so a diverged replica's summary reports what it sent
+    cfg = small_cfg(c_eta=1e-8, K=200)
+    g = build_graph(cfg)
+    with pytest.raises(NumericalDivergence) as err:
+        run(cfg, build_problem(cfg), g)
+    s, meta = err.value.round_index, err.value.trace.meta
+    assert meta["vector_messages"] == s * 2 * g.m
+    assert meta["scalars_transmitted"] == s * 2 * g.m * cfg.p
+    assert (meta["algorithm"], meta["n"], meta["p"], meta["K"], meta["seed"]) == \
+        ("hsm_admm", 4, 2, 200, 0)
+    assert meta["violation_count"] == 0
 
 
 def test_sink_invoked_at_logged_rounds():
