@@ -8,7 +8,7 @@ from .graph import (Graph, build_topology, incidence_matrix, laplacian,
                     smallest_singular_sq_A)
 from .hsm_admm import NetworkState, Schedules, hsm_admm_round, init_network_state
 from .problems import CompositeProblem, make_problem
-from .simulator import MessageLedger, MetricsTrace, NumericalDivergence, run
+from .simulator import MessageLedger, MetricsTrace, run
 
 __version__ = "0.1.0"
 
@@ -18,6 +18,6 @@ __all__ = [
     "laplacian", "smallest_singular_sq_A",
     "NetworkState", "Schedules", "hsm_admm_round", "init_network_state",
     "CompositeProblem", "make_problem",
-    "MessageLedger", "MetricsTrace", "NumericalDivergence", "run",
+    "MessageLedger", "MetricsTrace", "run",
     "__version__",
 ]

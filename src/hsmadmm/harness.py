@@ -28,8 +28,7 @@ import numpy as np
 from . import graph as graphmod, metrics, problems
 from .config import (_FIELDS, ConfigInvalid, RunConfig, _coerce, load_config,
                      value_text, write_config)
-from .simulator import (TRACE_HEADER, MetricsTrace, NumericalDivergence,
-                        read_trace_csv, run)
+from .simulator import TRACE_HEADER, MetricsTrace, read_trace_csv, run
 from .svgplot import EmptyTrace, Series, line_chart
 
 SUMMARY_COLUMNS = tuple(name for name in TRACE_HEADER if name != "wall_ms")
@@ -92,10 +91,10 @@ def _replica_summary(trace: MetricsTrace, seed: int) -> dict:
         "final": ({name: trace.last_row()[name] for name in SUMMARY_COLUMNS}
                   if trace.rows else None),
         "ledger": {
-            "vector_messages": trace.meta.get("vector_messages", 0),
-            "scalars_transmitted": trace.meta.get("scalars_transmitted", 0),
+            "vector_messages": trace.meta["vector_messages"],
+            "scalars_transmitted": trace.meta["scalars_transmitted"],
         },
-        "violations": {"dual_step_bound": trace.meta.get("violation_count", 0)},
+        "violations": {"dual_step_bound": trace.meta["violation_count"]},
         "feasibility": trace.meta.get("feasibility"),
         "slope": slope,
         "intercept": intercept,
@@ -178,10 +177,11 @@ def run_single(cfg: RunConfig, out_dir=None) -> dict:
     """Run all replicas of one configuration, write the outputs and return
     the summary.
 
-    A replica that diverges writes its partial trace, and its summary entry
-    adds ``diverged_at``, the round of the guard's trip. The summary's status
-    is then "diverged"; the aggregate fit and the charts cover the replicas
-    that finished.
+    Divergence is read from each trace, never raised: a replica whose trace
+    records ``diverged_at``, the round of the guard's trip, writes that
+    partial trace, and its summary entry adds ``diverged_at``. The summary's
+    status is then "diverged"; the aggregate fit and the charts cover the
+    replicas that finished.
     """
     g = build_graph(cfg)
     prob = build_problem(cfg)
@@ -194,17 +194,15 @@ def run_single(cfg: RunConfig, out_dir=None) -> dict:
     for r, rdir in enumerate(replica_dirs(out, cfg.replicas)):
         rcfg = dataclasses.replace(cfg, seed=cfg.seed + r)
         rdir.mkdir(parents=True, exist_ok=True)
-        divergence = {}
-        try:
-            trace = run(rcfg, prob, g)
-        except NumericalDivergence as exc:
-            trace = exc.trace or MetricsTrace()
-            divergence["diverged_at"] = exc.round_index
+        trace = run(rcfg, prob, g)
+        trace.write_csv(rdir / "trace.csv")
+        rep = _replica_summary(trace, rcfg.seed)
+        if "diverged_at" in trace.meta:
+            rep["diverged_at"] = trace.meta["diverged_at"]
         else:
             traces[f"seed {rcfg.seed}"] = {name: trace.column(name)
                                            for name in trace.header}
-        trace.write_csv(rdir / "trace.csv")
-        replicas.append({**_replica_summary(trace, rcfg.seed), **divergence})
+        replicas.append(rep)
 
     aggregate = {}
     finals = [rep["final"]["stat_total"] for rep in replicas

@@ -7,8 +7,9 @@ rows; each round takes its rows and the run's message ledger. A run is one
 process on stacked (n, p) arrays; parallel runs (``hsmadmm sweep --jobs``)
 give byte-identical outputs for any job count apart from wall times.
 
-A fixed divergence guard, ``DIVERGENCE_GUARD``, converts numerical blow-up
-into a structured error carrying the trace logged so far.
+A fixed divergence guard, ``DIVERGENCE_GUARD``, ends a run at numerical
+blow-up; the run returns the trace logged so far, which records the round
+in ``meta["diverged_at"]``.
 
 Rounds rebind the state's arrays (``state.x = ...``) and never write into
 them. The merit function, the dual-bound checker and the accumulation
@@ -40,19 +41,6 @@ from .problems import CompositeProblem
 DIVERGENCE_GUARD = 1e12
 
 
-class SimulatorError(Exception):
-    pass
-
-
-class NumericalDivergence(SimulatorError):
-    """State norm exceeded the guard; carries the trace logged so far."""
-
-    def __init__(self, message, trace=None, round_index=None):
-        super().__init__(message)
-        self.trace = trace
-        self.round_index = round_index
-
-
 TRACE_HEADER = ("k", "stat_total", "stat_prox", "stat_consensus", "res_combined",
                 "res_consensus", "res_split", "err_sq", "phi", "scalars_tx",
                 "wall_ms")
@@ -81,7 +69,7 @@ class MetricsTrace:
 
     def append(self, row) -> None:
         if len(row) != len(self.header):
-            raise SimulatorError("row width does not match header")
+            raise ValueError("row width does not match header")
         self.rows.append(list(row))
 
     def column(self, name: str) -> np.ndarray:
@@ -90,7 +78,7 @@ class MetricsTrace:
 
     def last_row(self) -> dict:
         if not self.rows:
-            raise SimulatorError("empty trace")
+            raise ValueError("empty trace")
         return dict(zip(self.header, self.rows[-1]))
 
     def write_csv(self, path) -> None:
@@ -142,13 +130,13 @@ def run(config: RunConfig, prob: CompositeProblem, graph: Graph,
         metrics_sink=None) -> MetricsTrace:
     """Drive ``config.K`` synchronous rounds of the configured algorithm.
 
-    Returns the full metrics trace; raises ``NumericalDivergence`` (carrying
-    the partial trace and its run metadata) if any agent state exceeds the
-    guard. The optional ``metrics_sink(k, row, state)`` is invoked at every
-    logged round with the live state. The run still reads its arrays, so the
-    sink must not write into them, and the next round rebinds them, so the
-    sink keeps what it needs as copies (``state.xs()``), not as the
-    ``state`` object.
+    Returns the metrics trace with its run metadata. If an agent state
+    exceeds the guard after round s, the run stops there and returns the
+    trace logged so far, with ``meta["diverged_at"] = s``. The optional
+    ``metrics_sink(k, row, state)`` is invoked at every logged round with
+    the live state. The run still reads its arrays, so the sink must not
+    write into them, and the next round rebinds them, so the sink keeps what
+    it needs as copies (``state.xs()``), not as the ``state`` object.
     """
     if prob.n != graph.n:
         raise ConfigInvalid(f"problem has {prob.n} agents, graph has {graph.n}")
@@ -276,9 +264,4 @@ def run(config: RunConfig, prob: CompositeProblem, graph: Graph,
     })
     if accum is not None:
         trace.meta["accumulation"] = accum
-    if "diverged_at" in trace.meta:
-        raise NumericalDivergence(
-            f"state magnitude {peak:.3g} exceeded guard "
-            f"{DIVERGENCE_GUARD:.3g} at round {s}",
-            trace=trace, round_index=s)
     return trace

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -14,7 +15,7 @@ from hsmadmm.config import (ConfigInvalid, RunConfig, config_to_text,
                             load_config, parse_config_text)
 from hsmadmm.harness import emit_plots, main
 from hsmadmm.problems import make_problem, save_dataset
-from hsmadmm.simulator import TRACE_HEADER, NumericalDivergence, read_trace_csv
+from hsmadmm.simulator import TRACE_HEADER, read_trace_csv
 from hsmadmm.svgplot import EmptyTrace, Series, line_chart
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -192,7 +193,10 @@ UNSATISFIABLE = [
 
 @pytest.mark.parametrize("command, lines, message", [
     (command, *case) for command in ("run", "sweep") for case in UNSATISFIABLE
-], ids=["random_connected", "m0", "sweep-random_connected", "sweep-m0"])
+] + [
+    # run only: a sweep sets replicas with --seeds
+    ("run", ["replicas = 0"], "config error: replicas and workers must be >= 1"),
+], ids=["random_connected", "m0", "sweep-random_connected", "sweep-m0", "replicas"])
 def test_unsatisfiable_config_exits_2(tmp_path, capsys, command, lines, message):
     # a sweep refuses too before it creates its output directory
     keys = {line.split(" = ")[0] for line in lines}
@@ -731,7 +735,9 @@ def test_diverged_replica_keeps_earlier_summaries(tmp_path, monkeypatch):
     def run_then_diverge(cfg, prob, g):
         calls.append(cfg.seed)
         if len(calls) == 2:
-            raise NumericalDivergence("forced", trace=None, round_index=7)
+            trace = simulator.run(dataclasses.replace(cfg, K=7), prob, g)
+            trace.meta["diverged_at"] = 7
+            return trace
         return simulator.run(cfg, prob, g)
 
     monkeypatch.setattr(harness, "run", run_then_diverge)

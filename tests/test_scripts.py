@@ -1,6 +1,7 @@
-"""Smoke runs of the experiment scripts and of the README's topology study
-at small sizes, and of the benchmark's worker, in a subprocess as a user
-runs them."""
+"""Smoke runs of the scripts, of the README's rate and topology studies at
+small sizes, and of the benchmark's worker, in a subprocess as a user runs
+them."""
+import dataclasses
 import importlib.util
 import json
 import os
@@ -10,9 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from hsmadmm import harness, simulator
-from hsmadmm.config import RunConfig
-from hsmadmm.simulator import NumericalDivergence
+from hsmadmm.config import RunConfig, parse_config_text, write_config
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -32,83 +31,42 @@ def run_python(*args, **env_vars):
 PLOTS = ("stationarity_vs_k.svg", "residuals_vs_k.svg", "stationarity_vs_scalars.svg")
 
 
-def test_rate_experiment(tmp_path):
-    done = run_script("rate_experiment.py", "--seeds", "2", "--rounds", "200",
-                      "--out", str(tmp_path))
-    assert done.returncode == 0, done.stderr
-    assert (tmp_path / "mean_min_prefix.csv").stat().st_size > 0
-    for name in PLOTS:
-        assert (tmp_path / name).stat().st_size > 0
+def readme_config(name):
+    """The config that the README writes with ``cat > NAME <<'EOF'``."""
+    text = (ROOT / "README.md").read_text()
+    body = text.split(f"cat > {name} <<'EOF'\n", 1)[1].split("\nEOF\n", 1)[0]
+    return parse_config_text(body)
 
 
-def test_rate_experiment_refuses_zero_seeds(tmp_path):
-    # the config is refused before any output exists
+def test_rate_study(tmp_path):
+    cfg = tmp_path / "rate.cfg"
+    write_config(dataclasses.replace(readme_config("rate.cfg"), replicas=2, K=200),
+                 cfg)
     out = tmp_path / "rate"
-    done = run_script("rate_experiment.py", "--seeds", "0", "--rounds", "10",
+    done = run_python("-m", "hsmadmm.harness", "run", "--config", str(cfg),
                       "--out", str(out))
-    assert done.returncode != 0
-    assert "replicas" in done.stderr
-    assert not out.exists()
+    assert done.returncode == 0, done.stderr
+    for name in PLOTS:
+        assert (out / name).stat().st_size > 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert "slope_of_mean_min_prefix" in summary["aggregate"]
 
 
 def test_scripts_run_the_checkout_they_sit_in(tmp_path):
     # no PYTHONPATH and another working directory: the script finds the
     # package next to it
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
-    done = subprocess.run([sys.executable, str(ROOT / "scripts" / "rate_experiment.py"),
-                           "--seeds", "1", "--rounds", "10", "--out", "rate"],
+    done = subprocess.run([sys.executable, str(ROOT / "scripts" / "trace_digests.py")],
                           cwd=tmp_path, env=env, capture_output=True, text=True,
                           timeout=300)
     assert done.returncode == 0, done.stderr
-    assert (tmp_path / "rate" / "mean_min_prefix.csv").stat().st_size > 0
-
-
-def load_rate_experiment():
-    spec = importlib.util.spec_from_file_location(
-        "rate_experiment", ROOT / "scripts" / "rate_experiment.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def test_rate_experiment_exits_3_on_a_diverged_seed(tmp_path, monkeypatch, capsys):
-    # the run's outputs are written, the diverged seed is named, and no
-    # average is taken over traces of unequal length
-    def run_then_diverge(cfg, prob, g):
-        if cfg.seed == 1:
-            raise NumericalDivergence("forced", trace=None, round_index=7)
-        return simulator.run(cfg, prob, g)
-
-    monkeypatch.setattr(harness, "run", run_then_diverge)
-    out = tmp_path / "rate"
-    assert load_rate_experiment().main(["--seeds", "3", "--rounds", "20",
-                                        "--out", str(out)]) == 3
-    assert "diverged seeds: 1" in capsys.readouterr().err
-    summary = json.loads((out / "summary.json").read_text())
-    assert summary["status"] == "diverged"
-    assert [rep.get("diverged_at") for rep in summary["replicas"]] == [None, 7, None]
-    assert all((out / f"replica_{r:03d}" / "trace.csv").exists() for r in range(3))
-    assert not (out / "mean_min_prefix.csv").exists()
-
-
-# The topology study of the README: degree-scaled and uniform steps on a
-# ring, a star and a hub-leaf network with the same schedule constants.
-TOPOLOGY_STUDY = """\
-p = 3
-problem = least_squares
-samples_per_agent = 20
-regularizer = none
-batch_size = 0
-m0 = 1
-dataset_seed = 20
-metric_every = 5
-track_lyapunov = false
-"""
+    assert len(done.stdout.splitlines()) == 20
 
 
 def test_topology_comparison(tmp_path):
     cfg = tmp_path / "topologies.cfg"
-    cfg.write_text(TOPOLOGY_STUDY + "n = 6\nK = 300\n")
+    write_config(dataclasses.replace(readme_config("topologies.cfg"), n=6, K=300),
+                 cfg)
     out = tmp_path / "topologies"
     done = run_python("-m", "hsmadmm.harness", "sweep", "--config", str(cfg),
                       "--grid", "topology=ring,star,hub_leaf",
