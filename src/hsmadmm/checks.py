@@ -4,7 +4,7 @@ Each check returns ``(ok, detail)``: whether the property holds, and one
 line on what was measured. ``tests/test_acceptance.py`` calls the criterion
 checks and adds its wall-time bounds; ``VERIFY`` lists what the ``verify``
 subcommand runs, in order. Every check runs at one fixed size, except
-``determinism``, which takes the sweep it repeats.
+``determinism``, which takes the configuration whose grid it repeats.
 """
 from __future__ import annotations
 
@@ -172,20 +172,20 @@ def communication_accounting():
 
 
 def determinism(cfg: RunConfig, algos=("hsm_admm", "prox_gt")):
-    """Three ``sweep`` runs of ``cfg`` over ring and star with 2 seeds
-    (``--jobs`` 1, 1 and 2) write identical outputs, sweep.csv included,
-    one trace per cell and seed."""
+    """Three ``run --grid`` runs of ``cfg`` with 2 replicas over ring and
+    star (``--jobs`` 1, 1 and 2) write identical outputs, sweep.csv
+    included, one trace per cell and seed."""
     with tempfile.TemporaryDirectory() as tmp:
         base = Path(tmp) / "base.cfg"
-        write_config(cfg, base)
+        write_config(dataclasses.replace(cfg, replicas=2), base)
         outputs = []
         for tag, jobs in (("a", 1), ("b", 1), ("c", 2)):
             out = Path(tmp) / tag
-            rc = main(["sweep", "--config", str(base), "--grid", "topology=ring,star",
-                       "--grid", "algorithm=" + ",".join(algos), "--seeds", "2",
+            rc = main(["run", "--config", str(base), "--grid", "topology=ring,star",
+                       "--grid", "algorithm=" + ",".join(algos),
                        "--jobs", str(jobs), "--out", str(out)])
             if rc != 0:
-                return False, f"sweep --jobs {jobs} exited {rc}"
+                return False, f"run --jobs {jobs} exited {rc}"
             outputs.append(run_outputs(out))
     traces = sum(name.endswith("trace.csv") for name in outputs[0])
     reruns = outputs[0] == outputs[1]

@@ -29,7 +29,7 @@ class RunConfig:
     constants, budgets, seeds, and output/checker switches.
 
     ``workers`` is accepted and validated but selects nothing: a run is one
-    process on stacked arrays, and parallel work is ``sweep --jobs``.
+    process on stacked arrays, and parallel work is ``run --grid ... --jobs``.
     """
 
     algorithm: str = "hsm_admm"

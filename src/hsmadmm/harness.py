@@ -1,11 +1,11 @@
-"""Command-line entry point: run experiments, sweeps, checks, and plots.
+"""Command-line entry point: run experiments, checks, and plots.
 
 Subcommands
 -----------
-run     execute one configuration; writes trace.csv, summary.json and
-        optional SVG convergence plots into the output directory
-sweep   run each cell of the ``--grid field=v1,v2,...`` crosses as ``run``
-        does; writes sweep.csv, one row per cell and replica
+run     execute a configuration, or each cell of the crosses of optional
+        ``--grid field=v1,v2,...`` flags; writes each cell's trace.csv,
+        summary.json and, if the config asks, SVG convergence plots, and
+        sweep.csv, one row per cell and replica
 verify  the fast checks shared with the acceptance suite (hsmadmm.checks),
         one pass/fail line each, naming the warnings the check raised
 plot    render SVG charts from existing trace.csv files
@@ -38,7 +38,7 @@ SUMMARY_COLUMNS = tuple(name for name in TRACE_HEADER if name != "wall_ms")
 TOLERANCE = 1e-3
 SWEEP_COLUMNS = ("seed", "status", "diverged_at", "rounds_to_tol",
                  "final_stat_total", "min_stat_total", "scalars_transmitted")
-FLAG_FIELDS = {"replicas": "--seeds", "out_dir": "--out"}  # not griddable
+FLAG_FIELDS = {"out_dir": "--out"}  # not griddable
 
 
 def build_graph(cfg: RunConfig) -> graphmod.Graph:
@@ -102,10 +102,9 @@ def _replica_summary(trace: MetricsTrace, seed: int) -> dict:
 
 
 def run_outputs(out_dir) -> dict:
-    """The deterministic part of a run's or a sweep's output directory: each
-    trace.csv without its wall_ms column, each JSON file and sweep.csv, by
-    relative path. Reruns and any ``sweep --jobs`` count must reproduce it
-    exactly."""
+    """The deterministic part of a run's output directory: each trace.csv
+    without its wall_ms column, each JSON file and sweep.csv, by relative
+    path. Reruns and any ``run --jobs`` count must reproduce it exactly."""
     out = Path(out_dir)
     files = {}
     for path in sorted(out.rglob("*")):
@@ -239,19 +238,10 @@ def _report_divergence(label: str, summary: dict) -> bool:
     return bool(diverged)
 
 
-def cmd_run(args) -> int:
-    cfg = load_config(args.config)
-    if args.out:
-        cfg = dataclasses.replace(cfg, out_dir=args.out)
-    if args.plots:
-        cfg = dataclasses.replace(cfg, plots=True)
-    return 3 if _report_divergence("", run_single(cfg)) else 0
-
-
 def _run_cell(cfg: RunConfig) -> tuple:
-    """Run one sweep cell; return its summary and the warnings the run
+    """Run one cell of ``run``; return its summary and the warnings the run
     raised, as (category, message, filename, lineno), so that a pool
-    worker's warnings can be re-issued in the sweeping process."""
+    worker's warnings can be re-issued in the main process."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         summary = run_single(cfg)
@@ -294,10 +284,11 @@ def _sweep_row(values: list, rep: dict, trace_path: Path) -> str:
     return ",".join([*values, *("" if v is None else str(v) for v in row)])
 
 
-def cmd_sweep(args) -> int:
-    for option, value in (("--seeds", args.seeds), ("--jobs", args.jobs)):
-        if value < 1:
-            raise ConfigInvalid(f"{option} must be >= 1, got {value}")
+def cmd_run(args) -> int:
+    """Run each cell of the grid, or the one unnamed cell of no grid, whose
+    outputs land in the output directory itself."""
+    if args.jobs < 1:
+        raise ConfigInvalid(f"--jobs must be >= 1, got {args.jobs}")
     base = load_config(args.config)
     grid = _parse_grid(args.grid)
     out = Path(args.out if args.out else base.out_dir)
@@ -308,18 +299,18 @@ def cmd_sweep(args) -> int:
         if name in cells:
             raise ConfigInvalid(f"two sweep cells are named {name!r}")
         cells[name] = (texts, dataclasses.replace(
-            base, **dict(zip(grid, values)), replicas=args.seeds,
-            out_dir=str(out / name)))
-    for _, cfg in cells.values():
-        build_graph(cfg)  # refused here, before any output exists
-        build_problem(cfg)
-    out.mkdir(parents=True, exist_ok=True)
+            base, **dict(zip(grid, values)), out_dir=str(out / name)))
+    if len(cells) > 1:  # a lone cell's run_single builds before any output
+        for _, cfg in cells.values():
+            build_graph(cfg)  # refused here, before any output exists
+            build_problem(cfg)
 
     jobs = [cfg for _, cfg in cells.values()]
-    if args.jobs > 1:
-        # imported here: only a pooled sweep loads multiprocessing
+    workers = min(args.jobs, len(jobs))  # a forking pool starts them all
+    if workers > 1:
+        # imported here: only a pooled run loads multiprocessing
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_run_cell, jobs))
     else:
         outcomes = [_run_cell(cfg) for cfg in jobs]
@@ -328,9 +319,9 @@ def cmd_sweep(args) -> int:
     for (name, (texts, cfg)), (summary, caught) in zip(cells.items(), outcomes):
         for category, message, filename, lineno in caught:
             warnings.warn_explicit(message, category, filename, lineno)
-        diverged |= _report_divergence(f"{name} ", summary)
+        diverged |= _report_divergence(f"{name} " if name else "", summary)
         lines += [_sweep_row(texts, rep, rdir / "trace.csv") for rep, rdir in
-                  zip(summary["replicas"], replica_dirs(cfg.out_dir, args.seeds))]
+                  zip(summary["replicas"], replica_dirs(cfg.out_dir, cfg.replicas))]
     with open(out / "sweep.csv", "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
     return 3 if diverged else 0
@@ -390,20 +381,13 @@ def main(argv=None) -> int:
                     "composite optimization over graphs.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="run one configuration")
+    p_run = sub.add_parser("run", help="run a configuration or a grid over it")
     p_run.add_argument("--config", required=True)
+    p_run.add_argument("--grid", action="append", default=[],
+                       metavar="FIELD=V1,V2,...")
     p_run.add_argument("--out", default="")
-    p_run.add_argument("--plots", action="store_true")
+    p_run.add_argument("--jobs", type=int, default=1)
     p_run.set_defaults(fn=cmd_run)
-
-    p_sweep = sub.add_parser("sweep", help="run a grid over config fields")
-    p_sweep.add_argument("--config", required=True)
-    p_sweep.add_argument("--grid", action="append", required=True,
-                         metavar="FIELD=V1,V2,...")
-    p_sweep.add_argument("--seeds", type=int, default=1)
-    p_sweep.add_argument("--out", default="")
-    p_sweep.add_argument("--jobs", type=int, default=1)
-    p_sweep.set_defaults(fn=cmd_sweep)
 
     p_verify = sub.add_parser("verify", help="run the invariant suite")
     p_verify.set_defaults(fn=cmd_verify)

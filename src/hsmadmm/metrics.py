@@ -23,7 +23,7 @@ from .graph import Graph, laplacian, residual
 from .hsm_admm import Schedules
 from .problems import (CompositeProblem, batch_gradients, empirical_sigma_sq,
                        global_mean_gradient, h_values, per_sample_gradients,
-                       smooth_values, soft_threshold)
+                       prox_h, smooth_values)
 
 
 # Proof constants, fixed at 1: THETA is the Young's-inequality split in the
@@ -63,11 +63,7 @@ def stationarity_measure(prob: CompositeProblem, xs) -> StationarityReport:
     """
     xs = np.asarray(xs, dtype=float)
     xbar = xs.mean(axis=0)
-    g = global_mean_gradient(prob, xbar)
-    if prob.regularizer == "none":
-        prox_pt = xbar - g
-    else:
-        prox_pt = soft_threshold(xbar - g, prob.n * prob.l1_weight)
+    prox_pt = prox_h(prob, xbar - global_mean_gradient(prob, xbar), float(prob.n))
     prox_gap = float(np.sum((xbar - prox_pt) ** 2))
     cons_gap = float(np.sum((xs - xbar) ** 2))
     return StationarityReport(prox_gap, cons_gap, prox_gap + cons_gap)

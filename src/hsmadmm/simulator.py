@@ -4,7 +4,7 @@ Each agent owns an RNG stream seeded from (master seed, agent id), so the
 trajectory is a pure function of the run configuration. One drawer for
 every algorithm, ``baselines.batch_rows``, turns the streams into batch
 rows; each round takes its rows and the run's message ledger. A run is one
-process on stacked (n, p) arrays; parallel runs (``hsmadmm sweep --jobs``)
+process on stacked (n, p) arrays; parallel runs (``hsmadmm run --jobs``)
 give byte-identical outputs for any job count apart from wall times.
 
 A fixed divergence guard, ``DIVERGENCE_GUARD``, ends a run at numerical

@@ -246,5 +246,5 @@ def test_criterion_12_determinism():
                     l1_weight=0.001, alpha=0.1, noniid=True, batch_size=1,
                     K=200, seed=9)
     ok, detail = checks.determinism(cfg, algos=("hsm_admm", "uniform_admm"))
-    _report(12, "byte-identical outputs across reruns and sweep job counts",
+    _report(12, "byte-identical outputs across reruns and run --jobs counts",
             ok and " 8 traces," in detail, detail)

@@ -1,6 +1,8 @@
+import concurrent.futures
 import dataclasses
 import json
 import os
+import shlex
 import subprocess
 import sys
 import warnings
@@ -191,20 +193,19 @@ UNSATISFIABLE = [
 ]
 
 
-@pytest.mark.parametrize("command, lines, message", [
-    (command, *case) for command in ("run", "sweep") for case in UNSATISFIABLE
+@pytest.mark.parametrize("gridded, lines, message", [
+    (gridded, *case) for gridded in (False, True) for case in UNSATISFIABLE
 ] + [
-    # run only: a sweep sets replicas with --seeds
-    ("run", ["replicas = 0"], "config error: replicas and workers must be >= 1"),
+    (False, ["replicas = 0"], "config error: replicas and workers must be >= 1"),
 ], ids=["random_connected", "m0", "sweep-random_connected", "sweep-m0", "replicas"])
-def test_unsatisfiable_config_exits_2(tmp_path, capsys, command, lines, message):
-    # a sweep refuses too before it creates its output directory
+def test_unsatisfiable_config_exits_2(tmp_path, capsys, gridded, lines, message):
+    # a run with a grid refuses too before it creates its output directory
     keys = {line.split(" = ")[0] for line in lines}
     kept = [ln for ln in BASE_CFG.splitlines() if ln.split(" = ")[0] not in keys]
     path = write_cfg(tmp_path, "\n".join(kept + lines + [""]))
     out = tmp_path / "out"
-    args = [command, "--config", str(path), "--out", str(out)]
-    if command == "sweep":
+    args = ["run", "--config", str(path), "--out", str(out)]
+    if gridded:
         topology = dict(line.split(" = ") for line in lines).get("topology", "ring")
         args += ["--grid", f"topology={topology}", "--grid", "algorithm=hsm_admm"]
     assert main(args) == 2
@@ -339,12 +340,99 @@ def read_sweep_csv(out):
                                  for line in lines[1:]]
 
 
+def test_run_without_a_grid_is_one_cell(tmp_path, monkeypatch):
+    # the unnamed cell's outputs land in --out itself, with sweep.csv, one
+    # row per replica; its graph and problem are built once
+    built = []
+
+    def counted(build):
+        def wrapper(cfg):
+            built.append(build.__name__)
+            return build(cfg)
+        return wrapper
+
+    for name in ("build_graph", "build_problem"):
+        monkeypatch.setattr(harness, name, counted(getattr(harness, name)))
+    cfg_path = write_cfg(tmp_path, BASE_CFG + "replicas = 3\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert sorted(built) == ["build_graph", "build_problem"]
+    assert sorted(p.name for p in out.iterdir()) == [
+        "config.cfg", "replica_000", "replica_001", "replica_002", "summary.json",
+        "sweep.csv"]
+    header, rows = read_sweep_csv(out)
+    assert header == list(harness.SWEEP_COLUMNS)
+    summary = json.loads((out / "summary.json").read_text())
+    assert len(rows) == 3
+    for row, rep in zip(rows, summary["replicas"]):
+        assert int(row["seed"]) == rep["seed"]
+        assert row["status"] == "ok" and row["diverged_at"] == ""
+        assert float(row["final_stat_total"]) == rep["final"]["stat_total"]
+        assert int(row["scalars_transmitted"]) == rep["ledger"]["scalars_transmitted"]
+
+
+def test_run_with_a_grid_runs_the_configs_replicas(tmp_path):
+    cfg_path = write_cfg(tmp_path, BASE_CFG.replace("K = 40", "K = 5") + "replicas = 3\n")
+    args = ["run", "--config", str(cfg_path), "--out"]
+    assert main(args + [str(tmp_path / "a"), "--grid", "topology=ring"]) == 0
+    _, rows = read_sweep_csv(tmp_path / "a")
+    assert [(r["topology"], r["seed"]) for r in rows] == [
+        ("ring", "3"), ("ring", "4"), ("ring", "5")]
+    # replicas can be gridded like any other field
+    assert main(args + [str(tmp_path / "b"), "--grid", "replicas=1,2"]) == 0
+    _, rows = read_sweep_csv(tmp_path / "b")
+    assert [(r["replicas"], r["seed"]) for r in rows] == [
+        ("1", "3"), ("2", "3"), ("2", "4")]
+    assert (tmp_path / "b" / "1" / "trace.csv").exists()
+    assert sorted(p.name for p in (tmp_path / "b" / "2").iterdir() if p.is_dir()) == [
+        "replica_000", "replica_001"]
+
+
+@pytest.mark.parametrize("args, message", [
+    (["sweep", "--grid", "topology=ring"], "invalid choice: 'sweep'"),
+    (["run", "--seeds", "2"], "unrecognized arguments: --seeds 2"),
+    (["run", "--plots"], "unrecognized arguments: --plots"),
+])
+def test_retired_command_and_flags_exit_2(tmp_path, capsys, args, message):
+    # replicas and plots are config keys; argparse refuses before any output
+    cfg_path = write_cfg(tmp_path)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([args[0], "--config", str(cfg_path), "--out", str(out), *args[1:]])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def readme_commands():
+    """Every ``hsmadmm`` command in the README's shell blocks, as argv, with
+    backslash continuations joined and shell variables left as text."""
+    text = (ROOT / "README.md").read_text()
+    commands = []
+    for block in text.split("```bash\n")[1:]:
+        lines = block.split("\n```", 1)[0].replace("\\\n", " ").splitlines()
+        for line in lines:
+            words = shlex.split(line, comments=True)
+            if words and words[0] == "hsmadmm":
+                commands.append(words[1:])
+    return commands
+
+
+def test_readme_commands_parse(monkeypatch):
+    # a README command naming a removed subcommand or flag fails here
+    for name in ("cmd_run", "cmd_plot", "cmd_verify"):
+        monkeypatch.setattr(harness, name, lambda args: 0)
+    commands = readme_commands()
+    assert {argv[0] for argv in commands} >= {"run", "plot", "verify"}
+    for argv in commands:
+        assert main(argv) == 0, argv
+
+
 def test_sweep_layout(tmp_path):
-    cfg_path = write_cfg(tmp_path, BASE_CFG.replace("K = 40", "K = 15"))
+    cfg_path = write_cfg(tmp_path, BASE_CFG.replace("K = 40", "K = 15") + "replicas = 2\n")
     out = tmp_path / "sweep"
-    rc = main(["sweep", "--config", str(cfg_path), "--grid", "topology=ring,star",
-               "--grid", "algorithm=hsm_admm,prox_gt", "--seeds", "2",
-               "--out", str(out)])
+    rc = main(["run", "--config", str(cfg_path), "--grid", "topology=ring,star",
+               "--grid", "algorithm=hsm_admm,prox_gt", "--out", str(out)])
     assert rc == 0
     cells = ["ring__hsm_admm", "ring__prox_gt", "star__hsm_admm", "star__prox_gt"]
     assert sorted(p.name for p in out.iterdir()) == cells + ["sweep.csv"]
@@ -372,11 +460,11 @@ def test_sweep_layout(tmp_path):
 def test_sweep_grids_any_field_and_records_divergence(tmp_path, capsys):
     # a problem field and a float field; the c_eta = 1e-9 cells diverge, and
     # every cell still runs both replicas and writes their rows and traces
-    cfg_path = write_cfg(tmp_path, BASE_CFG.replace("K = 40", "K = 30"))
+    cfg_path = write_cfg(tmp_path, BASE_CFG.replace("K = 40", "K = 30") + "replicas = 2\n")
     out = tmp_path / "sweep"
-    rc = main(["sweep", "--config", str(cfg_path),
+    rc = main(["run", "--config", str(cfg_path),
                "--grid", "samples_per_agent=5,8", "--grid", "c_eta=1e-9,2",
-               "--seeds", "2", "--out", str(out)])
+               "--out", str(out)])
     assert rc == 3
     cells = ["5__1e-09", "5__2.0", "8__1e-09", "8__2.0"]
     assert sorted(p.name for p in out.iterdir()) == cells + ["sweep.csv"]
@@ -404,12 +492,12 @@ def test_sweep_grids_any_field_and_records_divergence(tmp_path, capsys):
 
 
 def test_sweep_table_and_summaries_are_the_same_for_any_jobs_count(tmp_path):
-    cfg_path = write_cfg(tmp_path, BASE_CFG.replace("K = 40", "K = 10"))
+    cfg_path = write_cfg(tmp_path, BASE_CFG.replace("K = 40", "K = 10") + "replicas = 2\n")
     outputs = []
     for jobs in ("1", "2"):
         out = tmp_path / f"jobs{jobs}"
-        assert main(["sweep", "--config", str(cfg_path), "--grid", "c_eta=1e-9,2",
-                     "--grid", "topology=ring,star", "--seeds", "2",
+        assert main(["run", "--config", str(cfg_path), "--grid", "c_eta=1e-9,2",
+                     "--grid", "topology=ring,star",
                      "--jobs", jobs, "--out", str(out)]) == 3
         outputs.append(harness.run_outputs(out))
     assert "sweep.csv" in outputs[0]
@@ -423,16 +511,16 @@ def test_sweep_jobs_2_reissues_the_workers_warnings(tmp_path, monkeypatch):
         return simulator.run(cfg, prob, g)
 
     monkeypatch.setattr(harness, "run", warn_then_run)
-    cfg_path = write_cfg(tmp_path, BASE_CFG.replace("K = 40", "K = 5"))
+    cfg_path = write_cfg(tmp_path, BASE_CFG.replace("K = 40", "K = 5") + "replicas = 2\n")
     counts, summaries = {}, {}
     for jobs in ("1", "2"):
         out = tmp_path / f"jobs{jobs}"
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            assert main(["sweep", "--config", str(cfg_path), "--grid",
+            assert main(["run", "--config", str(cfg_path), "--grid",
                          "topology=ring,star", "--grid",
                          "algorithm=hsm_admm,uniform_admm",
-                         "--seeds", "2", "--jobs", jobs, "--out", str(out)]) == 0
+                         "--jobs", jobs, "--out", str(out)]) == 0
         counts[jobs] = sum(str(w.message).endswith(" ran") for w in caught)
         summaries[jobs] = [(out / cell / "summary.json").read_bytes()
                            for cell in ("ring__hsm_admm", "star__uniform_admm")]
@@ -441,15 +529,31 @@ def test_sweep_jobs_2_reissues_the_workers_warnings(tmp_path, monkeypatch):
     assert summaries["2"] == summaries["1"]
 
 
-@pytest.mark.parametrize("option", ["--seeds", "--jobs"])
+def test_run_starts_no_more_workers_than_cells(tmp_path, monkeypatch):
+    # a pool that forks starts all its workers at once, used or not
+    real, pools = concurrent.futures.ProcessPoolExecutor, []
+
+    def recording(max_workers):
+        pools.append(max_workers)
+        return real(max_workers=max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording)
+    cfg_path = write_cfg(tmp_path, BASE_CFG.replace("K = 40", "K = 5"))
+    args = ["run", "--config", str(cfg_path), "--jobs", "8", "--out"]
+    assert main(args + [str(tmp_path / "one")]) == 0
+    assert main(args + [str(tmp_path / "two"), "--grid", "topology=ring,star"]) == 0
+    assert pools == [2]
+
+
+@pytest.mark.parametrize("option", ["--jobs"])
 def test_sweep_rejects_counts_below_one(tmp_path, capsys, option):
+    # a replica count below one is a config error: test_unsatisfiable_config_exits_2
     cfg_path = write_cfg(tmp_path, BASE_CFG.replace("K = 40", "K = 0"))
-    counts = {"--seeds": "1", "--jobs": "1", option: "0"}
-    rc = main(["sweep", "--config", str(cfg_path), "--grid", "topology=ring",
-               "--out", str(tmp_path / "sweep"),
-               *(word for pair in counts.items() for word in pair)])
+    rc = main(["run", "--config", str(cfg_path), "--grid", "topology=ring",
+               "--out", str(tmp_path / "sweep"), option, "0"])
     assert rc == 2
     assert f"{option} must be >= 1, got 0" in capsys.readouterr().err
+    assert not (tmp_path / "sweep").exists()
 
 
 REPEATED = [
@@ -467,7 +571,7 @@ def test_sweep_rejects_a_repeated_entry(tmp_path, capsys, grid, repeated):
     cfg_path = write_cfg(tmp_path, BASE_CFG.replace("K = 40", "K = 0"))
     grids = {"topology": "topology=ring,star", "algorithm": "algorithm=hsm_admm"}
     grids[grid.split("=")[0]] = grid
-    rc = main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "sweep"),
+    rc = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "sweep"),
                "--jobs", "2", *(word for spec in grids.values()
                                 for word in ("--grid", spec))])
     assert rc == 2
@@ -484,7 +588,7 @@ def test_sweep_names_a_path_value_with_underscores(tmp_path, capsys):
     cfg_path = write_cfg(tmp_path, "topology = from_edge_list\nn = 3\np = 2\n"
                                    f"K = 5\nedge_list = {edges[0]}\n")
     out = tmp_path / "sweep"
-    args = ["sweep", "--config", str(cfg_path), "--out", str(out), "--grid"]
+    args = ["run", "--config", str(cfg_path), "--out", str(out), "--grid"]
     assert main(args + [f"edge_list={edges[0]},{edges[1]}"]) == 2
     name = str(edges[1]).replace("/", "_")
     assert f"two sweep cells are named {name!r}" in capsys.readouterr().err
@@ -496,7 +600,7 @@ def test_sweep_names_a_path_value_with_underscores(tmp_path, capsys):
 @pytest.mark.parametrize("grids, message", [
     (["topology=ring", "colour=red"], "--grid: unknown field 'colour'"),
     (["topology=ring", "topology=star"], "--grid topology is given twice"),
-    (["replicas=1,2"], "--grid replicas: set it with --seeds"),
+    (["replicas=1,0"], "replicas and workers must be >= 1"),
     (["out_dir=a,b"], "--grid out_dir: set it with --out"),
     (["topology="], "--grid 'topology=' holds an empty value"),
     (["topology"], "--grid 'topology' holds an empty value"),
@@ -514,7 +618,7 @@ def test_sweep_refuses_before_any_output(tmp_path, capsys, grids, message):
     # cell's refusal leaves no output of the earlier ones
     cfg_path = write_cfg(tmp_path, BASE_CFG.replace("K = 40", "K = 5"))
     out = tmp_path / "sweep"
-    rc = main(["sweep", "--config", str(cfg_path), "--out", str(out), "--jobs", "2",
+    rc = main(["run", "--config", str(cfg_path), "--out", str(out), "--jobs", "2",
                *(word for spec in grids for word in ("--grid", spec))])
     assert rc == 2
     assert message in capsys.readouterr().err
@@ -526,14 +630,14 @@ def test_sweep_refuses_before_any_output(tmp_path, capsys, grids, message):
      "unrecognized arguments: --topologies ring"),
     (["--grid", "topology=ring", "--algos", "hsm_admm"],
      "unrecognized arguments: --algos hsm_admm"),
-    ([], "the following arguments are required: --grid"),
 ])
 def test_sweep_refuses_retired_flags_and_no_grid(tmp_path, capsys, args, message):
-    # argparse refuses these with exit 2, before any output exists
+    # argparse refuses these with exit 2, before any output exists; a run
+    # with no grid is one unnamed cell (test_run_without_a_grid_is_one_cell)
     cfg_path = write_cfg(tmp_path)
     out = tmp_path / "sweep"
     with pytest.raises(SystemExit) as exc:
-        main(["sweep", "--config", str(cfg_path), "--out", str(out), *args])
+        main(["run", "--config", str(cfg_path), "--out", str(out), *args])
     assert exc.value.code == 2
     assert message in capsys.readouterr().err
     assert not out.exists()

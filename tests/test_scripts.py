@@ -68,7 +68,7 @@ def test_topology_comparison(tmp_path):
     write_config(dataclasses.replace(readme_config("topologies.cfg"), n=6, K=300),
                  cfg)
     out = tmp_path / "topologies"
-    done = run_python("-m", "hsmadmm.harness", "sweep", "--config", str(cfg),
+    done = run_python("-m", "hsmadmm.harness", "run", "--config", str(cfg),
                       "--grid", "topology=ring,star,hub_leaf",
                       "--grid", "algorithm=hsm_admm,uniform_admm", "--out", str(out))
     assert done.returncode == 0, done.stderr

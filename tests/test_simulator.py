@@ -74,7 +74,7 @@ def test_determinism_across_runs_and_workers():
     strip = lambda tr: np.array([r[:-1] for r in tr.rows], dtype=float)
     assert np.array_equal(strip(t1), strip(t2), equal_nan=True)
 
-    # parallel work is across runs: sweep worker processes change nothing;
+    # parallel work is across runs: run --jobs worker processes change nothing;
     # 13 files are 8 traces, 4 cell summaries and the sweep table
     ok, detail = determinism(cfg)
     assert ok and detail.startswith("13 files,"), detail
