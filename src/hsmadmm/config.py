@@ -19,7 +19,7 @@ from .problems import REGULARIZERS, SMOOTH_KINDS
 ALGORITHMS = ("hsm_admm", "uniform_admm", "prox_dsgd", "prox_gt")
 
 
-class ConfigInvalid(Exception):
+class ConfigInvalid(ValueError):
     """Malformed or out-of-range run configuration."""
 
 

@@ -23,14 +23,6 @@ from .problems import CompositeProblem, batch_gradients, stochastic_gradient
 from .problems import draw_batch  # noqa: F401
 
 
-class EstimatorError(Exception):
-    pass
-
-
-class MomentumOutOfRange(EstimatorError):
-    """Momentum parameter outside (0, 1]."""
-
-
 def update_momentum(v, last_x, prob: CompositeProblem, x_new, a: float,
                     rows) -> np.ndarray:
     """One recursive-momentum refresh of every row at the new iterates;
@@ -41,7 +33,7 @@ def update_momentum(v, last_x, prob: CompositeProblem, x_new, a: float,
     full-data batch.
     """
     if not (0.0 < a <= 1.0):
-        raise MomentumOutOfRange(f"momentum parameter must be in (0, 1], got {a}")
+        raise ValueError(f"momentum parameter must be in (0, 1], got {a}")
     if rows is None:
         g_new = batch_gradients(prob, x_new, None)
         g_old = batch_gradients(prob, last_x, None)

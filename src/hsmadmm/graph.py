@@ -30,20 +30,9 @@ MAX_ATTEMPTS = 1000
 TOPOLOGY_KINDS = ("ring", "star", "hub_leaf", "random_connected", "from_edge_list")
 
 
-class GraphError(Exception):
-    """Base class for topology and operator failures."""
-
-
-class InvalidParam(GraphError):
-    """A construction parameter is out of range."""
-
-
-class NotConnected(GraphError):
-    """Sampling could not produce a connected graph."""
-
-
-class DenseRequired(GraphError):
-    """The requested computation needs dense matrices beyond the size guard."""
+class NotConnected(ValueError):
+    """The edges do not connect every node; ``random_connected`` resamples
+    on it."""
 
 
 @dataclass
@@ -71,18 +60,18 @@ class Graph:
 
     def __post_init__(self):
         if self.n < 1:
-            raise InvalidParam(f"node count must be >= 1, got {self.n}")
+            raise ValueError(f"node count must be >= 1, got {self.n}")
         canon = []
         seen = set()
         for i, j in self.edges:
             i, j = int(i), int(j)
             if i == j:
-                raise InvalidParam(f"self loop at node {i}")
+                raise ValueError(f"self loop at node {i}")
             if not (0 <= i < self.n and 0 <= j < self.n):
-                raise InvalidParam(f"edge ({i}, {j}) out of range for n={self.n}")
+                raise ValueError(f"edge ({i}, {j}) out of range for n={self.n}")
             e = (i, j) if i < j else (j, i)
             if e in seen:
-                raise InvalidParam(f"duplicate edge {e}")
+                raise ValueError(f"duplicate edge {e}")
             seen.add(e)
             canon.append(e)
         self.edges = tuple(canon)
@@ -144,7 +133,7 @@ def build_topology(kind: str, n: int, seed: int = 0, *,
         center.
     """
     if n < 2:
-        raise InvalidParam(f"build_topology requires n >= 2, got {n}")
+        raise ValueError(f"build_topology requires n >= 2, got {n}")
     if kind == "ring":
         e = [(i, i + 1) for i in range(n - 1)]
         if n > 2:
@@ -154,14 +143,14 @@ def build_topology(kind: str, n: int, seed: int = 0, *,
         return Graph(n, tuple((0, j) for j in range(1, n)))
     if kind == "hub_leaf":
         if not (1 <= hubs < n):
-            raise InvalidParam(f"hub_leaf needs 1 <= hubs < n, got hubs={hubs}, n={n}")
+            raise ValueError(f"hub_leaf needs 1 <= hubs < n, got hubs={hubs}, n={n}")
         e = [(i, j) for i in range(hubs) for j in range(i + 1, hubs)]
         for leaf in range(hubs, n):
             e.append(((leaf - hubs) % hubs, leaf))
         return Graph(n, tuple(e))
     if kind == "random_connected":
         if prob is None or not (0.0 < prob <= 1.0):
-            raise InvalidParam(f"random_connected needs edge probability in (0, 1], got {prob}")
+            raise ValueError(f"random_connected needs edge probability in (0, 1], got {prob}")
         rng = np.random.default_rng(seed)
         for _ in range(MAX_ATTEMPTS):
             mask = rng.random((n, n)) < prob
@@ -171,7 +160,7 @@ def build_topology(kind: str, n: int, seed: int = 0, *,
             except NotConnected:
                 continue
         raise NotConnected(f"no connected sample in {MAX_ATTEMPTS} attempts (n={n}, prob={prob})")
-    raise InvalidParam(f"unknown topology kind {kind!r}")
+    raise ValueError(f"unknown topology kind {kind!r}")
 
 
 def incidence_matrix(g: Graph) -> np.ndarray:
@@ -209,11 +198,11 @@ def load_edge_list(path, n: int) -> Graph:
                 continue
             parts = line.split()
             if len(parts) != 2:
-                raise InvalidParam(f"{path}:{ln}: expected 'i j', got {raw.rstrip()!r}")
+                raise ValueError(f"{path}:{ln}: expected 'i j', got {raw.rstrip()!r}")
             try:
                 i, j = int(parts[0]), int(parts[1])
             except ValueError as exc:
-                raise InvalidParam(f"{path}:{ln}: non-integer node id") from exc
+                raise ValueError(f"{path}:{ln}: non-integer node id") from exc
             edges.append((i, j))
     return Graph(n, tuple(edges))
 
@@ -242,7 +231,7 @@ def residual(g: Graph, X, Y) -> np.ndarray:
 
 def _guard_dense(g: Graph, p: int) -> None:
     if g.n * p > DENSE_LIMIT:
-        raise DenseRequired(f"dense matrices need n*p <= {DENSE_LIMIT}, got {g.n * p}")
+        raise ValueError(f"dense matrices need n*p <= {DENSE_LIMIT}, got {g.n * p}")
 
 
 def dense_A(g: Graph, p: int) -> np.ndarray:

@@ -48,12 +48,12 @@ def build_graph(cfg: RunConfig) -> graphmod.Graph:
     if cfg.topology == "from_edge_list":
         try:
             return graphmod.load_edge_list(cfg.edge_list, n=cfg.n)
-        except (OSError, ValueError, graphmod.GraphError) as exc:
+        except (OSError, ValueError) as exc:
             raise ConfigInvalid(f"edge list {cfg.edge_list}: {exc}") from exc
     try:
         return graphmod.build_topology(cfg.topology, cfg.n, cfg.graph_seed,
                                        prob=cfg.edge_prob, hubs=cfg.hubs)
-    except graphmod.GraphError as exc:
+    except ValueError as exc:
         raise ConfigInvalid(f"topology {cfg.topology}: {exc}") from exc
 
 
@@ -66,7 +66,7 @@ def build_problem(cfg: RunConfig) -> problems.CompositeProblem:
             prob = problems.load_dataset(cfg.dataset_csv, cfg.dataset_manifest,
                                          kind=cfg.problem, regularizer=cfg.regularizer,
                                          l1_weight=cfg.l1_weight, alpha=cfg.alpha)
-        except (OSError, ValueError, problems.ProblemError) as exc:
+        except (OSError, ValueError) as exc:
             raise ConfigInvalid(f"dataset {cfg.dataset_csv}: {exc}") from exc
         for key in ("n", "p"):
             found, want = getattr(prob, key), getattr(cfg, key)
@@ -238,17 +238,6 @@ def _report_divergence(label: str, summary: dict) -> bool:
     return bool(diverged)
 
 
-def _run_cell(cfg: RunConfig) -> tuple:
-    """Run one cell of ``run``; return its summary and the warnings the run
-    raised, as (category, message, filename, lineno), so that a pool
-    worker's warnings can be re-issued in the main process."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        summary = run_single(cfg)
-    return summary, [(w.category, str(w.message), w.filename, w.lineno)
-                     for w in caught]
-
-
 def _parse_grid(specs) -> dict:
     """Each ``--grid field=v1,v2,...`` as field -> its values, parsed as the
     config text parses them, in flag order."""
@@ -286,7 +275,9 @@ def _sweep_row(values: list, rep: dict, trace_path: Path) -> str:
 
 def cmd_run(args) -> int:
     """Run each cell of the grid, or the one unnamed cell of no grid, whose
-    outputs land in the output directory itself."""
+    outputs land in the output directory itself. Each cell is one
+    ``run_single`` call, in this process or, with ``--jobs`` above one, in a
+    pool worker; the cells' summaries then give sweep.csv and the exit code."""
     if args.jobs < 1:
         raise ConfigInvalid(f"--jobs must be >= 1, got {args.jobs}")
     base = load_config(args.config)
@@ -311,14 +302,12 @@ def cmd_run(args) -> int:
         # imported here: only a pooled run loads multiprocessing
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_run_cell, jobs))
+            summaries = list(pool.map(run_single, jobs))
     else:
-        outcomes = [_run_cell(cfg) for cfg in jobs]
+        summaries = [run_single(cfg) for cfg in jobs]
     lines = [",".join([*grid, *SWEEP_COLUMNS])]
     diverged = False
-    for (name, (texts, cfg)), (summary, caught) in zip(cells.items(), outcomes):
-        for category, message, filename, lineno in caught:
-            warnings.warn_explicit(message, category, filename, lineno)
+    for (name, (texts, cfg)), summary in zip(cells.items(), summaries):
         diverged |= _report_divergence(f"{name} " if name else "", summary)
         lines += [_sweep_row(texts, rep, rdir / "trace.csv") for rep, rdir in
                   zip(summary["replicas"], replica_dirs(cfg.out_dir, cfg.replicas))]

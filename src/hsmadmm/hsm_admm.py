@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimator import update_momentum
-from .graph import Graph, InvalidParam, apply_Mt, dense_A, dense_B, residual
+from .graph import Graph, apply_Mt, dense_A, dense_B, residual
 from .problems import CompositeProblem, batch_gradients, prox_h
 
 
@@ -52,7 +52,7 @@ class Schedules:
 
     def __post_init__(self):
         if self.c_rho <= 0 or self.c_a <= 0 or self.c_eta <= 0:
-            raise InvalidParam("schedule constants must be positive")
+            raise ValueError("schedule constants must be positive")
 
     def rho(self, k: int) -> float:
         return self.c_rho * float(k + 1) ** (1.0 / 3.0)

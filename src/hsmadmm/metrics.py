@@ -35,15 +35,7 @@ C_GAMMA = 1.0
 C_ERR = 12.0 * (1.0 + 1.0 / THETA)
 
 
-class MetricsError(Exception):
-    pass
-
-
-class HistoryUnavailable(MetricsError):
-    """Merit evaluation needs at least two completed rounds."""
-
-
-class InsufficientTrace(MetricsError):
+class InsufficientTrace(ValueError):
     """Rate fitting needs a long enough logged trace."""
 
 
@@ -197,7 +189,7 @@ def lyapunov(prob: CompositeProblem, graph: Graph, sched: Schedules,
     current and previous estimation errors (``gradient_error`` at states k
     and k-1), plus the weighted squared last step."""
     if k < 2:
-        raise HistoryUnavailable(f"merit needs state index >= 2, got {k}")
+        raise ValueError(f"merit needs state index >= 2, got {k}")
     xs = np.asarray(xs, dtype=float)
     rho_prev = sched.rho(k - 1)
     al = augmented_lagrangian(prob, graph, xs, ys, lam, rho_prev)
@@ -355,7 +347,7 @@ def rate_fit_averaged(curves) -> tuple:
     for ks, vals in curves:
         ks = np.asarray(ks, dtype=float)
         if ks.shape != ks0.shape or not np.array_equal(ks, ks0):
-            raise MetricsError("replicas must share their logged rounds")
+            raise ValueError("replicas must share their logged rounds")
         prefixes.append(min_prefix(vals))
     return rate_fit(ks0, np.mean(prefixes, axis=0))
 
@@ -373,7 +365,7 @@ def accumulation_weighted_sum(err_sq, dx_sq, r_sq, K: int) -> float:
     dx_sq = np.asarray(dx_sq, dtype=float)
     r_sq = np.asarray(r_sq, dtype=float)
     if err_sq.size < K or dx_sq.size < K + 1 or r_sq.size < K + 1:
-        raise MetricsError(f"need per-state records up to K+1={K + 1}")
+        raise ValueError(f"need per-state records up to K+1={K + 1}")
     k = np.arange(1, K + 1, dtype=float)
     return float(np.sum(k ** (-1.0 / 3.0) * err_sq[:K]
                         + k ** (1.0 / 3.0) * dx_sq[1:K + 1]

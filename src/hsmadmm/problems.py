@@ -37,18 +37,6 @@ NOISE_STD = 0.1
 SLICE_VALUES = 8192
 
 
-class ProblemError(Exception):
-    """Base class for objective/oracle failures."""
-
-
-class IndexOutOfRange(ProblemError):
-    """An agent index outside [0, n), or a batch size below one."""
-
-
-class NonPositiveScale(ProblemError):
-    """The proximal scale must be strictly positive."""
-
-
 @dataclass
 class CompositeProblem:
     """n-agent composite objective: smooth stochastic loss plus l1 or nothing.
@@ -77,20 +65,20 @@ class CompositeProblem:
 
     def __post_init__(self):
         if self.kind not in SMOOTH_KINDS:
-            raise ProblemError(f"unknown smooth loss kind {self.kind!r}")
+            raise ValueError(f"unknown smooth loss kind {self.kind!r}")
         if self.regularizer not in REGULARIZERS:
-            raise ProblemError(f"unknown regularizer {self.regularizer!r}")
+            raise ValueError(f"unknown regularizer {self.regularizer!r}")
         if self.l1_weight < 0 or self.alpha < 0:
-            raise ProblemError("l1_weight and alpha must be nonnegative")
+            raise ValueError("l1_weight and alpha must be nonnegative")
         X = self.stacked_features = np.ascontiguousarray(self.stacked_features, float)
         y = self.stacked_labels = np.ascontiguousarray(self.stacked_labels, float)
         if X.ndim != 2 or y.shape != X.shape[:1]:
-            raise ProblemError("need (N, p) features and (N,) labels")
+            raise ValueError("need (N, p) features and (N,) labels")
         sizes = np.asarray(self.sizes, dtype=int)
         if sizes.ndim != 1 or not sizes.size or sizes.sum() != X.shape[0]:
-            raise ProblemError(f"need per-agent sizes summing to N={X.shape[0]}")
+            raise ValueError(f"need per-agent sizes summing to N={X.shape[0]}")
         if (sizes < 1).any():
-            raise ProblemError(f"agent {np.argmin(sizes)} has no samples")
+            raise ValueError(f"agent {np.argmin(sizes)} has no samples")
         self.offsets = np.cumsum([0, *sizes.tolist()])
 
     @property
@@ -119,7 +107,7 @@ def _row_slices(start: int, stop: int, width: int):
 
 def _check_agent(prob: CompositeProblem, i: int) -> None:
     if not (0 <= i < prob.n):
-        raise IndexOutOfRange(f"agent {i} out of range (n={prob.n})")
+        raise ValueError(f"agent {i} out of range (n={prob.n})")
 
 
 def _local_samples(prob: CompositeProblem, i: int):
@@ -343,7 +331,7 @@ def prox_h(prob: CompositeProblem, v, c: float) -> np.ndarray:
     no regularizer it is the identity.
     """
     if c <= 0:
-        raise NonPositiveScale(f"prox scale must be positive, got {c}")
+        raise ValueError(f"prox scale must be positive, got {c}")
     v = np.asarray(v, dtype=float)
     if prob.regularizer == "none":
         return v.copy()
@@ -386,7 +374,7 @@ def draw_batch(prob: CompositeProblem, i: int, rng, size: int) -> np.ndarray:
     array as it is."""
     _check_agent(prob, i)
     if size < 1:
-        raise IndexOutOfRange(f"batch size must be >= 1, got {size}")
+        raise ValueError(f"batch size must be >= 1, got {size}")
     return prob.offsets[i] + rng.integers(0, prob.local_size(i), size=size)
 
 
@@ -409,7 +397,7 @@ def make_problem(kind: str, n: int, p: int, samples_per_agent: int, seed: int, *
     generated arrays themselves.
     """
     if n < 1 or p < 1 or samples_per_agent < 1:
-        raise ProblemError("n, p and samples_per_agent must be positive")
+        raise ValueError("n, p and samples_per_agent must be positive")
     rng = np.random.default_rng(seed)
     x_true = np.zeros(p)
     nnz = max(1, p // 4)
@@ -470,39 +458,39 @@ def load_dataset(csv_path, manifest_path, *, kind: str,
     with open(manifest_path, "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
     if not isinstance(manifest, dict):
-        raise ProblemError(f"manifest is a JSON {type(manifest).__name__}, "
-                           "not an object with keys n, p and ranges")
+        raise ValueError(f"manifest is a JSON {type(manifest).__name__}, "
+                         "not an object with keys n, p and ranges")
     for key in ("n", "p", "ranges"):
         if key not in manifest:
-            raise ProblemError(f"manifest has no {key!r} key")
+            raise ValueError(f"manifest has no {key!r} key")
     try:
         n, p = int(manifest["n"]), int(manifest["p"])
     except (TypeError, ValueError) as exc:
-        raise ProblemError(f"manifest n and p must be integers: {exc}") from exc
+        raise ValueError(f"manifest n and p must be integers: {exc}") from exc
     rows = np.loadtxt(csv_path, delimiter=",", ndmin=2)
     bad = np.argwhere(~np.isfinite(rows))
     if bad.size:
-        raise ProblemError(f"CSV row {bad[0][0] + 1}, column {bad[0][1] + 1} "
-                           "is not a finite number")
+        raise ValueError(f"CSV row {bad[0][0] + 1}, column {bad[0][1] + 1} "
+                         "is not a finite number")
     if rows.shape[1] != p + 1:
-        raise ProblemError(f"CSV has {rows.shape[1]} columns, manifest says p={p}")
+        raise ValueError(f"CSV has {rows.shape[1]} columns, manifest says p={p}")
     if kind == "logistic":
         bad = np.flatnonzero(np.abs(rows[:, p]) != 1.0)
         if bad.size:
-            raise ProblemError(f"CSV row {bad[0] + 1} has logistic label "
-                               f"{rows[bad[0], p]:g}, not -1 or +1")
+            raise ValueError(f"CSV row {bad[0] + 1} has logistic label "
+                             f"{rows[bad[0], p]:g}, not -1 or +1")
     ranges = manifest["ranges"]
     if not (isinstance(ranges, list) and len(ranges) == n):
-        raise ProblemError(f"manifest ranges must be a list of n={n} pairs")
+        raise ValueError(f"manifest ranges must be a list of n={n} pairs")
     spans = []
     for entry in ranges:
         if not (isinstance(entry, list) and len(entry) == 2
                 and all(type(v) is int for v in entry)):
-            raise ProblemError(f"manifest range {entry!r} is not a [start, stop] "
-                               "pair of integers")
+            raise ValueError(f"manifest range {entry!r} is not a [start, stop] "
+                             "pair of integers")
         start, stop = entry
         if not (0 <= start < stop <= rows.shape[0]):
-            raise ProblemError(f"manifest range [{start}, {stop}) out of bounds")
+            raise ValueError(f"manifest range [{start}, {stop}) out of bounds")
         spans.append(np.arange(start, stop))
     gather = np.concatenate(spans)
     return CompositeProblem(kind, rows[gather, :p], rows[gather, p],

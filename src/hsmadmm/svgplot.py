@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 
-class EmptyTrace(Exception):
+class EmptyTrace(ValueError):
     """No plottable points were supplied."""
 
 

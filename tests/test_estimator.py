@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hsmadmm.baselines import batch_rows
-from hsmadmm.estimator import MomentumOutOfRange, update_momentum
+from hsmadmm.estimator import update_momentum
 from hsmadmm.metrics import momentum_recursion_mc_check
 from hsmadmm.problems import (CompositeProblem, batch_gradients, draw_batch,
                               full_gradient, make_problem,
@@ -83,7 +83,7 @@ def test_stationary_iterate_full_batch():
 def test_momentum_parameter_range():
     prob = scalar_problem()
     for bad in (0.0, -0.5, 1.5):
-        with pytest.raises(MomentumOutOfRange):
+        with pytest.raises(ValueError, match=r"momentum parameter must be in \(0, 1\]"):
             update_momentum(np.zeros((1, 1)), np.zeros((1, 1)), prob,
                             np.ones((1, 1)), bad, None)
 

@@ -4,10 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hsmadmm.checks import block_vs_dense
-from hsmadmm.graph import (DENSE_LIMIT, DenseRequired, Graph, InvalidParam,
-                           NotConnected, apply_Mt, build_topology,
-                           dense_A, incidence_matrix, laplacian, load_edge_list,
-                           residual, save_edge_list, singular_sq_extremes,
+from hsmadmm.graph import (DENSE_LIMIT, Graph, NotConnected, apply_Mt,
+                           build_topology, dense_A, incidence_matrix,
+                           laplacian, load_edge_list, residual,
+                           save_edge_list, singular_sq_extremes,
                            smallest_singular_sq_A)
 
 
@@ -49,14 +49,14 @@ def test_random_connected_exhausts_attempts():
 
 
 def test_build_topology_rejects_small_n():
-    with pytest.raises(InvalidParam):
+    with pytest.raises(ValueError, match="build_topology requires n >= 2, got 1"):
         build_topology("ring", 1)
 
 
 def test_graph_rejects_self_loops_and_duplicates():
-    with pytest.raises(InvalidParam):
+    with pytest.raises(ValueError, match="self loop at node 0"):
         Graph(3, ((0, 0),))
-    with pytest.raises(InvalidParam):
+    with pytest.raises(ValueError, match=r"duplicate edge \(0, 1\)"):
         Graph(3, ((0, 1), (1, 0), (1, 2)))
 
 
@@ -146,7 +146,7 @@ def test_dense_guard():
     g = build_topology("ring", 100)
     assert g.n * 50 > DENSE_LIMIT
     assert abs(smallest_singular_sq_A(g) - 1.0) <= 1e-10
-    with pytest.raises(DenseRequired):
+    with pytest.raises(ValueError, match=f"dense matrices need n\\*p <= {DENSE_LIMIT}"):
         dense_A(g, 50)
 
 
@@ -161,7 +161,7 @@ def test_edge_list_round_trip(tmp_path):
 def test_edge_list_rejects_malformed(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("0 1\n2\n")
-    with pytest.raises(InvalidParam):
+    with pytest.raises(ValueError, match=r":2: expected 'i j', got '2'"):
         load_edge_list(path, n=3)
 
 

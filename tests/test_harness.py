@@ -1,7 +1,10 @@
 import concurrent.futures
 import dataclasses
+import importlib
+import inspect
 import json
 import os
+import pkgutil
 import shlex
 import subprocess
 import sys
@@ -12,6 +15,7 @@ from xml.etree import ElementTree
 import numpy as np
 import pytest
 
+import hsmadmm
 from hsmadmm import checks, harness, simulator
 from hsmadmm.config import (ConfigInvalid, RunConfig, config_to_text,
                             load_config, parse_config_text)
@@ -106,6 +110,20 @@ def test_string_values_config_text_cannot_hold_are_refused(values):
     name = next(iter(values))
     with pytest.raises(ConfigInvalid, match=f"{name} must hold no '#'"):
         RunConfig(**values)
+
+
+def test_the_package_refuses_with_four_value_errors():
+    # ValueError is the one refusal type; these subclasses are the ones a
+    # caller catches by name
+    defined = {}
+    for info in pkgutil.iter_modules(hsmadmm.__path__):
+        module = importlib.import_module(f"hsmadmm.{info.name}")
+        for name, cls in inspect.getmembers(module, inspect.isclass):
+            if cls.__module__ == module.__name__ and issubclass(cls, BaseException):
+                defined[name] = cls
+    assert sorted(defined) == ["ConfigInvalid", "EmptyTrace", "InsufficientTrace",
+                               "NotConnected"]
+    assert all(issubclass(cls, ValueError) for cls in defined.values())
 
 
 def test_run_command_outputs(tmp_path):
@@ -504,29 +522,19 @@ def test_sweep_table_and_summaries_are_the_same_for_any_jobs_count(tmp_path):
     assert outputs[0] == outputs[1]
 
 
-def test_sweep_jobs_2_reissues_the_workers_warnings(tmp_path, monkeypatch):
-    # every run warns once; pool workers fork and inherit the patch
-    def warn_then_run(cfg, prob, g):
-        warnings.warn(f"seed {cfg.seed} ran", UserWarning)
-        return simulator.run(cfg, prob, g)
-
-    monkeypatch.setattr(harness, "run", warn_then_run)
-    cfg_path = write_cfg(tmp_path, BASE_CFG.replace("K = 40", "K = 5") + "replicas = 2\n")
-    counts, summaries = {}, {}
-    for jobs in ("1", "2"):
-        out = tmp_path / f"jobs{jobs}"
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert main(["run", "--config", str(cfg_path), "--grid",
-                         "topology=ring,star", "--grid",
-                         "algorithm=hsm_admm,uniform_admm",
-                         "--jobs", jobs, "--out", str(out)]) == 0
-        counts[jobs] = sum(str(w.message).endswith(" ran") for w in caught)
-        summaries[jobs] = [(out / cell / "summary.json").read_bytes()
-                           for cell in ("ring__hsm_admm", "star__uniform_admm")]
-    assert counts["1"] == 8
-    assert counts["2"] == counts["1"]
-    assert summaries["2"] == summaries["1"]
+def test_pooled_diverging_run_raises_no_warning(tmp_path):
+    # pool workers fork and inherit the "error" filter, so a warning raised
+    # by any run, in this process or in a worker, fails the run
+    cfg_path = write_cfg(tmp_path, BASE_CFG + "replicas = 2\n")
+    out = tmp_path / "pooled"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", "--config", str(cfg_path), "--grid", "c_eta=0.01,2",
+                     "--jobs", "2", "--out", str(out)]) == 3
+    header, rows = read_sweep_csv(out)
+    assert header[0] == "c_eta"
+    assert [(r["c_eta"], r["status"]) for r in rows] == [
+        ("0.01", "diverged"), ("0.01", "diverged"), ("2.0", "ok"), ("2.0", "ok")]
 
 
 def test_run_starts_no_more_workers_than_cells(tmp_path, monkeypatch):

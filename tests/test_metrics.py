@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from hsmadmm.graph import Graph, build_topology, dense_AtA, residual
 from hsmadmm.hsm_admm import Schedules, step_degrees
 from hsmadmm.metrics import (C_ERR, C_GAMMA, THETA, DualBoundChecker,
-                             HistoryUnavailable, InsufficientTrace, MetricsError,
+                             InsufficientTrace,
                              accumulation_weighted_sum, augmented_lagrangian,
                              constants_feasibility, descent_drift,
                              gradient_error, lyapunov, make_lyapunov_constants,
@@ -195,7 +195,7 @@ def test_lyapunov_needs_history(quad_problem, ring4):
     xs = np.zeros((4, 2))
     vs = np.zeros((4, 2))
     err_sq = gradient_error(quad_problem, xs, vs)
-    with pytest.raises(HistoryUnavailable):
+    with pytest.raises(ValueError, match="merit needs state index >= 2, got 1"):
         lyapunov(quad_problem, ring4, sched, c_beta, 1, xs, xs,
                  np.zeros((ring4.m + ring4.n) * 2), xs, err_sq, err_sq)
 
@@ -261,7 +261,7 @@ def test_rate_fit_averaged():
     curves = [(ks, 2.0 * ks ** (-0.5)), (ks, 4.0 * ks ** (-0.5))]
     slope, _ = rate_fit_averaged(curves)
     assert slope == pytest.approx(-0.5, abs=1e-6)
-    with pytest.raises(MetricsError):
+    with pytest.raises(ValueError, match="replicas must share their logged rounds"):
         rate_fit_averaged([(ks, ks), (ks[:-1], ks[:-1])])
 
 
@@ -279,7 +279,7 @@ def test_accumulation_weighted_sum_matches_loop():
     want = sum(k ** (-1 / 3) * err[k - 1] + k ** (1 / 3) * dx[k] + k ** (1 / 3) * r[k]
                for k in range(1, K + 1))
     assert accumulation_weighted_sum(err, dx, r, K) == pytest.approx(want)
-    with pytest.raises(MetricsError):
+    with pytest.raises(ValueError, match=r"need per-state records up to K\+1=51"):
         accumulation_weighted_sum(err[:10], dx[:10], r[:10], K)
 
 

@@ -267,9 +267,9 @@ def test_ledger_record_arithmetic():
 
 def test_trace_guards():
     trace = MetricsTrace()
-    with pytest.raises(Exception):
+    with pytest.raises(ValueError, match="row width does not match header"):
         trace.append((1.0, 2.0))
-    with pytest.raises(Exception):
+    with pytest.raises(ValueError, match="empty trace"):
         trace.last_row()
 
 
